@@ -25,52 +25,204 @@ let c_candidates = Obs.Metrics.counter "hom.candidates_scanned"
 let c_unify = Obs.Metrics.counter "hom.unify_attempts"
 let c_backtracks = Obs.Metrics.counter "hom.backtracks"
 
-(* Order atoms so that each atom (after the first) shares a variable with an
-   earlier one when possible; ties broken towards atoms with constants,
-   which are the most selective.  [bound] seeds the variables considered
-   already bound (the delta pivot's variables in semi-naive mode).
+(* --- Slot tables, compiled atoms and the greedy ordering ------------ *)
 
-   The selected atom is removed *positionally*: a CQ body may repeat an
-   atom (possibly the same physical value), and each occurrence must keep
-   its slot in the match order. *)
+(* A slot table: variable names interned to dense slots.  One table can
+   be shared by the plans of a delta family, so a full match is the same
+   [int array] no matter which pivot produced it — that array is the
+   semi-naive deduplication key and the parallel-merge sort key. *)
+type vars = {
+  tbl : (string, int) Hashtbl.t;
+  mutable names : string array;
+  mutable n : int;
+}
+
+let vars_create () = { tbl = Hashtbl.create 16; names = Array.make 8 ""; n = 0 }
+
+let slot_of vars x =
+  match Hashtbl.find_opt vars.tbl x with
+  | Some i -> i
+  | None ->
+      let i = vars.n in
+      if i >= Array.length vars.names then begin
+        let a = Array.make (2 * Array.length vars.names) "" in
+        Array.blit vars.names 0 a 0 vars.n;
+        vars.names <- a
+      end;
+      vars.names.(i) <- x;
+      Hashtbl.replace vars.tbl x i;
+      vars.n <- i + 1;
+      i
+
+(* One compiled atom: per position, either a variable slot or a constant
+   name (resolved to an element once per evaluation). *)
+type patom = {
+  psym : Symbol.t;
+  arity : int;
+  slot_of_pos : int array; (* position -> slot, or -1 at constants *)
+  cst_of_pos : string array; (* position -> constant name, "" at vars *)
+}
+
+let compile_atom vars atom =
+  let args = Array.of_list (Atom.args atom) in
+  let n = Array.length args in
+  let slots = Array.make n (-1) in
+  let csts = Array.make n "" in
+  Array.iteri
+    (fun i t ->
+      match t with
+      | Term.Var x -> slots.(i) <- slot_of vars x
+      | Term.Cst c -> csts.(i) <- c)
+    args;
+  { psym = Atom.sym atom; arity = n; slot_of_pos = slots; cst_of_pos = csts }
+
+(* A body as the ordering sees it, all ints: per atom its distinct slots
+   and its number of constant positions; per slot the atoms containing
+   it, as one flat table (slot [s]'s atoms are [occ_atoms.(k)] for
+   [occ_start.(s) <= k < occ_start.(s + 1)]).  Built once per body and
+   read by every ordering of a family. *)
+type shape = {
+  aslots : int array array;
+  csts : int array;
+  occ_start : int array;
+  occ_atoms : int array;
+}
+
+let shape_of (patoms : patom array) nslots =
+  let n = Array.length patoms in
+  let aslots = Array.make n [||] and csts = Array.make n 0 in
+  let occ_start = Array.make (nslots + 1) 0 in
+  Array.iteri
+    (fun i pa ->
+      let out = Array.make pa.arity 0 and k = ref 0 in
+      Array.iter
+        (fun s ->
+          if s < 0 then csts.(i) <- csts.(i) + 1
+          else begin
+            let q = ref 0 in
+            while !q < !k && out.(!q) <> s do
+              incr q
+            done;
+            if !q = !k then begin
+              out.(!k) <- s;
+              incr k;
+              occ_start.(s + 1) <- occ_start.(s + 1) + 1
+            end
+          end)
+        pa.slot_of_pos;
+      aslots.(i) <- (if !k = pa.arity then out else Array.sub out 0 !k))
+    patoms;
+  for s = 1 to nslots do
+    occ_start.(s) <- occ_start.(s) + occ_start.(s - 1)
+  done;
+  let next = Array.sub occ_start 0 nslots in
+  let occ_atoms = Array.make occ_start.(nslots) 0 in
+  Array.iteri
+    (fun i sl ->
+      Array.iter
+        (fun s ->
+          occ_atoms.(next.(s)) <- i;
+          next.(s) <- next.(s) + 1)
+        sl)
+    aslots;
+  { aslots; csts; occ_start; occ_atoms }
+
+(* The connectivity-greedy atom order: atoms that share a variable with
+   an earlier one come first when possible, ties broken towards atoms
+   with constants, which are the most selective.  Each step picks the
+   first (lowest-index) unplaced atom of maximal score
+   4·(distinct bound slots) + (constant positions), then binds its
+   slots.  [bound] seeds the slots considered already bound (the delta
+   pivot's in semi-naive mode); the atom at index [skip] is left out
+   (the pivot itself, or none when [skip < 0]).  Returns atom indices.
+
+   All the work is on ints.  A tournament tree over the atoms keeps the
+   next pick at its root: each node holds the first-index maximum of
+   its leaves, a placed atom's leaf holds -1.  Binding a slot bumps the
+   scores of the atoms containing it, found through the shape's
+   occurrence table, and each bump or placement re-plays one leaf-to-root
+   path.  One ordering of n atoms thus costs O((n + i)·log n) steps for
+   i (slot, atom) incidences — no sets, strings or list surgery.
+   Selection is by index, so a repeated atom — even a physically shared
+   one — keeps each of its occurrences. *)
+let greedy_order sh ~bound ~skip =
+  let n = Array.length sh.csts in
+  let is_bound = Array.make (Array.length sh.occ_start - 1) false in
+  Array.iter (fun s -> is_bound.(s) <- true) bound;
+  let score = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let sl = sh.aslots.(i) in
+    let sc = ref sh.csts.(i) in
+    for t = 0 to Array.length sl - 1 do
+      if is_bound.(sl.(t)) then sc := !sc + 4
+    done;
+    score.(i) <- !sc
+  done;
+  let size = ref 1 in
+  while !size < n do
+    size := 2 * !size
+  done;
+  let size = !size in
+  let tree = Array.make (2 * size) (-1) in
+  for i = 0 to n - 1 do
+    if i <> skip then tree.(size + i) <- i
+  done;
+  (* [a] covers the lower indices, so it wins ties *)
+  let winner a b =
+    if b < 0 || (a >= 0 && score.(a) >= score.(b)) then a else b
+  in
+  for k = size - 1 downto 1 do
+    tree.(k) <- winner tree.(2 * k) tree.((2 * k) + 1)
+  done;
+  let replay i =
+    let k = ref ((size + i) / 2) in
+    while !k >= 1 do
+      tree.(!k) <- winner tree.(2 * !k) tree.((2 * !k) + 1);
+      k := !k / 2
+    done
+  in
+  let order = Array.make (if skip >= 0 then n - 1 else n) 0 in
+  for k = 0 to Array.length order - 1 do
+    let b = tree.(1) in
+    order.(k) <- b;
+    tree.(size + b) <- -1;
+    replay b;
+    Array.iter
+      (fun s ->
+        if not is_bound.(s) then begin
+          is_bound.(s) <- true;
+          for o = sh.occ_start.(s) to sh.occ_start.(s + 1) - 1 do
+            let a = sh.occ_atoms.(o) in
+            if tree.(size + a) >= 0 then begin
+              score.(a) <- score.(a) + 4;
+              replay a
+            end
+          done
+        end)
+      sh.aslots.(b)
+  done;
+  order
+
+(* The slots of the [bound] variables that [vars] has interned. *)
+let bound_slots vars bound =
+  Term.Var_set.fold
+    (fun x acc ->
+      match Hashtbl.find_opt vars.tbl x with Some s -> s :: acc | None -> acc)
+    bound []
+  |> Array.of_list
+
 let order_atoms ?(bound = Term.Var_set.empty) atoms =
   match atoms with
-  | [] -> []
+  | [] | [ _ ] -> atoms
   | _ ->
-      let score bound a =
-        let vs = Atom.vars a in
-        let shared = Term.Var_set.cardinal (Term.Var_set.inter vs bound) in
-        let csts = List.length (Atom.constants a) in
-        (shared * 4) + csts
+      let vars = vars_create () in
+      let arr = Array.of_list atoms in
+      let patoms = Array.map (compile_atom vars) arr in
+      let order =
+        greedy_order (shape_of patoms vars.n) ~bound:(bound_slots vars bound)
+          ~skip:(-1)
       in
-      (* index of the first best-scoring atom, mirroring the fold's
-         strict-improvement tie-break *)
-      let best_index bound = function
-        | [] -> invalid_arg "Hom.order_atoms: empty"
-        | a :: rest ->
-            let rec go i best_i best_s = function
-              | [] -> best_i
-              | a :: rest ->
-                  let s = score bound a in
-                  if s > best_s then go (i + 1) i s rest
-                  else go (i + 1) best_i best_s rest
-            in
-            go 1 0 (score bound a) rest
-      in
-      let rec remove_nth i = function
-        | [] -> []
-        | x :: rest -> if i = 0 then rest else x :: remove_nth (i - 1) rest
-      in
-      let rec go bound remaining acc =
-        match remaining with
-        | [] -> List.rev acc
-        | _ ->
-            let i = best_index bound remaining in
-            let a = List.nth remaining i in
-            let remaining = remove_nth i remaining in
-            go (Term.Var_set.union bound (Atom.vars a)) remaining (a :: acc)
-      in
-      go bound atoms []
+      Array.fold_right (fun i acc -> arr.(i) :: acc) order []
 
 (* Try to extend [binding] so that [atom] maps onto [fact]. *)
 let unify atom fact binding =
@@ -243,43 +395,6 @@ module Plan = struct
   let c_compilations = Obs.Metrics.counter "plan.compilations"
   let c_orderings = Obs.Metrics.counter "plan.cost_orderings"
 
-  (* A slot table: variable names interned to dense slots.  One table can
-     be shared by the plans of a delta family, so a full match is the same
-     [int array] no matter which pivot produced it — that array is the
-     semi-naive deduplication key and the parallel-merge sort key. *)
-  type vars = {
-    tbl : (string, int) Hashtbl.t;
-    mutable names : string array;
-    mutable n : int;
-  }
-
-  let vars_create () =
-    { tbl = Hashtbl.create 16; names = Array.make 8 ""; n = 0 }
-
-  let slot_of vars x =
-    match Hashtbl.find_opt vars.tbl x with
-    | Some i -> i
-    | None ->
-        let i = vars.n in
-        if i >= Array.length vars.names then begin
-          let a = Array.make (2 * Array.length vars.names) "" in
-          Array.blit vars.names 0 a 0 vars.n;
-          vars.names <- a
-        end;
-        vars.names.(i) <- x;
-        Hashtbl.replace vars.tbl x i;
-        vars.n <- i + 1;
-        i
-
-  (* One compiled atom: per position, either a variable slot or a constant
-     name (resolved to an element once per evaluation). *)
-  type patom = {
-    psym : Symbol.t;
-    arity : int;
-    slot_of_pos : int array; (* position -> slot, or -1 at constants *)
-    cst_of_pos : string array; (* position -> constant name, "" at vars *)
-  }
-
   (* Atom-ordering strategy.  [Fixed] is the reference: the
      connectivity-greedy order is frozen at compile time and the evaluator
      is bit-identical to the interpreted path (bindings, order, counters).
@@ -296,9 +411,10 @@ module Plan = struct
     vars : vars;
     atoms : patom array; (* evaluation order under [Fixed] *)
     mode : mode;
-    cyclic : bool;
+    cyclic : bool; (* computed under [Auto] only, else [false] *)
     ident : int array; (* the identity permutation, len = #atoms *)
-    occ : (int * int) array array; (* slot -> (atom, position) occurrences *)
+    occ : (int * int) array array;
+        (* slot -> (atom, position) occurrences; [Auto] only, else [||] *)
   }
 
   type family = { fvars : vars; pivots : (patom * t) array }
@@ -352,67 +468,117 @@ module Plan = struct
       atoms;
     Array.map Array.of_list occ
 
-  let compile_atom vars atom =
-    let args = Array.of_list (Atom.args atom) in
-    let n = Array.length args in
-    let slots = Array.make n (-1) in
-    let csts = Array.make n "" in
-    Array.iteri
-      (fun i t ->
-        match t with
-        | Term.Var x -> slots.(i) <- slot_of vars x
-        | Term.Cst c -> csts.(i) <- c)
-      args;
-    { psym = Atom.sym atom; arity = n; slot_of_pos = slots; cst_of_pos = csts }
+  (* Renumber the slots of [vars] — and, in place, of the [patoms]
+     interned against it — into first-appearance order along [seq] (atom
+     indices covering every atom), the numbering that interning the atoms
+     in that order would have produced.  The names are permuted and the
+     table's values rewritten without rehashing a name. *)
+  let renumber vars (patoms : patom array) seq =
+    let remap = Array.make vars.n (-1) in
+    let next = ref 0 in
+    Array.iter
+      (fun i ->
+        Array.iter
+          (fun s ->
+            if s >= 0 && remap.(s) < 0 then begin
+              remap.(s) <- !next;
+              incr next
+            end)
+          patoms.(i).slot_of_pos)
+      seq;
+    Array.iter
+      (fun pa ->
+        Array.iteri
+          (fun p s -> if s >= 0 then pa.slot_of_pos.(p) <- remap.(s))
+          pa.slot_of_pos)
+      patoms;
+    let names = Array.sub vars.names 0 vars.n in
+    Array.iteri (fun s x -> vars.names.(remap.(s)) <- x) names;
+    Hashtbl.filter_map_inplace (fun _ s -> Some remap.(s)) vars.tbl
+
+  (* One plan over [atoms], ticking [plan.compilations].  [occ] and
+     [cyclic] are read only by the generic join, hence built only under
+     [Auto]. *)
+  let plan_of vars ~mode ~ident atoms =
+    if !Obs.metrics_on then Obs.Metrics.incr c_compilations;
+    let cyclic, occ =
+      if mode = Auto then (detect_cyclic atoms vars.n, occurrences atoms vars.n)
+      else (false, [||])
+    in
+    { vars; atoms; mode; cyclic; ident; occ }
 
   (* Under [Fixed] the connectivity-greedy order is applied here, once;
      under [Cost]/[Auto] the authored order is kept and the evaluator
-     re-orders at entry, when cardinalities are known. *)
-  let compile_with vars ?(ordered = true) ?(bound = Term.Var_set.empty)
-      ?(mode = Fixed) atoms =
-    let atoms =
-      if mode = Fixed && ordered then order_atoms ~bound atoms else atoms
-    in
-    if !Obs.metrics_on then Obs.Metrics.incr c_compilations;
+     re-orders at entry, when cardinalities are known.  Slots are numbered
+     by first appearance in evaluation order. *)
+  let compile ?(ordered = true) ?(bound = Term.Var_set.empty) ?(mode = Fixed)
+      atoms =
+    let vars = vars_create () in
     let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
-    {
-      vars;
-      atoms = patoms;
-      mode;
-      cyclic = detect_cyclic patoms vars.n;
-      ident = Array.init (Array.length patoms) Fun.id;
-      occ = occurrences patoms vars.n;
-    }
+    let patoms =
+      if mode = Fixed && ordered && Array.length patoms > 1 then begin
+        let order =
+          greedy_order (shape_of patoms vars.n)
+            ~bound:(bound_slots vars bound) ~skip:(-1)
+        in
+        renumber vars patoms order;
+        Array.map (fun i -> patoms.(i)) order
+      end
+      else patoms
+    in
+    plan_of vars ~mode ~ident:(Array.init (Array.length patoms) Fun.id) patoms
 
-  let compile ?ordered ?bound ?mode atoms =
-    compile_with (vars_create ()) ?ordered ?bound ?mode atoms
-
-  (* One compiled plan per pivot position, all sharing one slot table.
-     Each rest-plan is ordered with the pivot's variables seeded as bound,
-     exactly as the interpreted delta decomposition does (under [Fixed];
-     cost modes defer ordering to evaluation). *)
+  (* One plan per pivot position, all sharing one slot table and one
+     compiled atom per body position: a pivot plan's [atoms] point at the
+     family's patoms.  Each rest-plan is ordered with the pivot's slots
+     seeded as bound, exactly as the interpreted delta decomposition does
+     (under [Fixed]; cost modes defer ordering to evaluation).  Slots are
+     numbered by first appearance along pivot 0 then its rest-plan. *)
   let compile_family ?(ordered = true) ?(mode = Fixed) atoms =
     let vars = vars_create () in
-    let pivots =
-      List.mapi
-        (fun j pivot ->
-          let p = compile_atom vars pivot in
-          let rest = List.filteri (fun k _ -> k <> j) atoms in
-          let rest =
-            if mode = Fixed && ordered then
-              order_atoms ~bound:(Atom.vars pivot) rest
-            else rest
-          in
-          (p, compile_with vars ~ordered:false ~mode rest))
-        atoms
+    let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
+    let n = Array.length patoms in
+    let orders =
+      if mode = Fixed && ordered && n > 2 then begin
+        let sh = shape_of patoms vars.n in
+        let orders =
+          Array.init n (fun j -> greedy_order sh ~bound:sh.aslots.(j) ~skip:j)
+        in
+        renumber vars patoms (Array.append [| 0 |] orders.(0));
+        orders
+      end
+      else
+        (* a rest of at most one atom, or authored order: the slots are
+           already numbered along pivot 0 then its rest *)
+        Array.init n (fun j ->
+            Array.init (n - 1) (fun k -> if k < j then k else k + 1))
     in
-    { fvars = vars; pivots = Array.of_list pivots }
+    let ident = Array.init (max 0 (n - 1)) Fun.id in
+    let pivots =
+      Array.mapi
+        (fun j order ->
+          ( patoms.(j),
+            plan_of vars ~mode ~ident (Array.map (Array.get patoms) order) ))
+        orders
+    in
+    { fvars = vars; pivots }
 
   let nslots plan = plan.vars.n
   let slot plan x = Hashtbl.find_opt plan.vars.tbl x
   let var_name plan s = plan.vars.names.(s)
   let family_nslots fam = fam.fvars.n
   let family_slot fam x = Hashtbl.find_opt fam.fvars.tbl x
+
+  let family_layout fam =
+    let position pa =
+      let rec go k =
+        if k >= Array.length fam.pivots then -1
+        else if fst fam.pivots.(k) == pa then k
+        else go (k + 1)
+      in
+      go 0
+    in
+    Array.map (fun (_, plan) -> Array.map position plan.atoms) fam.pivots
 
   (* Per-atom evaluation scratch, preallocated once per entry point: the
      chosen pins and the slots bound by the current candidate (for

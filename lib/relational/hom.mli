@@ -15,10 +15,15 @@
 (** A variable binding: query variables to structure elements. *)
 type binding = int Term.Var_map.t
 
-(** The connectivity-greedy atom ordering (exposed for tests/benches).
-    [bound] seeds the already-bound variables (the semi-naive pivot's).
-    The result is a permutation of the input: repeated atoms — even
-    physically equal ones — each keep their occurrence. *)
+(** The connectivity-greedy atom ordering (exposed for tests/benches):
+    each step takes the first remaining atom of maximal score
+    4·(its distinct variables already bound) + (its constant
+    positions).  [bound] seeds the already-bound variables (the
+    semi-naive pivot's).  The result is a permutation of the input:
+    repeated atoms — even physically equal ones — each keep their
+    occurrence.  The work is on ints — a score array, per-variable
+    occurrence lists and a tournament tree — so n atoms cost
+    O((n + i)·log n) for i variable occurrences. *)
 val order_atoms : ?bound:Term.Var_set.t -> Atom.t list -> Atom.t list
 
 (** [iter_all ?compiled ?ordered ?init target atoms f] calls [f] on every
@@ -101,13 +106,21 @@ module Plan : sig
 
   (** [compile ?ordered ?bound ?mode atoms] fixes the evaluation order
       under [Fixed] (with [bound] seeding {!order_atoms}) and interns the
-      body's variables to dense slots; cost modes defer ordering to
-      evaluation entry. *)
+      body's variables to dense slots, numbered by first appearance in
+      that order; cost modes defer ordering to evaluation entry. *)
   val compile :
     ?ordered:bool -> ?bound:Term.Var_set.t -> ?mode:mode -> Atom.t list -> t
 
   (** One rest-plan per pivot occurrence, mirroring the interpreted delta
-      decomposition. *)
+      decomposition: under [Fixed] each rest is in {!order_atoms} order
+      with the pivot's variables bound.  Each body atom is compiled once
+      and every plan of the family shares it physically, so a family of
+      n atoms holds n compiled atoms and n arrays of n − 1 pointers, and
+      compiling it costs O(n² log n) integer steps (n orderings, one
+      occurrence table) — the spider-CQ bodies of T_Q, about a hundred
+      atoms, compile in a few milliseconds.  Slots are numbered by first
+      appearance along pivot 0 and then its rest, as in {!compile}.
+      [plan.compilations] ticks once per pivot. *)
   val compile_family : ?ordered:bool -> ?mode:mode -> Atom.t list -> family
 
   (** Number of variable slots; emitted arrays have this length. *)
@@ -119,6 +132,13 @@ module Plan : sig
   val var_name : t -> int -> string
   val family_nslots : family -> int
   val family_slot : family -> string -> int option
+
+  (** [family_layout fam] — per pivot, the body positions of its
+      rest-plan's atoms in evaluation order (introspection for tests).
+      A position is found by physical identity with the family's
+      compiled atoms, so [-1] would mark an atom compiled apart from
+      them. *)
+  val family_layout : family -> int array array
 
   (** [iter_slots ?init plan target emit] — the raw evaluator.  [init]
       seeds slots (pairs [(slot, element)]).  [emit] receives the live

@@ -221,7 +221,11 @@ let replay_fire d fp key =
    projections for the three body layouts; [body_family_par] is the
    [`Par] engine's family, compiled under [par_mode] (the cost-ordered /
    generic-join modes — its slot layout differs from [body_family]'s,
-   hence the separate projection). *)
+   hence the separate projection).  [Lazy.t] is not domain-safe: two
+   domains forcing the same lazy raise [CamlinternalLazy.Undefined], so
+   the [`Par] paths force [fr_par] (hence [body_family_par] and
+   [head_plan]) and [fire_plan] on the calling domain before any pool
+   fan-out, and the workers only read the forced values. *)
 type cdep = {
   dep : Dep.t;
   body_plan : Hom.Plan.t Lazy.t;
@@ -434,6 +438,8 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
   end
   else begin
     let cds = Array.of_list cdeps in
+    (* Force the plans on this domain: workers only read them. *)
+    Array.iter (fun cd -> ignore (Lazy.force cd.fr_par)) cds;
     let ndeps = Array.length cds in
     let m = max 1 (min jobs (max (hi - lo) 1)) in
     let ntasks = ndeps * m in
@@ -644,6 +650,7 @@ let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~jobs ~stealing triggers d =
       done;
       s
     in
+    Array.iter (fun (cd, _, _) -> ignore (Lazy.force cd.fire_plan)) tarr;
     let run_stage_tasks () =
       let faults = Array.make m false in
       if Resilience.Failpoint.active () then

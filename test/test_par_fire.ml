@@ -62,6 +62,27 @@ let test_tgd_jobs () =
       [ 1; 2; 3 ]
   done
 
+(* Each run compiles its dependencies afresh, so every lazy plan is
+   unforced when the first pool fan-out starts.  Forcing one lazy from
+   two domains raises [CamlinternalLazy.Undefined]; the par engine must
+   force its plans on the calling domain first.  Four jobs and staged
+   firing fan out both the trigger scan and the head staging, on every
+   stage, several dozen times. *)
+let test_tgd_fresh_plans_jobs4 () =
+  for case = 0 to 47 do
+    let r = Oracle.Gen.case_rng ~seed:41 ~case in
+    let inst = Oracle.Gen.instance r in
+    let base = run_tgd `Seminaive inst in
+    let par =
+      try run_tgd ~tuning:staged ~jobs:4 `Par inst
+      with e ->
+        Alcotest.failf "case %d jobs 4 staged raised %s" case
+          (Printexc.to_string e)
+    in
+    same_tgd_run (Printf.sprintf "case %d jobs 4 staged, fresh plans" case)
+      base par
+  done
+
 (* A probability-1 failpoint faults the first attempt and the retry, so
    every armed stage walks the whole ladder: retried once, then degraded
    to the sequential rung — and the run must stay bit-identical.
@@ -163,6 +184,8 @@ let () =
       ( "tgd",
         [
           Alcotest.test_case "jobs 1/2/3 bit-identical" `Quick test_tgd_jobs;
+          Alcotest.test_case "fresh plans, jobs 4 staged: no lazy race" `Quick
+            test_tgd_fresh_plans_jobs4;
           Alcotest.test_case "faulted ladders bit-identical" `Quick
             test_tgd_faulted;
         ] );

@@ -274,6 +274,214 @@ let test_cost_order_deterministic () =
       inst.Oracle.Gen.deps
   done
 
+(* --- the greedy ordering against its list/Var_set specification ----------- *)
+
+(* The connectivity-greedy ordering as first written, over lists and
+   [Var_set]s: the specification the integer ordering of [Hom.order_atoms]
+   and [Hom.Plan.compile_family] is held to.  Each atom carries a tag (its
+   body position), so orders over repeated atoms compare position by
+   position; the tags play no part in the choice. *)
+let spec_order ?(bound = Term.Var_set.empty) (atoms : (int * Atom.t) list) =
+  match atoms with
+  | [] -> []
+  | _ ->
+      let score bound (_, a) =
+        let vs = Atom.vars a in
+        let shared = Term.Var_set.cardinal (Term.Var_set.inter vs bound) in
+        let csts = List.length (Atom.constants a) in
+        (shared * 4) + csts
+      in
+      let best_index bound = function
+        | [] -> invalid_arg "spec_order: empty"
+        | a :: rest ->
+            let rec go i best_i best_s = function
+              | [] -> best_i
+              | a :: rest ->
+                  let s = score bound a in
+                  if s > best_s then go (i + 1) i s rest
+                  else go (i + 1) best_i best_s rest
+            in
+            go 1 0 (score bound a) rest
+      in
+      let rec remove_nth i = function
+        | [] -> []
+        | x :: rest -> if i = 0 then rest else x :: remove_nth (i - 1) rest
+      in
+      let rec go bound remaining acc =
+        match remaining with
+        | [] -> List.rev acc
+        | _ ->
+            let i = best_index bound remaining in
+            let a = List.nth remaining i in
+            let remaining = remove_nth i remaining in
+            go
+              (Term.Var_set.union bound (Atom.vars (snd a)))
+              remaining (a :: acc)
+      in
+      go bound atoms []
+
+(* Slots numbered by first appearance along [atoms]. *)
+let spec_slots atoms =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      List.iter
+        (function
+          | Term.Var x when not (Hashtbl.mem tbl x) ->
+              Hashtbl.replace tbl x (Hashtbl.length tbl)
+          | _ -> ())
+        (Atom.args a))
+    atoms;
+  tbl
+
+let compilations () =
+  Option.value ~default:0
+    (List.assoc_opt "plan.compilations" (Obs.Metrics.snapshot ()))
+
+(* [compile_family] against the spec: per pivot, the rest-plan's body
+   positions in the spec's order of the other atoms (pivot variables
+   bound) — or in authored order under a cost mode; the slot table of
+   pivot 0 then its ordered rest; one compilation per pivot; and every
+   rest-plan atom physically one of the family's per-position atoms. *)
+let check_family ?mode what atoms =
+  let indexed = List.mapi (fun i a -> (i, a)) atoms in
+  let rest_of j = List.filter (fun (k, _) -> k <> j) indexed in
+  let spec =
+    List.map
+      (fun (j, pivot) ->
+        match mode with
+        | Some _ -> rest_of j
+        | None -> spec_order ~bound:(Atom.vars pivot) (rest_of j))
+      indexed
+  in
+  Obs.set_metrics true;
+  let c0 = compilations () in
+  let fam = Hom.Plan.compile_family ?mode atoms in
+  let c1 = compilations () in
+  Obs.set_metrics false;
+  check_int
+    (what ^ ": one compilation per pivot")
+    (List.length atoms) (c1 - c0);
+  let layout = Hom.Plan.family_layout fam in
+  check (what ^ ": pivot orders") true
+    (Array.to_list (Array.map Array.to_list layout)
+    = List.map (List.map fst) spec);
+  (match (atoms, spec) with
+  | a0 :: _, rest0 :: _ ->
+      let tbl = spec_slots (a0 :: List.map snd rest0) in
+      check_int (what ^ ": slot count") (Hashtbl.length tbl)
+        (Hom.Plan.family_nslots fam);
+      Hashtbl.iter
+        (fun x s ->
+          check (what ^ ": slot of " ^ x) true
+            (Hom.Plan.family_slot fam x = Some s))
+        tbl
+  | _ -> check_int (what ^ ": no slots") 0 (Hom.Plan.family_nslots fam))
+
+(* [order_atoms] and [Plan.compile] against the spec, under [bound]. *)
+let check_order ~bound what atoms =
+  let indexed = List.mapi (fun i a -> (i, a)) atoms in
+  let spec = List.map snd (spec_order ~bound indexed) in
+  let got = Hom.order_atoms ~bound atoms in
+  check (what ^ ": order_atoms") true
+    (List.length got = List.length spec && List.for_all2 ( == ) got spec);
+  Obs.set_metrics true;
+  let c0 = compilations () in
+  let plan = Hom.Plan.compile ~bound atoms in
+  let c1 = compilations () in
+  Obs.set_metrics false;
+  check_int (what ^ ": one compilation") 1 (c1 - c0);
+  let tbl = spec_slots spec in
+  check_int (what ^ ": plan slot count") (Hashtbl.length tbl)
+    (Hom.Plan.nslots plan);
+  Hashtbl.iter
+    (fun x s ->
+      check (what ^ ": plan slot of " ^ x) true (Hom.Plan.slot plan x = Some s))
+    tbl
+
+let unary = Symbol.make "U" 1
+let ternary = Symbol.make "T" 3
+
+(* A seeded body of [n] atoms over unary/binary/ternary symbols, a
+   variable pool of 1..2n names and three constants; about one atom in
+   eight repeats an earlier one physically and one in eight as a
+   structurally equal copy. *)
+let random_body r n =
+  let nv = 1 + Random.State.int r (2 * n) in
+  let term () =
+    if Random.State.int r 6 = 0 then
+      c (Printf.sprintf "k%d" (Random.State.int r 3))
+    else v (Printf.sprintf "x%d" (Random.State.int r nv))
+  in
+  let fresh () =
+    match Random.State.int r 3 with
+    | 0 -> Atom.make unary [ term () ]
+    | 1 -> Atom.app2 edge (term ()) (term ())
+    | _ -> Atom.make ternary [ term (); term (); term () ]
+  in
+  let rec go i acc =
+    if i = n then List.rev acc
+    else
+      let a =
+        match (acc, Random.State.int r 8) with
+        | _ :: _, 0 -> List.nth acc (Random.State.int r (List.length acc))
+        | _ :: _, 1 ->
+            let b = List.nth acc (Random.State.int r (List.length acc)) in
+            Atom.make (Atom.sym b) (Atom.args b)
+        | _ -> fresh ()
+      in
+      go (i + 1) (a :: acc)
+  in
+  go 0 []
+
+let test_order_spec_random () =
+  let r = Random.State.make [| 20241017 |] in
+  for case = 0 to 119 do
+    let n = 1 + (case * 53 mod 120) in
+    let atoms = random_body r n in
+    let what = Printf.sprintf "case %d (%d atoms)" case n in
+    let vars = Term.Var_set.elements (Atom.vars_of_list atoms) in
+    let bound =
+      List.filter (fun _ -> Random.State.int r 4 = 0) vars
+      |> List.cons (if case mod 2 = 0 then "x0" else "absent")
+      |> Term.Var_set.of_list
+    in
+    check_order ~bound:Term.Var_set.empty what atoms;
+    check_order ~bound (what ^ " bound") atoms;
+    if n <= 60 || case mod 4 = 0 then check_family what atoms;
+    if case mod 8 = 0 then
+      check_family ~mode:Hom.Plan.Auto (what ^ " auto") atoms
+  done
+
+let test_order_spec_handcrafted () =
+  let a = Atom.app2 edge (v "x") (v "y") in
+  let b = Atom.app2 edge (v "y") (c "k") in
+  List.iter
+    (fun (what, atoms) ->
+      check_order ~bound:Term.Var_set.empty what atoms;
+      check_order ~bound:(Term.Var_set.singleton "y") (what ^ " bound") atoms;
+      check_family what atoms)
+    [
+      ("empty", []);
+      ("single", [ a ]);
+      ("shared repeat", [ a; a ]);
+      ("equal repeat", [ a; b; Atom.app2 edge (v "x") (v "y"); a ]);
+      ("ground", [ Atom.app2 edge (c "k") (c "k"); b; a ]);
+      ( "self loop",
+        [ Atom.app2 edge (v "z") (v "z"); a; Atom.app2 edge (v "y") (v "z") ] );
+    ]
+
+(* The paper's regime: the spider-CQ bodies of T_Q at s = 10. *)
+let test_order_spec_tq () =
+  let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
+  List.iteri
+    (fun i dep ->
+      let body = Tgd.Dep.body dep in
+      let what = Printf.sprintf "T_Q dep %d (%d atoms)" i (List.length body) in
+      check_order ~bound:Term.Var_set.empty what body;
+      check_family what body)
+    p.Greengraph.Precompile.tgds
+
 (* --- the parallel chase --------------------------------------------------- *)
 
 let test_par_bit_identity () =
@@ -331,6 +539,14 @@ let () =
             test_cost_modes_cyclic;
           Alcotest.test_case "deterministic ordering" `Quick
             test_cost_order_deterministic;
+        ] );
+      ( "ordering = spec",
+        [
+          Alcotest.test_case "handcrafted bodies" `Quick
+            test_order_spec_handcrafted;
+          Alcotest.test_case "seeded random bodies" `Quick
+            test_order_spec_random;
+          Alcotest.test_case "T_Q bodies at s=10" `Quick test_order_spec_tq;
         ] );
       ( "parallel chase",
         [
