@@ -720,16 +720,15 @@ let regress baseline_path =
   end
   else Format.printf "bench-smoke: no wall-clock regression beyond %.1fx@." threshold
 
-(* The par gate (`regress --engine par`): the parallel engine must be no
-   slower than semi-naive on the grid(4,4) and E10 workloads it claims to
-   win.  Noise-damped twice over: five alternating measurements per
-   engine (each a ~250ms [wall_clock] average), compared on the minima —
-   a scheduler hiccup inflates one sample, not the minimum of five — and
-   a 10% grace band on top, because the E2 margin (~10%) is about one
-   noise quantum on a loaded box.  A real regression (par falling back
-   behind semi-naive, historically a ~55% gap) clears the band easily;
-   the checked-in BENCH_chase.json rows still record par strictly
-   fastest. *)
+(* The par gate (`regress --engine par`): the parallel engine at its
+   default worker count must be no slower than semi-naive — the same
+   pipeline at one worker — on the grid(4,4) and E10 workloads, so the
+   gate measures what the pool's fan-out, merge and staging cost against
+   the single-worker path.  Noise-damped twice over: five alternating
+   measurements per engine (each a ~250ms [wall_clock] average),
+   compared on the minima — a scheduler hiccup inflates one sample, not
+   the minimum of five — and a 10% grace band on top, because the E2
+   margin (~10%) is about one noise quantum on a loaded box. *)
 let par_gate () =
   let grid engine () =
     ignore (Separating.Theorem14.collision_outcome ~engine ~t:4 ~t':4 ())
@@ -1038,11 +1037,9 @@ let incr_smoke baseline_path =
   end
   else Format.printf "incr-smoke: all checks passed@."
 
-(* E19: the par-pipeline ablation — plan ordering (fixed / cost / auto,
-   where auto adds the generic-join evaluator on cyclic bodies) × firing
-   (sequential / staged two-phase) on the E10 chase at jobs=1, the bench
-   box's single-shard fast path; then the scheduling axis (round-robin
-   vs work-stealing) at jobs=2, where a pool actually runs. *)
+(* E19: the par-pipeline ablation — firing (sequential / staged
+   two-phase) on the E10 chase at default jobs; then the scheduling axis (round-robin vs work-stealing) at jobs=2,
+   where a pool actually runs. *)
 let emit_ablation () =
   section "E19: par pipeline ablation (E10 tgd {P2,P3}->P5, 6 stages)";
   let e10 ?jobs tuning () =
@@ -1050,37 +1047,18 @@ let emit_ablation () =
     let d = fst (Tgd.Greenred.green_canonical (path_query 5)) in
     ignore (Tgd.Chase.run ~engine:`Par ?jobs ~tuning ~max_stages:6 deps d)
   in
-  Format.printf "%-8s %-8s %12s@." "plan" "firing" "time/run";
+  Format.printf "%-8s %12s@." "firing" "time/run";
   List.iter
-    (fun (pm, pn) ->
-      List.iter
-        (fun (fm, fn) ->
-          let tuning =
-            {
-              Tgd.Chase.plan_mode = pm;
-              Tgd.Chase.par_fire = fm;
-              Tgd.Chase.stealing = true;
-            }
-          in
-          let w, () = wall_clock (e10 tuning) in
-          Format.printf "%-8s %-8s %10.4fms@." pn fn (w *. 1e3))
-        [ (`Seq, "seq"); (`Staged, "staged") ])
-    [
-      (Relational.Hom.Plan.Fixed, "fixed");
-      (Relational.Hom.Plan.Cost, "cost");
-      (Relational.Hom.Plan.Auto, "auto");
-    ];
+    (fun (fm, fn) ->
+      let tuning = { Tgd.Chase.par_fire = fm; Tgd.Chase.stealing = true } in
+      let w, () = wall_clock (e10 tuning) in
+      Format.printf "%-8s %10.4fms@." fn (w *. 1e3))
+    [ (`Seq, "seq"); (`Staged, "staged") ];
   Format.printf "@.%-12s %12s  (jobs=2: pooled scans, staged firing)@."
     "scheduling" "time/run";
   List.iter
     (fun (st, sn) ->
-      let tuning =
-        {
-          Tgd.Chase.default_tuning with
-          Tgd.Chase.par_fire = `Staged;
-          Tgd.Chase.stealing = st;
-        }
-      in
+      let tuning = { Tgd.Chase.par_fire = `Staged; stealing = st } in
       let w, () = wall_clock (e10 ~jobs:2 tuning) in
       Format.printf "%-12s %10.4fms@." sn (w *. 1e3))
     [ (false, "round-robin"); (true, "stealing") ]

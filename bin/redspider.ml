@@ -182,10 +182,11 @@ let engine_arg =
     & opt e `Seminaive
     & info [ "engine" ]
         ~doc:
-          "Chase engine: $(b,stage) (full rescan per stage), \
-           $(b,seminaive) (delta-restricted, the default), $(b,par) \
-           (semi-naive with parallel trigger discovery) or \
-           $(b,oblivious) (TGD chase only)." )
+          "Chase engine: $(b,stage) (full rescan per stage, the \
+           reference), $(b,par) (delta-restricted semi-naive, with \
+           discovery and firing spread over $(b,--jobs) workers), \
+           $(b,seminaive) (the same pipeline at one worker, the \
+           default) or $(b,oblivious) (TGD chase only)." )
 
 let jobs_arg =
   Arg.(
@@ -194,7 +195,7 @@ let jobs_arg =
     & info [ "jobs"; "j" ]
         ~doc:
           "Worker domains for $(b,--engine par) (default: the runtime's \
-           recommended domain count).")
+           recommended domain count); $(b,seminaive) always runs one.")
 
 (* The graph-rule chase has no oblivious variant. *)
 let graph_engine = function

@@ -148,10 +148,11 @@ let pp_stats ppf s =
     s.outcome
 
 (* Trigger-discovery engines, mirroring [Tgd.Chase]: [`Stage] rescans
-   every label bucket each stage; [`Seminaive] (default) only examines
-   lhs pairs using at least one edge added since the previous stage;
-   [`Par] is semi-naive with the delta sharded over a domain pool and a
-   canonical sorted merge, still bit-identical.
+   every label bucket each stage and re-checks each rhs pair against the
+   graph at fire time — the reference; [`Par] only examines lhs pairs
+   using at least one edge added since the previous stage, with the delta
+   sharded over a domain pool and a canonical sorted merge, still
+   bit-identical; [`Seminaive] (default) is [`Par] at one worker.
    Both conditions of a trigger are monotone (lhs pairs and rhs pairs are
    never removed), so a pair wholly inside old edges was examined at an
    earlier stage and either fired (its rhs pair now exists) or was
@@ -327,9 +328,9 @@ let collect_stage_packed ~dix ~considered rules g =
    the canonical (rule, direction, x, x') order, deduplicates, counts
    and rhs-checks sequentially.  The deduplicated candidate set equals
    the sequential semi-naive one, so stats, surviving triggers and the
-   firing order are bit-identical to [`Seminaive].  With one worker and
-   no active failpoints the pipeline collapses to the sequential
-   indexed scan — no pool, no merge. *)
+   firing order are bit-identical at every worker count.  With one
+   worker and no active failpoints the pipeline collapses to the
+   sequential indexed scan — no pool, no merge. *)
 let c_merge_ms = Obs.Metrics.counter "par.merge_ms"
 let c_shards = Obs.Metrics.counter "par.shards"
 let c_par_retries = Obs.Metrics.counter "resilience.par_retries"
@@ -367,7 +368,7 @@ let collect_stage_par ~jobs ~considered rules g delta_edges =
        spawn (the decision stream must not be raced across domains); a
        faulted scan is retried once, then degrades to the sequential
        indexed collection.  Both rungs produce the semi-naive candidate
-       set, so the stage stays bit-identical to [`Seminaive]. *)
+       set, so the stage stays bit-identical to the un-faulted one. *)
     let scan_stolen () =
       let faults = Array.make ndirs false in
       if Resilience.Failpoint.active () then
@@ -436,9 +437,10 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
         invalid_arg "Rule.resume: rule list differs from the snapshot's"
   | None -> ());
   let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Relational.Pool.default_jobs ()
+    match (engine, jobs) with
+    | (`Stage | `Seminaive), _ -> 1
+    | `Par, Some j -> max 1 j
+    | `Par, None -> Relational.Pool.default_jobs ()
   in
   let start_stage, wm0, considered0, apps0 =
     match from with
@@ -493,30 +495,20 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
                       if !Obs.metrics_on then
                         Obs.Metrics.observe h_delta (Graph.size g);
                       collect_stage ~considered rules g
-                  | `Seminaive ->
-                      let d = Graph.delta_since g !wm in
-                      if !Obs.metrics_on then
-                        Obs.Metrics.observe h_delta (List.length d);
-                      let c =
-                        collect_stage ~delta:(index_delta d) ~considered rules
-                          g
-                      in
-                      (* advance only after a completed scan: a cancelled
-                         scan must not move the watermark past the last
-                         resumable boundary *)
-                      wm := Graph.watermark g;
-                      c
-                  | `Par ->
+                  | `Seminaive | `Par ->
                       let d = Graph.delta_since g !wm in
                       if !Obs.metrics_on then
                         Obs.Metrics.observe h_delta (List.length d);
                       let c = collect_stage_par ~jobs ~considered rules g d in
+                      (* advance only after a completed scan: a cancelled
+                         scan must not move the watermark past the last
+                         resumable boundary *)
                       wm := Graph.watermark g;
                       c)
             in
             n_triggers := List.length collected;
             match engine with
-            | `Stage | `Seminaive ->
+            | `Stage ->
                 List.iter
                   (fun (rule, ((c, x), (d, x'))) ->
                     if not (pair_present g rule.conn (c, d) (x, x')) then begin
@@ -525,7 +517,7 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
                       incr fired
                     end)
                   collected
-            | `Par ->
+            | `Seminaive | `Par ->
                 (* The fire-time re-check, O(1) per trigger.  Every
                    collected trigger's rhs pair was absent against the
                    stage-start graph, and a [fire] only adds edges

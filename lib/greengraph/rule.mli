@@ -66,25 +66,28 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Trigger-discovery engines, mirroring {!Tgd.Chase.engine}: [`Stage]
-    rescans the whole graph each stage; [`Seminaive] (the default) only
+    rescans the whole graph each stage and re-checks every trigger
+    against the graph at fire time — the reference.  [`Par] only
     examines lhs pairs using at least one edge added since the previous
     stage — equivalent (both trigger conditions are monotone) and
-    asymptotically cheaper; [`Par] cuts the delta into chunk tasks
-    drained by a work-stealing domain pool and merges candidates in
-    canonical sort order (at [jobs:1] with no armed failpoints it runs
-    a sequential fast path over a packed-int dedup table instead — same
-    output, no pool).  All engines fire a stage's triggers in the same
-    canonical order, so they build identical graphs, fresh vertex ids
-    included.  [`Par] firing re-checks freshness against a table of the
+    asymptotically cheaper — cutting the delta into chunk tasks drained
+    by a work-stealing domain pool and merging candidates in canonical
+    sort order (at one worker with no armed failpoints it runs a
+    sequential fast path over a packed-int dedup table instead — same
+    output, no pool).  [`Seminaive] (the default) is [`Par] at one
+    worker.  All engines fire a stage's triggers in the same canonical
+    order, so they build identical graphs, fresh vertex ids included.
+    The semi-naive firing re-checks freshness against a table of the
     stage's own fired pairs (every new edge touches its firing's fresh
     vertex, so four packed keys per firing decide the re-check exactly)
     rather than probing the graph per trigger; ["par.shards"] and
     ["par.steals"] count the fan-out and stealing traffic.
 
-    Under the ["par.shard"] failpoint a marked [`Par] worker dies before
+    Under the ["par.shard"] failpoint a marked worker dies before
     scanning its shard; the scan is retried once, then degrades to one
     sequential scan of the whole delta — both rungs feed the same
-    canonical merge, so the run stays bit-identical to [`Seminaive]. *)
+    canonical merge, so the run stays bit-identical to an un-faulted
+    one. *)
 type engine = [ `Stage | `Seminaive | `Par ]
 
 (** A resumable graph-chase snapshot: the graph (a
@@ -103,7 +106,8 @@ type snapshot = {
 }
 
 (** [jobs] bounds the [`Par] engine's worker count (default
-    [Relational.Pool.default_jobs ()]; ignored by other engines).  The
+    [Relational.Pool.default_jobs ()]; [`Seminaive] always runs one,
+    [`Stage] ignores it).  The
     [governor] (default [Resilience.Governor.unlimited]) adds a
     deadline, stage/element/edge budgets and cooperative cancellation —
     checked at stage boundaries (cancellation also inside the read-only

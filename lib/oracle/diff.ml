@@ -152,15 +152,15 @@ let diff_tgd budget inst =
         "seminaive enumerated more body matches than stage (%d > %d)"
         s2.Tgd.Chase.body_matches s1.Tgd.Chase.body_matches
   end;
-  (* The parallel engine is sharded semi-naive: bit-identical structures
-     and firings, and — the merge restoring the sequential dedup — equal
-     match/consideration counts.  Both par variants (default and forced
-     staged firing) are held to the same contract.  These are *facts and
-     journal and firings* diffs plus the plan-independent stats fields;
-     hom-effort counters ([hom.*] Obs metrics) are never compared here —
-     cost-ordered and generic-join plans visit candidates in different
-     orders, so effort differs while the emitted match set (and hence
-     everything below) is identical. *)
+  (* The parallel engine is sharded semi-naive ([`Seminaive] is the same
+     pipeline at one worker): bit-identical structures and firings, and —
+     the merge restoring the sequential dedup — equal match/consideration
+     counts.  Both par variants (default and forced staged firing) are
+     held to the same contract.  These are *facts and journal and
+     firings* diffs plus the stats fields; hom-effort counters ([hom.*]
+     Obs metrics) are not compared here — with more than one worker they
+     tick inside the pool and are approximate.  At one worker they are
+     exact and equal, which [test_seminaive.ml] checks. *)
   let check_vs_sn name pr =
     if comparable sn pr then begin
       if not (Structure.equal_sets sn.result pr.result) then

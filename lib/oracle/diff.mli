@@ -5,12 +5,11 @@
     and cores against independent semantics; and audit every produced
     structure/graph with {!Audit}.
 
-    Bit-identity is compared on facts, journals and firing sequences —
-    never on the [hom.*] effort counters, which legitimately differ
-    across plan orderings (cost-ordered and generic-join plans visit
-    candidates in different orders while emitting the same match set).
-    Stats-record fields ([applications], [stages], [triggers_considered],
-    [body_matches]) are plan-independent and are compared.
+    Bit-identity is compared on facts, journals and firing sequences,
+    plus the stats-record fields ([applications], [stages],
+    [triggers_considered], [body_matches]) — never on the [hom.*] effort
+    counters, which tick inside the pool and are approximate when the
+    [`Par] runs use more than one worker.
 
     A run that exhausts its budget ends in the graceful
     {!outcome.Budget_exceeded} instead of diverging — the oblivious

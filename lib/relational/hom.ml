@@ -393,80 +393,12 @@ let iter_all_interp ~ordered ~init ?delta target atoms f =
 
 module Plan = struct
   let c_compilations = Obs.Metrics.counter "plan.compilations"
-  let c_orderings = Obs.Metrics.counter "plan.cost_orderings"
 
-  (* Atom-ordering strategy.  [Fixed] is the reference: the
-     connectivity-greedy order is frozen at compile time and the evaluator
-     is bit-identical to the interpreted path (bindings, order, counters).
-     [Cost] keeps the authored atom order at compile time and re-orders at
-     every evaluation entry from live cardinalities (pin buckets, symbol
-     buckets).  [Auto] is [Cost] plus a generic-join (worst-case-optimal)
-     evaluator selected when the body is cyclic.  Cost-based orderings
-     preserve the *set* of emitted bindings but not the enumeration order
-     or the effort counters — callers comparing runs across modes must
-     compare fact sets/journals/firings, never [hom.*] counters. *)
-  type mode = Fixed | Cost | Auto
-
-  type t = {
-    vars : vars;
-    atoms : patom array; (* evaluation order under [Fixed] *)
-    mode : mode;
-    cyclic : bool; (* computed under [Auto] only, else [false] *)
-    ident : int array; (* the identity permutation, len = #atoms *)
-    occ : (int * int) array array;
-        (* slot -> (atom, position) occurrences; [Auto] only, else [||] *)
-  }
+  (* A plan: the body's slot table and its atoms in evaluation order —
+     the connectivity-greedy order, frozen at compile time. *)
+  type t = { vars : vars; atoms : patom array }
 
   type family = { fvars : vars; pivots : (patom * t) array }
-
-  (* A body is (conservatively) cyclic when some atom closes a loop in
-     the variable-connectivity graph: union-find over slots, atom by
-     atom; an atom whose distinct slots are already connected before it
-     is merged in closes a cycle (triangles, grids, the rainworm chains'
-     back-edges).  Acyclic (alpha-acyclic-or-simpler) bodies stay on the
-     backtracking evaluator, which is optimal for them. *)
-  let detect_cyclic (atoms : patom array) nslots =
-    let parent = Array.init (max nslots 1) (fun i -> i) in
-    let rec find i =
-      if parent.(i) = i then i
-      else begin
-        let r = find parent.(i) in
-        parent.(i) <- r;
-        r
-      end
-    in
-    let cyclic = ref false in
-    Array.iter
-      (fun pa ->
-        let ss =
-          Array.to_list pa.slot_of_pos
-          |> List.filter (fun s -> s >= 0)
-          |> List.sort_uniq compare
-        in
-        match ss with
-        | [] | [ _ ] -> ()
-        | s0 :: rest ->
-            List.iter
-              (fun s ->
-                let r0 = find s0 and r = find s in
-                if r0 = r then cyclic := true else parent.(r) <- r0)
-              rest)
-      atoms;
-    !cyclic
-
-  (* slot -> ascending list of (atom index, position) occurrences; the
-     generic join walks these to pick its next variable and to check
-     cross-atom support for a candidate value. *)
-  let occurrences (atoms : patom array) nslots =
-    let occ = Array.make (max nslots 1) [] in
-    Array.iteri
-      (fun a pa ->
-        for p = pa.arity - 1 downto 0 do
-          let s = pa.slot_of_pos.(p) in
-          if s >= 0 then occ.(s) <- (a, p) :: occ.(s)
-        done)
-      atoms;
-    Array.map Array.of_list occ
 
   (* Renumber the slots of [vars] — and, in place, of the [patoms]
      interned against it — into first-appearance order along [seq] (atom
@@ -496,27 +428,18 @@ module Plan = struct
     Array.iteri (fun s x -> vars.names.(remap.(s)) <- x) names;
     Hashtbl.filter_map_inplace (fun _ s -> Some remap.(s)) vars.tbl
 
-  (* One plan over [atoms], ticking [plan.compilations].  [occ] and
-     [cyclic] are read only by the generic join, hence built only under
-     [Auto]. *)
-  let plan_of vars ~mode ~ident atoms =
+  (* One plan over [atoms], ticking [plan.compilations]. *)
+  let plan_of vars atoms =
     if !Obs.metrics_on then Obs.Metrics.incr c_compilations;
-    let cyclic, occ =
-      if mode = Auto then (detect_cyclic atoms vars.n, occurrences atoms vars.n)
-      else (false, [||])
-    in
-    { vars; atoms; mode; cyclic; ident; occ }
+    { vars; atoms }
 
-  (* Under [Fixed] the connectivity-greedy order is applied here, once;
-     under [Cost]/[Auto] the authored order is kept and the evaluator
-     re-orders at entry, when cardinalities are known.  Slots are numbered
-     by first appearance in evaluation order. *)
-  let compile ?(ordered = true) ?(bound = Term.Var_set.empty) ?(mode = Fixed)
-      atoms =
+  (* The connectivity-greedy order is applied here, once.  Slots are
+     numbered by first appearance in evaluation order. *)
+  let compile ?(ordered = true) ?(bound = Term.Var_set.empty) atoms =
     let vars = vars_create () in
     let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
     let patoms =
-      if mode = Fixed && ordered && Array.length patoms > 1 then begin
+      if ordered && Array.length patoms > 1 then begin
         let order =
           greedy_order (shape_of patoms vars.n)
             ~bound:(bound_slots vars bound) ~skip:(-1)
@@ -526,20 +449,20 @@ module Plan = struct
       end
       else patoms
     in
-    plan_of vars ~mode ~ident:(Array.init (Array.length patoms) Fun.id) patoms
+    plan_of vars patoms
 
   (* One plan per pivot position, all sharing one slot table and one
      compiled atom per body position: a pivot plan's [atoms] point at the
      family's patoms.  Each rest-plan is ordered with the pivot's slots
-     seeded as bound, exactly as the interpreted delta decomposition does
-     (under [Fixed]; cost modes defer ordering to evaluation).  Slots are
-     numbered by first appearance along pivot 0 then its rest-plan. *)
-  let compile_family ?(ordered = true) ?(mode = Fixed) atoms =
+     seeded as bound, exactly as the interpreted delta decomposition does.
+     Slots are numbered by first appearance along pivot 0 then its
+     rest-plan. *)
+  let compile_family ?(ordered = true) atoms =
     let vars = vars_create () in
     let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
     let n = Array.length patoms in
     let orders =
-      if mode = Fixed && ordered && n > 2 then begin
+      if ordered && n > 2 then begin
         let sh = shape_of patoms vars.n in
         let orders =
           Array.init n (fun j -> greedy_order sh ~bound:sh.aslots.(j) ~skip:j)
@@ -553,19 +476,16 @@ module Plan = struct
         Array.init n (fun j ->
             Array.init (n - 1) (fun k -> if k < j then k else k + 1))
     in
-    let ident = Array.init (max 0 (n - 1)) Fun.id in
     let pivots =
       Array.mapi
         (fun j order ->
-          ( patoms.(j),
-            plan_of vars ~mode ~ident (Array.map (Array.get patoms) order) ))
+          (patoms.(j), plan_of vars (Array.map (Array.get patoms) order)))
         orders
     in
     { fvars = vars; pivots }
 
   let nslots plan = plan.vars.n
   let slot plan x = Hashtbl.find_opt plan.vars.tbl x
-  let var_name plan s = plan.vars.names.(s)
   let family_nslots fam = fam.fvars.n
   let family_slot fam x = Hashtbl.find_opt fam.fvars.tbl x
 
@@ -612,77 +532,14 @@ module Plan = struct
     done;
     (sids, cst_elems, dead)
 
-  (* Greedy cost-based atom ordering computed at evaluation entry, from
-     live cardinalities.  The estimate for a not-yet-placed atom is the
-     smallest pin bucket over its constants and already-*valued* slots
-     (exact — bucket lengths are O(1) field reads), else its symbol
-     bucket; each pin on a slot that an earlier *placed* atom will have
-     bound (value unknown here) divides the estimate by 4, a fixed
-     selectivity guess.  Smallest estimate first, ties to the lowest
-     original index — the ordering is a pure function of the bucket
-     cardinalities, hence deterministic for a fixed structure. *)
-  let cost_order plan target sids cst_elems dead ?(prebound = [||]) slots =
-    if !Obs.metrics_on then Obs.Metrics.incr c_orderings;
-    let n = Array.length plan.atoms in
-    let order = Array.make n 0 in
-    let used = Array.make n false in
-    let simb = Array.make (max plan.vars.n 1) false in
-    (* [prebound] marks slots that will hold values at evaluation entry
-       whose values are unknown at ordering time (a family pivot's slots,
-       hoisted once per stage): they earn the simulated-bound discount
-       instead of an exact pin count. *)
-    Array.iteri (fun s b -> if b then simb.(s) <- true) prebound;
-    for k = 0 to n - 1 do
-      let best = ref (-1) and best_cost = ref max_int in
-      for i = n - 1 downto 0 do
-        if not used.(i) then begin
-          let cost =
-            if dead.(i) || sids.(i) < 0 then 0
-            else begin
-              let pa = plan.atoms.(i) in
-              let sid = sids.(i) in
-              let ce = cst_elems.(i) in
-              let c = ref (Intvec.length (Structure.ids_with_sym target sid)) in
-              let sim = ref 0 in
-              for p = 0 to pa.arity - 1 do
-                if ce.(p) >= 0 then
-                  c := min !c (Structure.pin_count_id target sid p ce.(p))
-                else begin
-                  let s = pa.slot_of_pos.(p) in
-                  if s >= 0 then
-                    if slots.(s) >= 0 then
-                      c := min !c (Structure.pin_count_id target sid p slots.(s))
-                    else if simb.(s) then incr sim
-                end
-              done;
-              !c lsr (2 * min !sim 15)
-            end
-          in
-          (* downward scan + [<=]: the first strict minimum in original
-             index order wins *)
-          if cost <= !best_cost then begin
-            best := i;
-            best_cost := cost
-          end
-        end
-      done;
-      order.(k) <- !best;
-      used.(!best) <- true;
-      Array.iter
-        (fun s -> if s >= 0 then simb.(s) <- true)
-        plan.atoms.(!best).slot_of_pos
-    done;
-    order
-
   (* The core evaluator.  [slots] is the shared mutable binding array
      (slot -> element, -1 unbound); the frames of a family evaluation must
-     not alias, so every entry point builds its own.  [order] permutes the
-     atoms (identity under [Fixed]); the atom whose *original* index is
-     [skip] is left out entirely (the delta-pivot of {!exists_delta}).
+     not alias, so every entry point builds its own.  The atom at index
+     [skip] is left out entirely (the delta pivot of {!exists_since}).
 
-     Counter and enumeration-order parity with the interpreted path (in
-     [Fixed] mode): pools are scanned newest-first (the cons order of the
-     former list buckets); [c_candidates] ticks per bucket entry before
+     Counter and enumeration-order parity with the interpreted path: pools
+     are scanned newest-first (the cons order of the former list
+     buckets); [c_candidates] ticks per bucket entry before
      the residual pin filter, [c_unify] once per candidate surviving it,
      and [c_backtracks] when the bind/check pass fails. *)
   let no_pool = Intvec.create ()
@@ -700,19 +557,16 @@ module Plan = struct
           undo = Array.make a 0;
         })
 
-  let eval_core_in frames plan target sids cst_elems dead ~order ~skip slots
-      emit =
+  let eval_core_in frames plan target sids cst_elems dead ~skip slots emit =
     let n = Array.length plan.atoms in
-    let rec go k =
+    let rec go i =
       (* cooperative cancellation: a read-only scan may abort here (one
          disarmed ref read, the [Obs.metrics_on] overhead discipline) *)
       Resilience.Governor.Cancel.poll ();
-      if k >= n then emit slots
+      if i >= n then emit slots
+      else if i = skip then go (i + 1)
+      else if dead.(i) then () (* an unresolved constant: no candidates *)
       else begin
-        let i = order.(k) in
-        if i = skip then go (k + 1)
-        else if dead.(i) then () (* an unresolved constant: no candidates *)
-        else begin
           let pa = plan.atoms.(i) in
           let fr = frames.(i) in
           let ce = cst_elems.(i) in
@@ -769,7 +623,7 @@ module Plan = struct
             if !fail then begin
               if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
             end
-            else go (k + 1);
+            else go (i + 1);
             for b = 0 to !nb - 1 do
               slots.(fr.undo.(b)) <- -1
             done
@@ -814,167 +668,17 @@ module Plan = struct
             done
           end
         end
-        end
       end
     in
     go 0
 
-  let eval_core plan target sids cst_elems dead ~order ~skip slots emit =
-    eval_core_in (frames_of plan) plan target sids cst_elems dead ~order ~skip
-      slots emit
+  let eval_core plan target sids cst_elems dead ~skip slots emit =
+    eval_core_in (frames_of plan) plan target sids cst_elems dead ~skip slots
+      emit
 
-  (* The generic-join evaluator, selected for cyclic bodies under [Auto]:
-     variable-at-a-time instead of atom-at-a-time.  At each node the
-     unbound slot with the smallest supporting candidate pool is chosen;
-     the distinct values the pool offers for it are enumerated, kept only
-     when every other atom containing the slot has a nonempty pin bucket
-     for the value, and the full assignment is verified against every
-     atom at the leaves.  On cyclic bodies (triangles, grid cells) this
-     meets the worst-case-optimal join bound that every fixed atom order
-     misses by a polynomial factor.  The emitted *set* of bindings equals
-     the backtracking evaluators'; the enumeration order and the effort
-     counters legitimately differ (and are never compared across plan
-     modes). *)
-  let eval_gj plan target sids cst_elems dead slots emit =
-    let n = Array.length plan.atoms in
-    let alive = ref true in
-    for i = 0 to n - 1 do
-      if dead.(i) || sids.(i) < 0 then alive := false
-    done;
-    if !alive then begin
-      (* the smallest candidate pool of atom [i] under the current
-         bindings: pin buckets from constants and valued slots, else the
-         symbol bucket *)
-      let pool_of i =
-        let pa = plan.atoms.(i) in
-        let sid = sids.(i) in
-        let ce = cst_elems.(i) in
-        let best = ref (Structure.ids_with_sym target sid) in
-        for p = 0 to pa.arity - 1 do
-          let e =
-            if ce.(p) >= 0 then ce.(p)
-            else
-              let s = pa.slot_of_pos.(p) in
-              if s >= 0 && slots.(s) >= 0 then slots.(s) else -1
-          in
-          if e >= 0 then begin
-            let b = Structure.ids_with_pin target sid p e in
-            if Intvec.length b < Intvec.length !best then best := b
-          end
-        done;
-        !best
-      in
-      (* does fact [id] agree with every bound position of atom [i]? *)
-      let matches i id =
-        let pa = plan.atoms.(i) in
-        let ce = cst_elems.(i) in
-        let ok = ref true in
-        for p = 0 to pa.arity - 1 do
-          if !ok then begin
-            let e =
-              if ce.(p) >= 0 then ce.(p)
-              else
-                let s = pa.slot_of_pos.(p) in
-                if s >= 0 && slots.(s) >= 0 then slots.(s) else -1
-            in
-            if e >= 0 && Structure.id_arg target id p <> e then ok := false
-          end
-        done;
-        !ok
-      in
-      let atom_satisfiable i =
-        let pool = pool_of i in
-        let len = Intvec.length pool in
-        if !Obs.metrics_on then Obs.Metrics.add c_candidates len;
-        let ok = ref false in
-        let k = ref (len - 1) in
-        while (not !ok) && !k >= 0 do
-          if matches i (Intvec.unsafe_get pool !k) then ok := true;
-          decr k
-        done;
-        !ok
-      in
-      let occ = plan.occ in
-      let nslots = Array.length occ in
-      let rec go () =
-        Resilience.Governor.Cancel.poll ();
-        (* choose the unbound slot with the smallest supporting pool *)
-        let best_s = ref (-1) and best_a = ref (-1) and best_p = ref (-1) in
-        let best_n = ref max_int in
-        for s = 0 to nslots - 1 do
-          if slots.(s) < 0 then
-            Array.iter
-              (fun (a, p) ->
-                let len = Intvec.length (pool_of a) in
-                if len < !best_n then begin
-                  best_n := len;
-                  best_s := s;
-                  best_a := a;
-                  best_p := p
-                end)
-              occ.(s)
-        done;
-        if !best_s < 0 then begin
-          (* all slots of the body bound: verify every atom, then emit *)
-          let ok = ref true in
-          for i = 0 to n - 1 do
-            if !ok && not (atom_satisfiable i) then ok := false
-          done;
-          if !ok then emit slots
-        end
-        else begin
-          let s = !best_s and a = !best_a and p = !best_p in
-          let pool = pool_of a in
-          let len = Intvec.length pool in
-          if !Obs.metrics_on then Obs.Metrics.add c_candidates len;
-          let seen = Hashtbl.create 16 in
-          for k = len - 1 downto 0 do
-            let id = Intvec.unsafe_get pool k in
-            if matches a id then begin
-              let e = Structure.id_arg target id p in
-              if not (Hashtbl.mem seen e) then begin
-                Hashtbl.replace seen e ();
-                if !Obs.metrics_on then Obs.Metrics.incr c_unify;
-                (* the value needs support in every other atom containing
-                   the slot *)
-                let supported = ref true in
-                Array.iter
-                  (fun (a', p') ->
-                    if
-                      !supported && a' <> a
-                      && Structure.pin_count_id target sids.(a') p' e = 0
-                    then supported := false)
-                  occ.(s);
-                if !supported then begin
-                  slots.(s) <- e;
-                  go ();
-                  slots.(s) <- -1
-                end
-                else if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
-              end
-            end
-          done
-        end
-      in
-      go ()
-    end
-
-  (* Dispatch on the plan's mode.  [skip >= 0] (the delta-pivot exclusion
-     of {!exists_delta}) always runs the backtracking core — it is an
-     existence check with early exit, where worst-case-optimality does
-     not pay for the generic join's bookkeeping. *)
-  let eval ?(skip = -1) plan target slots emit =
+  let eval plan target slots emit =
     let sids, cst_elems, dead = resolve plan target in
-    if plan.mode = Auto && plan.cyclic && skip < 0 then
-      eval_gj plan target sids cst_elems dead slots emit
-    else begin
-      let order =
-        match plan.mode with
-        | Fixed -> plan.ident
-        | Cost | Auto -> cost_order plan target sids cst_elems dead slots
-      in
-      eval_core plan target sids cst_elems dead ~order ~skip slots emit
-    end
+    eval_core plan target sids cst_elems dead ~skip:(-1) slots emit
 
   let seed_slots nslots init =
     let slots = Array.make (max nslots 1) (-1) in
@@ -995,9 +699,6 @@ module Plan = struct
   let binding_of_slots ?(init = Term.Var_map.empty) plan slots =
     binding_of plan.vars ~init slots
 
-  let family_binding_of_slots ?(init = Term.Var_map.empty) fam slots =
-    binding_of fam.fvars ~init slots
-
   let init_slots_of_binding tbl init =
     Term.Var_map.fold
       (fun x e acc ->
@@ -1012,138 +713,14 @@ module Plan = struct
         f (binding_of plan.vars ~init slots))
 
   (* Early exit via a locally-caught [Exit], as in [find] below. *)
-  let find_slots ?init plan target =
-    let result = ref None in
+  let exists_slots ?init plan target =
+    let found = ref false in
     (try
-       iter_slots ?init plan target (fun slots ->
-           result := Some (Array.copy slots);
+       iter_slots ?init plan target (fun _ ->
+           found := true;
            raise Exit)
      with Exit -> ());
-    !result
-
-  let exists_slots ?init plan target =
-    Option.is_some (find_slots ?init plan target)
-
-  let exists ?(init = Term.Var_map.empty) plan target =
-    exists_slots ~init:(init_slots_of_binding plan.vars.tbl init) plan target
-
-  (* Is there a match of [plan] (extending the [init] slot seeds) whose
-     image uses at least one fact with id >= [min_id]?  Exact, and much
-     cheaper than a full [exists_slots] when the tail of new facts is
-     small: each atom in turn plays the *delta pivot*, its candidates
-     restricted to the new tail of its best constant/seed pin bucket
-     (buckets are ascending by fact id, so the tail starts at a
-     binary-searched lower bound); the remaining atoms run through the
-     backtracking core against the full structure.
-
-     The chase's apply-time re-check of condition (b) goes through this:
-     a trigger that survived discovery was unwitnessed against the
-     apply-start structure, and witnesses are monotone, so a witness
-     exists now iff some witness uses a fact added during this apply
-     pass. *)
-  let exists_delta ~min_id ?(init = []) plan target =
-    let n = Array.length plan.atoms in
-    if n = 0 then false
-    else begin
-      let sids, cst_elems, dead = resolve plan target in
-      let alive = ref true in
-      for i = 0 to n - 1 do
-        if dead.(i) || sids.(i) < 0 then alive := false
-      done;
-      !alive
-      && begin
-           let slots = seed_slots (nslots plan) init in
-           let order =
-             match plan.mode with
-             | Fixed -> plan.ident
-             | Cost | Auto -> cost_order plan target sids cst_elems dead slots
-           in
-           let found = ref false in
-           (try
-              for j = 0 to n - 1 do
-                let pa = plan.atoms.(j) in
-                let sid = sids.(j) in
-                let ce = cst_elems.(j) in
-                (* best bucket among the constant/seed pins, by length of
-                   its new tail *)
-                let best_pool = ref (Structure.ids_with_sym target sid) in
-                let best_lb = ref (Intvec.lower_bound !best_pool min_id) in
-                let best_n = ref (Intvec.length !best_pool - !best_lb) in
-                for p = 0 to pa.arity - 1 do
-                  let e =
-                    if ce.(p) >= 0 then ce.(p)
-                    else
-                      let s = pa.slot_of_pos.(p) in
-                      if s >= 0 && slots.(s) >= 0 then slots.(s) else -1
-                  in
-                  if e >= 0 then begin
-                    let b = Structure.ids_with_pin target sid p e in
-                    let lb = Intvec.lower_bound b min_id in
-                    let tail = Intvec.length b - lb in
-                    if tail < !best_n then begin
-                      best_pool := b;
-                      best_lb := lb;
-                      best_n := tail
-                    end
-                  end
-                done;
-                let pool = !best_pool in
-                let len = Intvec.length pool in
-                if !best_n > 0 && !Obs.metrics_on then
-                  Obs.Metrics.add c_candidates !best_n;
-                let undo = Array.make (max pa.arity 1) 0 in
-                for k = !best_lb to len - 1 do
-                  Resilience.Governor.Cancel.poll ();
-                  let id = Intvec.unsafe_get pool k in
-                  (* every constant and every seeded slot must agree *)
-                  let ok = ref true in
-                  for p = 0 to pa.arity - 1 do
-                    if !ok then begin
-                      let e =
-                        if ce.(p) >= 0 then ce.(p)
-                        else
-                          let s = pa.slot_of_pos.(p) in
-                          if s >= 0 && slots.(s) >= 0 then slots.(s) else -1
-                      in
-                      if e >= 0 && Structure.id_arg target id p <> e then
-                        ok := false
-                    end
-                  done;
-                  if !ok then begin
-                    if !Obs.metrics_on then Obs.Metrics.incr c_unify;
-                    (* bind the pivot's slots with undo *)
-                    let nb = ref 0 in
-                    let fail = ref false in
-                    for q = 0 to pa.arity - 1 do
-                      if not !fail then begin
-                        let s = pa.slot_of_pos.(q) in
-                        if s >= 0 then begin
-                          let fa = Structure.id_arg target id q in
-                          let v = slots.(s) in
-                          if v < 0 then begin
-                            slots.(s) <- fa;
-                            undo.(!nb) <- s;
-                            incr nb
-                          end
-                          else if v <> fa then fail := true
-                        end
-                      end
-                    done;
-                    if not !fail then
-                      eval_core plan target sids cst_elems dead ~order ~skip:j
-                        slots (fun _ ->
-                          found := true;
-                          raise Exit);
-                    for b = 0 to !nb - 1 do
-                      slots.(undo.(b)) <- -1
-                    done
-                  end
-                done
-              done
-            with Exit -> ());
-           !found
-         end
-    end
+    !found
 
   (* The apply-time re-check, one resolve pass.  Valid ONLY under the
      caller's invariant that no match lies wholly inside the [< min_id]
@@ -1155,8 +732,11 @@ module Plan = struct
 
      - every atom's best-bucket new tail is empty: no match — the
        overwhelmingly common case, a few binary searches;
-     - the summed tails are small ([<= cutoff]): the delta-pivot scan of
-       {!exists_delta}, reusing the tails just measured;
+     - the summed tails are small ([<= cutoff]): each atom in turn plays
+       the delta pivot over its new tail (measured just before, and
+       ascending by fact id, so it starts at a binary-searched lower
+       bound), the other atoms run through the backtracking core against
+       the full structure;
      - otherwise: the plain pin-driven backtracking search, which beats
        tail scanning once half a stage's firings sit in every tail. *)
   let exists_since ~min_id ~cutoff ?(init = []) plan target =
@@ -1210,31 +790,14 @@ module Plan = struct
              (* full seeded search, exact under the caller's invariant *)
              let found = ref false in
              (try
-                if plan.mode = Auto && plan.cyclic then
-                  eval_gj plan target sids cst_elems dead slots (fun _ ->
-                      found := true;
-                      raise Exit)
-                else begin
-                  let order =
-                    match plan.mode with
-                    | Fixed -> plan.ident
-                    | Cost | Auto ->
-                        cost_order plan target sids cst_elems dead slots
-                  in
-                  eval_core plan target sids cst_elems dead ~order ~skip:(-1)
-                    slots (fun _ ->
-                      found := true;
-                      raise Exit)
-                end
+                eval_core plan target sids cst_elems dead ~skip:(-1) slots
+                  (fun _ ->
+                    found := true;
+                    raise Exit)
               with Exit -> ());
              !found
            end
            else begin
-             let order =
-               match plan.mode with
-               | Fixed -> plan.ident
-               | Cost | Auto -> cost_order plan target sids cst_elems dead slots
-             in
              let found = ref false in
              (try
                 for j = 0 to n - 1 do
@@ -1281,8 +844,8 @@ module Plan = struct
                         end
                       done;
                       if not !fail then
-                        eval_core plan target sids cst_elems dead ~order
-                          ~skip:j slots (fun _ ->
+                        eval_core plan target sids cst_elems dead ~skip:j
+                          slots (fun _ ->
                             found := true;
                             raise Exit);
                       for b = 0 to !nb - 1 do
@@ -1297,55 +860,6 @@ module Plan = struct
          end
     end
 
-  (* How much would {!exists_delta} scan?  The sum over atoms of the new
-     tail of each atom's best constant/seed pin bucket — the pivot
-     candidate count.  [0] means no match can use a fact >= [min_id]
-     (some atom has an empty tail is NOT enough — every atom must be a
-     possible pivot, so the sum is 0 only when every tail is empty), so
-     [exists_delta] is trivially false.  A caller holding an invariant
-     that no match over the old facts exists (the chase's apply-time
-     re-check: the trigger survived discovery against exactly the
-     [< min_id] structure) can use a large weight to switch to the plain
-     seeded [exists_slots], which is exact under that invariant and
-     pin-driven rather than tail-driven. *)
-  let delta_weight ~min_id ?(init = []) plan target =
-    let n = Array.length plan.atoms in
-    if n = 0 then 0
-    else begin
-      let sids, cst_elems, dead = resolve plan target in
-      let alive = ref true in
-      for i = 0 to n - 1 do
-        if dead.(i) || sids.(i) < 0 then alive := false
-      done;
-      if not !alive then 0
-      else begin
-        let slots = seed_slots (nslots plan) init in
-        let total = ref 0 in
-        for j = 0 to n - 1 do
-          let pa = plan.atoms.(j) in
-          let sid = sids.(j) in
-          let ce = cst_elems.(j) in
-          let pool = Structure.ids_with_sym target sid in
-          let best = ref (Intvec.length pool - Intvec.lower_bound pool min_id) in
-          for p = 0 to pa.arity - 1 do
-            let e =
-              if ce.(p) >= 0 then ce.(p)
-              else
-                let s = pa.slot_of_pos.(p) in
-                if s >= 0 && slots.(s) >= 0 then slots.(s) else -1
-            in
-            if e >= 0 then begin
-              let b = Structure.ids_with_pin target sid p e in
-              let tail = Intvec.length b - Intvec.lower_bound b min_id in
-              if tail < !best then best := tail
-            end
-          done;
-          total := !total + !best
-        done;
-        !total
-      end
-    end
-
   (* A stage delta as a dense per-symbol index: interned symbol id ->
      ascending fact ids.  Built once per stage by the chase and shared by
      every dependency's family evaluation — no boxed [Fact.t list] delta
@@ -1354,119 +868,29 @@ module Plan = struct
 
   let no_ids = Intvec.create ~capacity:1 ()
 
-  let delta_index_of target ~lo ~hi : delta_index =
+  (* Bucket the fact ids that [feed] pushes, in ascending order, by
+     symbol. *)
+  let index_ids target feed : delta_index =
     let idx = Array.make (max (Structure.n_sym_ids target) 1) no_ids in
-    for id = lo to hi - 1 do
-      if Structure.live_id target id then begin
-      let sid = Structure.id_sym target id in
-      let v =
-        if idx.(sid) == no_ids then begin
-          let v = Intvec.create () in
-          idx.(sid) <- v;
-          v
-        end
-        else idx.(sid)
-      in
-      Intvec.push v id
-      end
-    done;
+    feed (fun id ->
+        let sid = Structure.id_sym target id in
+        if idx.(sid) == no_ids then idx.(sid) <- Intvec.create ();
+        Intvec.push idx.(sid) id);
     idx
 
-  (* Semi-naive family evaluation: for each pivot in turn, match it
-     against the delta facts of its symbol (in delta order), then run the
-     pivot's rest-plan over the full structure.  With [dedup] (default) a
-     full match is emitted once, keyed on a copy of the slot array. *)
-  let iter_family ?(init = []) ?(dedup = true) fam target delta_facts emit =
-    let slots = seed_slots (family_nslots fam) init in
-    let by_sym = Symbol.Tbl.create 16 in
-    List.iter
-      (fun fact ->
-        let s = Fact.sym fact in
-        match Symbol.Tbl.find_opt by_sym s with
-        | Some r -> r := fact :: !r
-        | None -> Symbol.Tbl.replace by_sym s (ref [ fact ]))
-      delta_facts;
-    let seen = Hashtbl.create (if dedup then 64 else 1) in
-    let emit' slots =
-      if not dedup then emit slots
-      else begin
-        let key = Array.copy slots in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          emit slots
-        end
-      end
-    in
-    Array.iter
-      (fun (pivot, rest_plan) ->
-        match Symbol.Tbl.find_opt by_sym pivot.psym with
-        | None -> ()
-        | Some dfacts ->
-            let ce = Array.make pivot.arity (-1) in
-            let dead = ref false in
-            Array.iteri
-              (fun p c ->
-                if c <> "" then
-                  match Structure.constant_opt target c with
-                  | Some e -> ce.(p) <- e
-                  | None -> dead := true)
-              pivot.cst_of_pos;
-            if not !dead then begin
-              let undo = Array.make pivot.arity 0 in
-              List.iter
-                (fun fact ->
-                  Resilience.Governor.Cancel.poll ();
-                  let fargs = Fact.args fact in
-                  (* constant filter, unmetered like the interpreted
-                     pivot's [pinned] check *)
-                  let ok = ref true in
-                  for p = 0 to pivot.arity - 1 do
-                    if ce.(p) >= 0 && fargs.(p) <> ce.(p) then ok := false
-                  done;
-                  if !ok then begin
-                    if !Obs.metrics_on then Obs.Metrics.incr c_unify;
-                    let nb = ref 0 in
-                    let fail = ref false in
-                    let q = ref 0 in
-                    while (not !fail) && !q < pivot.arity do
-                      let s = pivot.slot_of_pos.(!q) in
-                      if s >= 0 then begin
-                        let fa = fargs.(!q) in
-                        let v = slots.(s) in
-                        if v < 0 then begin
-                          slots.(s) <- fa;
-                          undo.(!nb) <- s;
-                          incr nb
-                        end
-                        else if v <> fa then fail := true
-                      end;
-                      incr q
-                    done;
-                    if !fail then begin
-                      if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
-                    end
-                    else eval rest_plan target slots emit';
-                    for b = 0 to !nb - 1 do
-                      slots.(undo.(b)) <- -1
-                    done
-                  end)
-                (List.rev !dfacts)
-            end)
-      fam.pivots
+  let delta_index_of target ~lo ~hi =
+    index_ids target (fun push ->
+        for id = lo to hi - 1 do
+          if Structure.live_id target id then push id
+        done)
 
-  let iter_family_bindings ?(init = Term.Var_map.empty) fam target delta_facts
-      f =
-    let seed = init_slots_of_binding fam.fvars.tbl init in
-    iter_family ~init:seed fam target delta_facts (fun slots ->
-        f (binding_of fam.fvars ~init slots))
-
-  (* Semi-naive family evaluation over a dense {!delta_index}: the
-     id-level counterpart of {!iter_family}, same pivot decomposition and
-     same deduplication, but pivot candidates come straight off the index
-     bucket (ascending id = delta order) with no boxed fact list in
-     sight.  [lo]/[hi) further restrict the pivot ids to a sub-range —
-     the work-stealing chunks of the parallel collector; the default is
-     the whole index. *)
+  (* Semi-naive family evaluation over a dense {!delta_index}: for each
+     pivot in turn, match it against the delta facts of its symbol
+     (ascending id = delta order), then run the pivot's rest-plan over the
+     full structure.  With [dedup] (default) a full match is emitted
+     once, keyed on a copy of the slot array.  [lo]/[hi) further restrict
+     the pivot ids to a sub-range — the work-stealing chunks of the
+     parallel collector; the default is the whole index. *)
   let iter_family_ids ?(init = []) ?(dedup = true) ?(lo = 0) ?(hi = max_int)
       fam target (dix : delta_index) emit =
     let slots = seed_slots (family_nslots fam) init in
@@ -1500,33 +924,14 @@ module Plan = struct
             if not !dead then begin
               (* Hoisted per-pivot evaluation state: the structure is
                  frozen during a discovery scan, so the rest-plan's
-                 symbol/constant resolution, its cost ordering (pivot
-                 slots prebound — their values change per candidate, so
-                 they take the simulated-bound discount) and its scratch
-                 frames are all computed once per stage instead of once
-                 per pivot candidate. *)
+                 symbol/constant resolution and its scratch frames are
+                 computed once per stage instead of once per pivot
+                 candidate. *)
               let rsids, rcst, rdead = resolve rest_plan target in
               let rframes = frames_of rest_plan in
-              let use_gj = rest_plan.mode = Auto && rest_plan.cyclic in
-              let rorder =
-                match rest_plan.mode with
-                | Fixed -> rest_plan.ident
-                | Cost | Auto ->
-                    let prebound =
-                      Array.make (max rest_plan.vars.n 1) false
-                    in
-                    Array.iter
-                      (fun s -> if s >= 0 then prebound.(s) <- true)
-                      pivot.slot_of_pos;
-                    cost_order rest_plan target rsids rcst rdead ~prebound
-                      slots
-              in
               let eval_rest () =
-                if use_gj then
-                  eval_gj rest_plan target rsids rcst rdead slots emit'
-                else
-                  eval_core_in rframes rest_plan target rsids rcst rdead
-                    ~order:rorder ~skip:(-1) slots emit'
+                eval_core_in rframes rest_plan target rsids rcst rdead
+                  ~skip:(-1) slots emit'
               in
               let undo = Array.make (max pivot.arity 1) 0 in
               let k = ref (if lo <= 0 then 0 else Intvec.lower_bound bucket lo) in
@@ -1536,7 +941,8 @@ module Plan = struct
                 if id >= hi then continue := false
                 else begin
                   Resilience.Governor.Cancel.poll ();
-                  (* constant filter (unmetered, like [iter_family]) *)
+                  (* constant filter, unmetered like the interpreted
+                     pivot's [pinned] check *)
                   let ok = ref true in
                   for p = 0 to pivot.arity - 1 do
                     if ce.(p) >= 0 && Structure.id_arg target id p <> ce.(p)
@@ -1588,7 +994,9 @@ end
    image uses at least one fact of [delta] are produced (each exactly
    once).  For each atom in turn, that atom is pinned to a delta fact and
    the remaining atoms are matched against the full structure — the
-   standard delta-rule decomposition of semi-naive Datalog evaluation. *)
+   standard delta-rule decomposition of semi-naive Datalog evaluation.
+   [delta] must be facts of [target] in journal order, as
+   [Structure.delta_since] returns them. *)
 let iter_all ?(compiled = true) ?(ordered = true) ?(init = Term.Var_map.empty)
     ?delta target atoms f =
   if not compiled then iter_all_interp ~ordered ~init ?delta target atoms f
@@ -1596,9 +1004,18 @@ let iter_all ?(compiled = true) ?(ordered = true) ?(init = Term.Var_map.empty)
     match delta with
     | None -> Plan.iter ~init (Plan.compile ~ordered atoms) target f
     | Some delta_facts ->
-        Plan.iter_family_bindings ~init
-          (Plan.compile_family ~ordered atoms)
-          target delta_facts f
+        (* the delta's fact ids, ascending: its journal order, the order
+           the interpreted path scans it in *)
+        let ids =
+          List.filter_map (Structure.fact_id target) delta_facts
+          |> List.sort_uniq Int.compare
+        in
+        let fam = Plan.compile_family ~ordered atoms in
+        Plan.iter_family_ids
+          ~init:(Plan.init_slots_of_binding fam.Plan.fvars.tbl init)
+          fam target
+          (Plan.index_ids target (fun push -> List.iter push ids))
+          (fun slots -> f (Plan.binding_of fam.Plan.fvars ~init slots))
 
 (* Early exit via a [ref] and a locally-caught [Exit]: the exception never
    crosses the module boundary, so a caller callback's own exceptions

@@ -37,7 +37,11 @@ val order_atoms : ?bound:Term.Var_set.t -> Atom.t list -> Atom.t list
     at least one fact of [delta] (each produced exactly once): for each
     atom in turn, that atom is pinned to a delta fact and the rest is
     matched against the full structure — semi-naive evaluation's delta
-    rules.  With [~delta] and an empty atom list, nothing is produced. *)
+    rules.  With [~delta] and an empty atom list, nothing is produced.
+    Precondition: [delta] holds facts of [target], in journal order (as
+    {!Structure.delta_since} returns them).  The compiled path scans the
+    delta by ascending fact id, which is that order; facts absent from
+    [target] are ignored. *)
 val iter_all :
   ?compiled:bool ->
   ?ordered:bool ->
@@ -92,28 +96,16 @@ module Plan : sig
       merge. *)
   type family
 
-  (** Atom-ordering strategy.  [Fixed] (the default) freezes the
-      connectivity-greedy order at compile time — bit-identical to the
-      interpreted reference, bindings, order and counters included.
-      [Cost] re-orders at every evaluation entry from live cardinalities
-      (pin buckets, symbol buckets; ties to the lowest original index, so
-      the ordering is deterministic for fixed cardinalities).  [Auto] is
-      [Cost] plus a generic-join (worst-case-optimal) evaluator on cyclic
-      bodies.  Cost modes preserve the emitted {e set} of bindings, not
-      the enumeration order or the [hom.*] effort counters — compare fact
-      sets/journals/firings across modes, never counters. *)
-  type mode = Fixed | Cost | Auto
-
-  (** [compile ?ordered ?bound ?mode atoms] fixes the evaluation order
-      under [Fixed] (with [bound] seeding {!order_atoms}) and interns the
-      body's variables to dense slots, numbered by first appearance in
-      that order; cost modes defer ordering to evaluation entry. *)
-  val compile :
-    ?ordered:bool -> ?bound:Term.Var_set.t -> ?mode:mode -> Atom.t list -> t
+  (** [compile ?ordered ?bound atoms] freezes the connectivity-greedy
+      evaluation order (with [bound] seeding {!order_atoms}) and interns
+      the body's variables to dense slots, numbered by first appearance
+      in that order.  The plan is bit-identical to the interpreted
+      reference: bindings, order and counters. *)
+  val compile : ?ordered:bool -> ?bound:Term.Var_set.t -> Atom.t list -> t
 
   (** One rest-plan per pivot occurrence, mirroring the interpreted delta
-      decomposition: under [Fixed] each rest is in {!order_atoms} order
-      with the pivot's variables bound.  Each body atom is compiled once
+      decomposition: each rest is in {!order_atoms} order with the
+      pivot's variables bound.  Each body atom is compiled once
       and every plan of the family shares it physically, so a family of
       n atoms holds n compiled atoms and n arrays of n − 1 pointers, and
       compiling it costs O(n² log n) integer steps (n orderings, one
@@ -121,7 +113,7 @@ module Plan : sig
       atoms, compile in a few milliseconds.  Slots are numbered by first
       appearance along pivot 0 and then its rest, as in {!compile}.
       [plan.compilations] ticks once per pivot. *)
-  val compile_family : ?ordered:bool -> ?mode:mode -> Atom.t list -> family
+  val compile_family : ?ordered:bool -> Atom.t list -> family
 
   (** Number of variable slots; emitted arrays have this length. *)
   val nslots : t -> int
@@ -129,7 +121,6 @@ module Plan : sig
   (** The slot of a variable name, if the body mentions it. *)
   val slot : t -> string -> int option
 
-  val var_name : t -> int -> string
   val family_nslots : family -> int
   val family_slot : family -> string -> int option
 
@@ -151,28 +142,10 @@ module Plan : sig
       through). *)
   val iter : ?init:binding -> t -> Structure.t -> (binding -> unit) -> unit
 
-  (** First match as a fresh slot-array copy, if any. *)
-  val find_slots :
-    ?init:(int * int) list -> t -> Structure.t -> int array option
-
+  (** [exists_slots ?init plan target] — is there a match extending the
+      [init] slot seeds?  The precompiled counterpart of {!Hom.exists}
+      (condition ­ of the chase runs through this). *)
   val exists_slots : ?init:(int * int) list -> t -> Structure.t -> bool
-
-  (** [exists ?init plan target] — is there a match extending [init]?
-      The precompiled counterpart of {!Hom.exists} (condition ­ of the
-      chase runs through this). *)
-  val exists : ?init:binding -> t -> Structure.t -> bool
-
-  (** [exists_delta ~min_id ?init plan target] — is there a match
-      extending the [init] slot seeds whose image uses at least one fact
-      with id [>= min_id]?  Exact, and near-free when few facts are newer
-      than [min_id]: each atom in turn plays the delta pivot over the
-      binary-searched new tail of its best pin bucket.  The chase's
-      apply-time head re-check runs through this — a trigger that
-      survived discovery was unwitnessed at apply start and witnesses are
-      monotone, so only witnesses using a fact added since then can
-      exist. *)
-  val exists_delta :
-    min_id:int -> ?init:(int * int) list -> t -> Structure.t -> bool
 
   (** [exists_since ~min_id ~cutoff ?init plan target] — the apply-time
       re-check.  Valid ONLY under the caller's invariant that no match
@@ -180,9 +153,11 @@ module Plan : sig
       trigger survived discovery against exactly that structure, and
       witnesses are monotone); the answer then equals {!exists_slots}.
       One resolve pass dispatches between the near-free empty-tail case,
-      the delta-pivot scan of {!exists_delta} (summed tails
-      [<= cutoff]), and the plain pin-driven search — all exact under
-      the invariant, so [cutoff] only moves wall-clock. *)
+      a delta-pivot scan (summed tails [<= cutoff]: each atom in turn
+      plays the pivot over the binary-searched new tail of its best pin
+      bucket, the rest run against the full structure), and the plain
+      pin-driven search — all exact under the invariant, so [cutoff] only
+      moves wall-clock. *)
   val exists_since :
     min_id:int ->
     cutoff:int ->
@@ -190,34 +165,6 @@ module Plan : sig
     t ->
     Structure.t ->
     bool
-
-  (** [delta_weight ~min_id ?init plan target] — how many pivot
-      candidates would {!exists_delta} scan?  (The sum over atoms of the
-      new tail of each atom's best pin bucket.)  [0] means
-      [exists_delta] is trivially false.  Callers holding an invariant
-      that no match over the [< min_id] facts exists (the chase's
-      apply-time re-check) can switch to the pin-driven {!exists_slots}
-      when the weight is large — exact under that invariant, and cheaper
-      than scanning long delta tails. *)
-  val delta_weight :
-    min_id:int -> ?init:(int * int) list -> t -> Structure.t -> int
-
-  (** [iter_family ?init ?dedup fam target delta emit] — semi-naive
-      evaluation: each pivot against its delta facts (in delta order),
-      the rest-plan against the full structure.  [dedup] (default [true])
-      emits each full match once; pass [false] when a later merge
-      deduplicates (the parallel shards). *)
-  val iter_family :
-    ?init:(int * int) list ->
-    ?dedup:bool ->
-    family ->
-    Structure.t ->
-    Fact.t list ->
-    (int array -> unit) ->
-    unit
-
-  val iter_family_bindings :
-    ?init:binding -> family -> Structure.t -> Fact.t list -> (binding -> unit) -> unit
 
   (** A stage delta as a dense per-symbol index: interned symbol id (see
       {!Structure.id_sym}) to ascending fact ids.  Built once per stage
@@ -228,10 +175,13 @@ module Plan : sig
       [\[lo, hi)] by symbol. *)
   val delta_index_of : Structure.t -> lo:int -> hi:int -> delta_index
 
-  (** The id-level counterpart of {!iter_family}: same pivot
-      decomposition, same dedup, but pivot candidates come off the
-      {!delta_index} bucket, optionally restricted to pivot ids in
-      [\[lo, hi)] (the parallel collector's chunks). *)
+  (** [iter_family_ids ?init ?dedup ?lo ?hi fam target delta emit] —
+      semi-naive evaluation: each pivot against its {!delta_index}
+      bucket (ascending fact id, i.e. delta order), the rest-plan against
+      the full structure.  [dedup] (default [true]) emits each full match
+      once; pass [false] when a later merge deduplicates (the parallel
+      shards).  [lo]/[hi] restrict the pivot ids to [\[lo, hi)] (the
+      parallel collector's chunks). *)
   val iter_family_ids :
     ?init:(int * int) list ->
     ?dedup:bool ->
@@ -245,8 +195,6 @@ module Plan : sig
 
   (** Rebuild a name binding from an emitted slot array. *)
   val binding_of_slots : ?init:binding -> t -> int array -> binding
-
-  val family_binding_of_slots : ?init:binding -> family -> int array -> binding
 end
 
 (** {1 Structure-to-structure homomorphisms}

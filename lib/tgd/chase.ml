@@ -7,17 +7,19 @@
    (T, b̄) over the stage-start structure, then applies the surviving
    triggers in order, re-checking ­ as the structure grows.
 
-   Three trigger-discovery engines implement that stage semantics:
+   Two trigger-discovery pipelines implement that stage semantics:
 
      [`Stage]     re-enumerates every body homomorphism of every TGD
-                  against the whole structure at every stage;
-     [`Seminaive] (default) matches each body only against homomorphisms
-                  using at least one fact added since the previous stage
-                  (the delta), exactly like semi-naive Datalog evaluation;
-     [`Par]       semi-naive discovery fanned out over a domain pool:
-                  workers enumerate body matches over disjoint delta
-                  shards, the matches are merged in canonical sort order,
-                  and firing stays sequential.
+                  against the whole structure at every stage — the
+                  reference;
+     [`Par]       matches each body only against homomorphisms using at
+                  least one fact added since the previous stage (the
+                  delta), exactly like semi-naive Datalog evaluation,
+                  with discovery fanned out over a domain pool: workers
+                  enumerate body matches over disjoint delta shards and
+                  the matches are merged in canonical sort order.
+     [`Seminaive] (default) is [`Par] at one worker, where the pool and
+                  the merge collapse to a sequential scan.
 
    Delta-restriction is sound for the lazy chase because both conditions
    are monotone in the structure: a body match wholly inside old facts was
@@ -69,24 +71,17 @@ let pp_stats ppf s =
     G.pp_outcome s.outcome
 
 (* Knobs of the [`Par] engine, exposed for the ablation bench and the
-   oracle.  [plan_mode] picks the atom-ordering strategy of the delta
-   family ([Auto]: cost-ordered, generic join on cyclic bodies).
-   [par_fire] selects the firing path: [`Seq] is the sequential
+   oracle.  [par_fire] selects the firing path: [`Seq] is the sequential
    delta-recheck replay, [`Staged] forces the partitioned-writer staging
    pipeline, [`Auto] (default) stages only when it can pay off — more
    than one worker — or when a failpoint campaign is active, so the
    staged path and its ["par.fire"] ladder stay exercised at [jobs = 1].
    [stealing] switches the worker pool between work-stealing and static
-   round-robin scheduling.  Every combination is bit-identical to
-   [`Seminaive]; only speed and effort counters move. *)
-type par_tuning = {
-  plan_mode : Hom.Plan.mode;
-  par_fire : [ `Auto | `Seq | `Staged ];
-  stealing : bool;
-}
+   round-robin scheduling.  Every combination is bit-identical to every
+   other; only speed moves. *)
+type par_tuning = { par_fire : [ `Auto | `Seq | `Staged ]; stealing : bool }
 
-let default_tuning =
-  { plan_mode = Hom.Plan.Auto; par_fire = `Auto; stealing = true }
+let default_tuning = { par_fire = `Auto; stealing = true }
 
 (* Restrict a body binding to the frontier of the TGD: the b̄ of the paper. *)
 let frontier_binding dep binding =
@@ -217,39 +212,30 @@ let replay_fire d fp key =
 (* A dependency with its compiled plans.  All are lazy so each engine
    only pays for the plans it evaluates (the stage engine never compiles
    the delta family, the delta engines never compile the full body
-   plan).  [fr_stage]/[fr_delta]/[fr_par] carry the frontier slot
-   projections for the three body layouts; [body_family_par] is the
-   [`Par] engine's family, compiled under [par_mode] (the cost-ordered /
-   generic-join modes — its slot layout differs from [body_family]'s,
-   hence the separate projection).  [Lazy.t] is not domain-safe: two
-   domains forcing the same lazy raise [CamlinternalLazy.Undefined], so
-   the [`Par] paths force [fr_par] (hence [body_family_par] and
-   [head_plan]) and [fire_plan] on the calling domain before any pool
-   fan-out, and the workers only read the forced values. *)
+   plan).  [fr_stage]/[fr_delta] carry the frontier slot projections for
+   the two body layouts.  [Lazy.t] is not domain-safe: two domains
+   forcing the same lazy raise [CamlinternalLazy.Undefined], so the
+   pooled paths force [fr_delta] (hence [body_family] and [head_plan])
+   and [fire_plan] on the calling domain before any pool fan-out, and
+   the workers only read the forced values. *)
 type cdep = {
   dep : Dep.t;
   body_plan : Hom.Plan.t Lazy.t;
   body_family : Hom.Plan.family Lazy.t;
-  body_family_par : Hom.Plan.family Lazy.t;
   head_plan : Hom.Plan.t Lazy.t;
   fire_plan : fire_plan Lazy.t;
   fr_stage : frontier_info Lazy.t;
   fr_delta : frontier_info Lazy.t;
-  fr_par : frontier_info Lazy.t;
 }
 
-let compile_dep ?(par_mode = Hom.Plan.Auto) dep =
+let compile_dep dep =
   let body_plan = lazy (Hom.Plan.compile (Dep.body dep)) in
   let body_family = lazy (Hom.Plan.compile_family (Dep.body dep)) in
-  let body_family_par =
-    lazy (Hom.Plan.compile_family ~mode:par_mode (Dep.body dep))
-  in
   let head_plan = lazy (Hom.Plan.compile (Dep.head dep)) in
   {
     dep;
     body_plan;
     body_family;
-    body_family_par;
     head_plan;
     fire_plan = lazy (compile_fire_plan dep);
     fr_stage =
@@ -261,11 +247,6 @@ let compile_dep ?(par_mode = Hom.Plan.Auto) dep =
       lazy
         (frontier_info dep
            ~slot_of:(Hom.Plan.family_slot (Lazy.force body_family))
-           (Lazy.force head_plan));
-    fr_par =
-      lazy
-        (frontier_info dep
-           ~slot_of:(Hom.Plan.family_slot (Lazy.force body_family_par))
            (Lazy.force head_plan));
   }
 
@@ -350,47 +331,36 @@ let consider_match ~seen ~considered ~note d di cd fi key out =
 
 let no_note (_ : int) (_ : int array) = ()
 
-(* Collect the stage's triggers: deduplicate body matches per TGD by
-   frontier key, drop those whose head is already witnessed (condition ­),
-   and sort canonically.  [delta] restricts discovery to matches using a
-   new fact; [seen_of] supplies the per-TGD dedup table (persistent across
-   stages for the semi-naive engines).  [considered] counts first-time
-   frontier keys; [matches] counts every body match before dedup — the
-   paper enumerates pairs (T, b̄), so two matches differing only in their
-   existential witnesses are one consideration but two matches. *)
-let collect_triggers ?delta ?(note = no_note) ~seen_of ~considered ~matches
-    cdeps d =
+(* Collect the stage's triggers by a full scan: deduplicate body matches
+   per TGD by frontier key, drop those whose head is already witnessed
+   (condition ­), and sort canonically.  [seen_of] supplies the per-TGD
+   dedup table.  [considered] counts first-time frontier keys; [matches]
+   counts every body match before dedup — the paper enumerates pairs
+   (T, b̄), so two matches differing only in their existential witnesses
+   are one consideration but two matches. *)
+let collect_triggers ~seen_of ~considered ~matches cdeps d =
   let out = ref [] in
   List.iteri
     (fun di cd ->
       let seen = seen_of di cd in
-      let emit fi slots =
-        incr matches;
-        if !Obs.metrics_on then Obs.Metrics.incr c_matches;
-        consider_match ~seen ~considered ~note d di cd fi (key_of fi slots) out
-      in
-      match delta with
-      | None ->
-          let fi = Lazy.force cd.fr_stage in
-          Hom.Plan.iter_slots (Lazy.force cd.body_plan) d (emit fi)
-      | Some delta_facts ->
-          let fi = Lazy.force cd.fr_delta in
-          Hom.Plan.iter_family
-            (Lazy.force cd.body_family)
-            d delta_facts (emit fi))
+      let fi = Lazy.force cd.fr_stage in
+      Hom.Plan.iter_slots (Lazy.force cd.body_plan) d (fun slots ->
+          incr matches;
+          if !Obs.metrics_on then Obs.Metrics.incr c_matches;
+          consider_match ~seen ~considered ~note:no_note d di cd fi
+            (key_of fi slots) out))
     cdeps;
   triggers_of !out
 
-(* The parallel collector: semi-naive discovery over the delta as a
-   dense fact-id index, chunked into contiguous id ranges.
+(* The semi-naive collector: discovery over the delta as a dense
+   fact-id index, chunked into contiguous id ranges.  [seen_of] supplies
+   the per-TGD dedup tables, persistent across stages; [note] observes
+   every first consideration (see [consider_match]).
 
    Fast path ([jobs <= 1], no failpoint campaign): the per-dependency
    id-level family scan runs inline with its own dedup, feeding
-   [consider_match] directly — no slot-array boxing, no merge.  This is
-   the single-core shape, and it must beat [`Seminaive]'s boxed-delta
-   scan outright: the delta index is built once per stage and shared by
-   all dependencies, and the [`Par] family plans run under the
-   cost-ordered / generic-join modes.
+   [consider_match] directly — no slot-array boxing, no merge.  The
+   delta index is built once per stage and shared by all dependencies.
 
    Parallel path: the tasks are (dependency x id-chunk) pairs executed
    by a work-stealing pool (round-robin under [stealing:false]), so one
@@ -403,9 +373,9 @@ let collect_triggers ?delta ?(note = no_note) ~seen_of ~considered ~matches
    sequential semi-naive one (a match reachable through pivots in
    different chunks is emitted by several tasks and merged back to one),
    so stats, surviving triggers and — after the canonical trigger sort —
-   the firing sequence are all bit-identical to [`Seminaive].  Hom-level
-   effort counters tick inside the workers and are approximate when
-   [jobs > 1].
+   the firing sequence are all bit-identical to the fast path's.
+   Hom-level effort counters tick inside the workers and are approximate
+   when [jobs > 1].
 
    The ["par.shard"] failpoint decisions are drawn sequentially *before*
    the workers spawn, so the fault schedule never races the decision
@@ -421,9 +391,9 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
   let sequential () =
     run_deps (fun di cd ->
         let seen = seen_of di cd in
-        let fi = Lazy.force cd.fr_par in
+        let fi = Lazy.force cd.fr_delta in
         Hom.Plan.iter_family_ids
-          (Lazy.force cd.body_family_par)
+          (Lazy.force cd.body_family)
           d dix
           (fun slots ->
             incr matches;
@@ -439,7 +409,7 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
   else begin
     let cds = Array.of_list cdeps in
     (* Force the plans on this domain: workers only read them. *)
-    Array.iter (fun cd -> ignore (Lazy.force cd.fr_par)) cds;
+    Array.iter (fun cd -> ignore (Lazy.force cd.fr_delta)) cds;
     let ndeps = Array.length cds in
     let m = max 1 (min jobs (max (hi - lo) 1)) in
     let ntasks = ndeps * m in
@@ -461,7 +431,7 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
           let acc = ref [] in
           if chi > clo then
             Hom.Plan.iter_family_ids
-              (Lazy.force cds.(di).body_family_par)
+              (Lazy.force cds.(di).body_family)
               d dix ~lo:clo ~hi:chi
               (fun slots -> acc := Array.copy slots :: !acc);
           List.rev !acc)
@@ -480,7 +450,7 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
         let t0 = Obs.Clock.now_s () in
         for di = 0 to ndeps - 1 do
           let cd = cds.(di) in
-          let fi = Lazy.force cd.fr_par in
+          let fi = Lazy.force cd.fr_delta in
           let seen = seen_of di cd in
           let acc = ref [] in
           for c = m - 1 downto 0 do
@@ -559,14 +529,15 @@ let apply_triggers ?(on_fire = fun _ _ -> ()) triggers d =
    collection was unwitnessed against the apply-start structure, and head
    witnesses are monotone; so when the re-check runs, a witness exists
    iff some witness uses a fact added since apply start ([wm0]).
-   {!Hom.Plan.exists_delta} checks exactly that, over the binary-searched
+   {!Hom.Plan.exists_since} checks exactly that, over the binary-searched
    new tails of the pin buckets — near-free on the (overwhelmingly
    common) triggers whose heads nothing re-witnessed mid-stage, where the
-   full {!head_witnessed} pays a complete existence search per trigger. *)
-(* Above this many pivot candidates the delta-tail scan loses to the
-   plain pin-driven search; below it, it is near-free.  Any value is
-   correct — both branches are exact (see [head_witnessed_delta]) — the
-   cutoff only moves wall-clock. *)
+   full {!head_witnessed} pays a complete existence search per trigger.
+
+   Above [delta_recheck_cutoff] pivot candidates the delta-tail scan
+   loses to the plain pin-driven search; below it, it is near-free.  Any
+   value is correct — both branches are exact — the cutoff only moves
+   wall-clock. *)
 let delta_recheck_cutoff = 32
 
 let head_witnessed_delta ~wm0 d cd fi key =
@@ -586,9 +557,9 @@ let head_witnessed_delta ~wm0 d cd fi key =
 (* As {!apply_triggers}, with the delta-restricted re-check and the
    compiled-head replay.  Same firings, same structure, same counters
    that matter ([c_head_checks] ticks once per trigger either way); only
-   the per-trigger cost drops.  Used by the delta engines ([`Seminaive]
-   and [`Par]'s sequential rungs); [`Stage] keeps the full re-check as
-   the pristine reference. *)
+   the per-trigger cost drops.  The semi-naive pipeline's sequential
+   firing rung; [`Stage] keeps the full re-check as the pristine
+   reference. *)
 let apply_triggers_delta ?(on_fire = fun _ _ -> ()) triggers d =
   let wm0 = Structure.watermark d in
   let fired = ref 0 in
@@ -933,11 +904,14 @@ let persistent_seen ?(from = []) () =
   in
   (get, dump)
 
-(* The shared delta-engine driver ([`Seminaive] and [`Par]). *)
-let run_delta ~par ?jobs ?(tuning = default_tuning) ?(note = no_note) ~governor
-    ~max_stages ~stop ~on_fire ~snapshot_every ~on_snapshot ~from deps d =
+(* The semi-naive driver.  [engine] only labels the run (snapshot stamp,
+   trace span): [`Seminaive] is one worker with the default tuning, [`Par]
+   takes [jobs] (default [Pool.default_jobs ()]) and [tuning]. *)
+let run_delta ~(engine : [ `Seminaive | `Par ]) ?jobs ?(tuning = default_tuning)
+    ?(note = no_note) ~governor ~max_stages ~stop ~on_fire ~snapshot_every
+    ~on_snapshot ~from deps d =
   (match from with Some s -> check_resume_deps deps s | None -> ());
-  let cdeps = List.map (compile_dep ~par_mode:tuning.plan_mode) deps in
+  let cdeps = List.map compile_dep deps in
   let start_stage, wm0, seen0, considered0, matches0, apps0 =
     match from with
     | Some s ->
@@ -956,7 +930,7 @@ let run_delta ~par ?jobs ?(tuning = default_tuning) ?(note = no_note) ~governor
   let wm = ref wm0 in
   let make_snapshot ~stage ~applications =
     {
-      snap_engine = (if par then `Par else `Seminaive);
+      snap_engine = (engine :> engine);
       snap_stage = stage;
       snap_wm = !wm;
       snap_seen = dump_seen ();
@@ -967,45 +941,40 @@ let run_delta ~par ?jobs ?(tuning = default_tuning) ?(note = no_note) ~governor
       snap_structure = Resilience.Checkpoint.clone d;
     }
   in
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
+  let jobs =
+    match (engine, jobs) with
+    | `Seminaive, _ -> 1
+    | `Par, Some j -> max 1 j
+    | `Par, None -> Pool.default_jobs ()
+  in
   let collect () =
-    if par then begin
-      let lo, hi = Structure.delta_ids d !wm in
-      if !Obs.metrics_on then Obs.Metrics.observe h_delta (hi - lo);
-      let triggers =
-        collect_triggers_idx ~note ~jobs ~stealing:tuning.stealing ~seen_of
-          ~considered ~matches cdeps d ~lo ~hi
-      in
-      (* advance only after a completed scan: a cancelled scan must not
-         move the watermark past the last resumable boundary *)
-      wm := hi;
-      triggers
-    end
-    else begin
-      let delta = Structure.delta_since d !wm in
-      let new_wm = Structure.watermark d in
-      if !Obs.metrics_on then Obs.Metrics.observe h_delta (List.length delta);
-      let triggers =
-        collect_triggers ~delta ~note ~seen_of ~considered ~matches cdeps d
-      in
-      wm := new_wm;
-      triggers
-    end
+    let lo, hi = Structure.delta_ids d !wm in
+    if !Obs.metrics_on then Obs.Metrics.observe h_delta (hi - lo);
+    let triggers =
+      collect_triggers_idx ~note ~jobs ~stealing:tuning.stealing ~seen_of
+        ~considered ~matches cdeps d ~lo ~hi
+    in
+    (* advance only after a completed scan: a cancelled scan must not
+       move the watermark past the last resumable boundary *)
+    wm := hi;
+    triggers
   in
   let apply on_fire triggers =
-    if par then
-      let staged =
-        match tuning.par_fire with
-        | `Seq -> false
-        | `Staged -> true
-        | `Auto -> jobs > 1 || Resilience.Failpoint.active ()
-      in
-      if staged then
-        apply_triggers_par ~on_fire ~jobs ~stealing:tuning.stealing triggers d
-      else apply_triggers_delta ~on_fire triggers d
+    let staged =
+      match tuning.par_fire with
+      | `Seq -> false
+      | `Staged -> true
+      | `Auto -> jobs > 1 || Resilience.Failpoint.active ()
+    in
+    if staged then
+      apply_triggers_par ~on_fire ~jobs ~stealing:tuning.stealing triggers d
     else apply_triggers_delta ~on_fire triggers d
   in
-  let span = if par then "tgd.chase(par)" else "tgd.chase(seminaive)" in
+  let span =
+    match engine with
+    | `Seminaive -> "tgd.chase(seminaive)"
+    | `Par -> "tgd.chase(par)"
+  in
   run_engine ~span ~governor ~max_stages ~stop ~on_fire ~considered ~matches
     ~collect ~apply ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
     ~start_applications:apps0 d
@@ -1013,13 +982,13 @@ let run_delta ~par ?jobs ?(tuning = default_tuning) ?(note = no_note) ~governor
 let run_seminaive ?(governor = G.unlimited) ?(max_stages = max_int)
     ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
     ?on_snapshot ?from deps d =
-  run_delta ~par:false ~governor ~max_stages ~stop ~on_fire ~snapshot_every
-    ~on_snapshot ~from deps d
+  run_delta ~engine:`Seminaive ~governor ~max_stages ~stop ~on_fire
+    ~snapshot_every ~on_snapshot ~from deps d
 
 let run_par ?jobs ?tuning ?(governor = G.unlimited) ?(max_stages = max_int)
     ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
     ?on_snapshot ?from deps d =
-  run_delta ~par:true ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
+  run_delta ~engine:`Par ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
     ~snapshot_every ~on_snapshot ~from deps d
 
 (* The semi-oblivious (skolem) chase: every pair (T, b̄) fires exactly
@@ -1095,8 +1064,8 @@ let run_oblivious ?(governor = G.unlimited) ?(max_stages = max_int)
 (* The engine front door.  Semi-naive is the default: it implements the
    same lazy stage semantics as [`Stage] (equal structures, equal firing
    sequence) with per-stage work proportional to the delta rather than to
-   the whole structure.  [`Par] is semi-naive with sharded discovery;
-   [jobs] bounds its worker count (ignored by the other engines). *)
+   the whole structure.  [`Seminaive] is [`Par] at one worker; [jobs]
+   bounds [`Par]'s worker count (ignored by the other engines). *)
 let run ?(engine = `Seminaive) ?jobs ?tuning ?governor ?max_stages ?stop
     ?on_fire ?snapshot_every ?on_snapshot deps d =
   match engine with
@@ -1489,7 +1458,7 @@ module Maint = struct
       if max_stages = max_int then max_int else t.m_stage + max_stages
     in
     let stats =
-      run_delta ~par:(t.m_engine = `Par) ?jobs:t.m_jobs ~note ~governor
+      run_delta ~engine:t.m_engine ?jobs:t.m_jobs ~note ~governor
         ~max_stages:abs_max
         ~stop:(fun _ -> false)
         ~on_fire ~snapshot_every:1 ~on_snapshot:None ~from:(Some snap) t.m_deps

@@ -16,9 +16,9 @@ type stats = {
           deduplicated by frontier key before they count: two matches that
           differ only in their existential witnesses are the same pair
           (T, b̄) of the paper and count once.  For the lazy engines the
-          dedup table is per-stage ([`Stage]) or per-run ([`Seminaive],
-          whose persistent tables make the counts comparable across
-          engines); for [`Oblivious] it is per-run.  The paper's raw pair
+          dedup table is per-stage ([`Stage]) or per-run ([`Seminaive]
+          and [`Par], whose persistent tables make the counts comparable
+          across engines); for [`Oblivious] it is per-run.  The paper's raw pair
           enumeration — every body homomorphism — is [body_matches]. *)
   body_matches : int;
       (** raw body matches enumerated, before frontier deduplication —
@@ -34,30 +34,30 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Trigger-discovery engines.  [`Stage] re-enumerates every body
-    homomorphism against the whole structure at every stage; [`Seminaive]
-    (the default) only matches bodies against homomorphisms that use at
-    least one fact added since the previous stage, which is equivalent —
-    conditions ¬ and ­ are monotone, so stale matches are inactive forever
-    — and asymptotically cheaper; [`Par] is semi-naive with discovery
-    fanned out over a domain pool (disjoint delta shards, canonical
-    sorted merge, sequential firing — still bit-identical); [`Oblivious]
-    is the skolem chase baseline ({!run_oblivious}). *)
+    homomorphism against the whole structure at every stage — the
+    reference the other lazy engines are held to.  [`Par] only matches
+    bodies against homomorphisms that use at least one fact added since
+    the previous stage, which is equivalent (conditions ¬ and ­ are
+    monotone, so stale matches are inactive forever) and asymptotically
+    cheaper, with discovery and firing fanned out over a domain pool
+    (disjoint delta shards, canonical sorted merge — still
+    bit-identical).  [`Seminaive] (the default) is [`Par] at one worker:
+    the same code, labelled apart so its snapshots resume as
+    [`Seminaive].  [`Oblivious] is the skolem chase baseline
+    ({!run_oblivious}). *)
 type engine = [ `Stage | `Seminaive | `Oblivious | `Par ]
 
 val pp_engine : Format.formatter -> engine -> unit
 
 (** Knobs of the [`Par] engine, exposed for the ablation bench and the
-    oracle.  [plan_mode] is the atom-ordering strategy of the parallel
-    delta family (default {!Hom.Plan.Auto}: cost-ordered, generic join on
-    cyclic bodies).  [par_fire] selects the firing path: [`Seq] the
-    sequential delta-recheck replay, [`Staged] the partitioned-writer
-    staging pipeline unconditionally, [`Auto] (default) staged only with
-    more than one worker or under an active failpoint campaign.
-    [stealing] (default [true]) picks work-stealing over static
-    round-robin scheduling.  Every combination is bit-identical to
-    [`Seminaive] — only wall-clock and effort counters move. *)
+    oracle.  [par_fire] selects the firing path: [`Seq] the sequential
+    delta-recheck replay, [`Staged] the partitioned-writer staging
+    pipeline unconditionally, [`Auto] (default) staged only with more
+    than one worker or under an active failpoint campaign.  [stealing]
+    (default [true]) picks work-stealing over static round-robin
+    scheduling.  Every combination builds the same structure, journal,
+    firing sequence and stats — only wall-clock moves. *)
 type par_tuning = {
-  plan_mode : Hom.Plan.mode;
   par_fire : [ `Auto | `Seq | `Staged ];
   stealing : bool;
 }
@@ -108,15 +108,15 @@ val chase_stage : Dep.t list -> Structure.t -> int
     fixpoint, until [stop] holds (checked after each stage), or until the
     [governor] interrupts the run.  Stage numbers stamp provenance into
     the structure.  [engine] selects the trigger-discovery engine
-    (default [`Seminaive]); all engines share the canonical per-stage
-    firing order, so [`Stage] and [`Seminaive] build identical
-    structures, fresh element ids included.  [on_fire] observes every
-    firing in order — (stage, TGD, frontier binding) — before its head
-    atoms are added; the oracle's differential runner records the firing
-    sequence through it.  [jobs] bounds the [`Par] engine's worker count
-    (default [Pool.default_jobs ()]) and [tuning] its plan/firing/
-    scheduling knobs (default {!default_tuning}; both ignored by other
-    engines).
+    (default [`Seminaive]); the lazy engines share the canonical
+    per-stage firing order, so [`Stage], [`Seminaive] and [`Par] build
+    identical structures, fresh element ids included.  [on_fire] observes
+    every firing in order — (stage, TGD, frontier binding) — before its
+    head atoms are added; the oracle's differential runner records the
+    firing sequence through it.  [jobs] bounds the [`Par] engine's worker
+    count (default [Pool.default_jobs ()]; [`Seminaive] always runs one)
+    and [tuning] its firing/scheduling knobs (default {!default_tuning});
+    the other engines ignore both.
 
     The [governor] (default [Resilience.Governor.unlimited]) bundles a
     wall-clock deadline, stage fuel, element/fact budgets and a
@@ -180,8 +180,9 @@ val run_stage :
   Structure.t ->
   stats
 
-(** The semi-naive engine: delta-restricted trigger discovery
-    ([run ~engine:`Seminaive], the default). *)
+(** The semi-naive engine ([run ~engine:`Seminaive], the default):
+    {!run_par} at one worker with {!default_tuning}, its snapshots
+    stamped [`Seminaive]. *)
 val run_seminaive :
   ?governor:Resilience.Governor.t ->
   ?max_stages:int ->
@@ -196,7 +197,8 @@ val run_seminaive :
 
 (** The parallel engine ([run ~engine:`Par]): semi-naive trigger
     discovery and firing over a {!Relational.Pool} of domains, driven by
-    cost-ordered / generic-join plans over a dense per-stage delta index.
+    each body's delta family of compiled plans ({!Hom.Plan.compile_family})
+    over a dense per-stage delta index.
 
     Discovery: the (TGD x id-chunk) tasks run on a work-stealing pool
     (workers read the structure only); raw matches are merged in
@@ -206,17 +208,18 @@ val run_seminaive :
     {!Relational.Fact_arena.Staging} buffers; the sequential canonical
     merge re-checks each trigger (delta-restricted condition ­) and
     materialises survivors in trigger order, so structures, stats and
-    firing sequences are bit-identical to [`Seminaive].  With one worker
-    and no failpoints both pipelines collapse to allocation-free
-    sequential fast paths.  Hom-level effort counters are approximate
-    when [jobs > 1] and legitimately differ from [`Seminaive]'s under the
-    cost-ordered plan modes.
+    firing sequences are the same at every worker count, and structures
+    and firing sequences equal [`Stage]'s.  With one worker and
+    no failpoints both pipelines collapse to allocation-free sequential
+    fast paths, whose [hom.*] effort counters equal the interpreted
+    reference's pivot-by-pivot ones; with [jobs > 1] the counters tick
+    inside the workers and are approximate.
 
     Under the ["par.shard"] (discovery) and ["par.fire"] (staging)
     failpoints a marked task dies before doing any work; the phase is
     retried once and then degrades to its sequential rung.  Staging is
     side-effect-free and every rung feeds the same canonical merge, so a
-    faulted run stays bit-identical to an un-faulted [`Seminaive] run. *)
+    faulted run stays bit-identical to an un-faulted one. *)
 val run_par :
   ?jobs:int ->
   ?tuning:par_tuning ->

@@ -171,109 +171,6 @@ let test_slot_round_trip () =
   Hom.Plan.iter plan s (fun b -> direct := Term.Var_map.bindings b :: !direct);
   check "slot and binding views agree" true (!via_slots = !direct)
 
-(* --- cost-ordered and generic-join plans ---------------------------------- *)
-
-(* Cost modes promise the same *set* of bindings as the interpreted
-   reference, not the enumeration order or the effort counters (the
-   whole point is visiting candidates in a cheaper order). *)
-let plan_bindings ?init ~mode d atoms =
-  let plan = Hom.Plan.compile ~mode atoms in
-  let out = ref [] in
-  Hom.Plan.iter ?init plan d (fun b -> out := Term.Var_map.bindings b :: !out);
-  List.rev !out
-
-let same_set what reference got =
-  check
-    (what ^ ": same binding set")
-    true
-    (List.sort_uniq compare reference = List.sort_uniq compare got)
-
-let modes = [ (Hom.Plan.Cost, "cost"); (Hom.Plan.Auto, "auto") ]
-
-(* Seeded cyclic bodies: [Auto] selects the generic-join evaluator on
-   these (the body graph is cyclic), [Cost] the reordered backtracker;
-   both must emit exactly the reference set, unseeded and under every
-   single-variable seeding. *)
-let test_cost_modes_cyclic () =
-  let s = Structure.create () in
-  let vs = Array.init 7 (fun _ -> Structure.fresh s) in
-  (* two triangles sharing an edge, a 4-cycle, and some chaff *)
-  List.iter
-    (fun (i, j) -> Structure.add2 s edge vs.(i) vs.(j))
-    [
-      (0, 1); (1, 2); (2, 0);
-      (1, 3); (3, 2);
-      (3, 4); (4, 5); (5, 6); (6, 3);
-      (0, 4); (2, 5);
-    ];
-  let triangle =
-    [
-      Atom.app2 edge (v "x") (v "y");
-      Atom.app2 edge (v "y") (v "z");
-      Atom.app2 edge (v "z") (v "x");
-    ]
-  in
-  let square =
-    [
-      Atom.app2 edge (v "x") (v "y");
-      Atom.app2 edge (v "y") (v "z");
-      Atom.app2 edge (v "z") (v "w");
-      Atom.app2 edge (v "w") (v "x");
-    ]
-  in
-  List.iter
-    (fun (body, what) ->
-      let reference = enumerate ~compiled:false s body in
-      List.iter
-        (fun (mode, mname) ->
-          same_set (what ^ " " ^ mname) reference (plan_bindings ~mode s body);
-          (* seeded: pin each variable of some reference match in turn *)
-          match reference with
-          | [] -> ()
-          | b :: _ ->
-              List.iter
-                (fun (x, e) ->
-                  let init = Term.Var_map.singleton x e in
-                  let seeded_ref =
-                    enumerate ~init ~compiled:false s body
-                  in
-                  same_set
-                    (Printf.sprintf "%s %s (seed %s)" what mname x)
-                    seeded_ref
-                    (plan_bindings ~init ~mode s body))
-                b)
-        modes)
-    [ (triangle, "triangle"); (square, "square") ]
-
-(* For fixed cardinalities the cost ordering is deterministic (ties break
-   to the lowest original atom index), so two enumerations of the same
-   frozen structure agree element-for-element, order included. *)
-let test_cost_order_deterministic () =
-  for case = 0 to 19 do
-    let r = Oracle.Gen.case_rng ~seed:13 ~case in
-    let inst = Oracle.Gen.instance r in
-    let d = Oracle.Gen.build inst in
-    let stop d = Structure.card d > 80 || Structure.size d > 200 in
-    ignore (Tgd.Chase.run ~max_stages:3 ~stop inst.Oracle.Gen.deps d);
-    List.iteri
-      (fun i dep ->
-        let body = Tgd.Dep.body dep in
-        let what = Printf.sprintf "case %d dep %d" case i in
-        List.iter
-          (fun (mode, mname) ->
-            let e1 = plan_bindings ~mode d body in
-            let e2 = plan_bindings ~mode d body in
-            check
-              (Printf.sprintf "%s %s: deterministic enumeration" what mname)
-              true (e1 = e2);
-            same_set
-              (Printf.sprintf "%s %s" what mname)
-              (enumerate ~compiled:false d body)
-              e1)
-          modes)
-      inst.Oracle.Gen.deps
-  done
-
 (* --- the greedy ordering against its list/Var_set specification ----------- *)
 
 (* The connectivity-greedy ordering as first written, over lists and
@@ -340,23 +237,20 @@ let compilations () =
 
 (* [compile_family] against the spec: per pivot, the rest-plan's body
    positions in the spec's order of the other atoms (pivot variables
-   bound) — or in authored order under a cost mode; the slot table of
-   pivot 0 then its ordered rest; one compilation per pivot; and every
-   rest-plan atom physically one of the family's per-position atoms. *)
-let check_family ?mode what atoms =
+   bound); the slot table of pivot 0 then its ordered rest; one
+   compilation per pivot; and every rest-plan atom physically one of the
+   family's per-position atoms. *)
+let check_family what atoms =
   let indexed = List.mapi (fun i a -> (i, a)) atoms in
   let rest_of j = List.filter (fun (k, _) -> k <> j) indexed in
   let spec =
     List.map
-      (fun (j, pivot) ->
-        match mode with
-        | Some _ -> rest_of j
-        | None -> spec_order ~bound:(Atom.vars pivot) (rest_of j))
+      (fun (j, pivot) -> spec_order ~bound:(Atom.vars pivot) (rest_of j))
       indexed
   in
   Obs.set_metrics true;
   let c0 = compilations () in
-  let fam = Hom.Plan.compile_family ?mode atoms in
+  let fam = Hom.Plan.compile_family atoms in
   let c1 = compilations () in
   Obs.set_metrics false;
   check_int
@@ -448,9 +342,7 @@ let test_order_spec_random () =
     in
     check_order ~bound:Term.Var_set.empty what atoms;
     check_order ~bound (what ^ " bound") atoms;
-    if n <= 60 || case mod 4 = 0 then check_family what atoms;
-    if case mod 8 = 0 then
-      check_family ~mode:Hom.Plan.Auto (what ^ " auto") atoms
+    if n <= 60 || case mod 4 = 0 then check_family what atoms
   done
 
 let test_order_spec_handcrafted () =
@@ -532,13 +424,6 @@ let () =
           Alcotest.test_case "delta mode" `Quick test_delta_handcrafted;
           Alcotest.test_case "generated cases" `Quick test_generated_agreement;
           Alcotest.test_case "slot round trip" `Quick test_slot_round_trip;
-        ] );
-      ( "cost and generic-join plans",
-        [
-          Alcotest.test_case "cyclic bodies, seeded" `Quick
-            test_cost_modes_cyclic;
-          Alcotest.test_case "deterministic ordering" `Quick
-            test_cost_order_deterministic;
         ] );
       ( "ordering = spec",
         [

@@ -135,6 +135,80 @@ let test_tgd_engines_fixture () =
   check "seminaive considers fewer triggers" true
     (s2.Tgd.Chase.triggers_considered <= s1.Tgd.Chase.triggers_considered)
 
+(* [`Seminaive] is [`Par] at one worker: with metrics on, the two must
+   build the same structure, journal, firing sequence and stats, and tick
+   the same hom-level effort counters — one plan per body, one discovery
+   path, nothing left for the counters to diverge through. *)
+let effort_counters =
+  [ "hom.candidates_scanned"; "hom.unify_attempts"; "hom.backtracks" ]
+
+let effort () =
+  List.map (fun n -> Obs.Metrics.value (Obs.Metrics.counter n)) effort_counters
+
+let check_one_pipeline what ~max_stages ~stop deps seed =
+  let run engine jobs =
+    let d = seed () in
+    let firings = ref [] in
+    let on_fire ~stage dep fb =
+      firings :=
+        (stage, Tgd.Dep.name dep, Term.Var_map.bindings fb) :: !firings
+    in
+    let e0 = effort () in
+    let stats =
+      Tgd.Chase.run ~engine ?jobs ~max_stages ~stop ~on_fire deps d
+    in
+    let spent = List.map2 ( - ) (effort ()) e0 in
+    (d, stats, List.rev !firings, spent)
+  in
+  Obs.set_metrics true;
+  let (d1, s1, f1, e1), (d2, s2, f2, e2) =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_metrics false)
+      (fun () ->
+        let sn = run `Seminaive None in
+        (sn, run `Par (Some 1)))
+  in
+  check (what ^ ": equal structures") true (Structure.equal_sets d1 d2);
+  check (what ^ ": equal journals") true
+    (Structure.delta_since d1 0 = Structure.delta_since d2 0);
+  check (what ^ ": equal firing sequences") true (f1 = f2);
+  check (what ^ ": equal stats") true (s1 = s2);
+  List.iter2
+    (fun name (a, b) -> check_int (what ^ ": equal " ^ name) a b)
+    effort_counters (List.combine e1 e2)
+
+let test_one_pipeline () =
+  let deps, seed = tq_fixture () in
+  check_one_pipeline "T_Q fixture" ~max_stages:5
+    ~stop:(fun _ -> false)
+    deps seed;
+  (* the paper's regime: T_Q = Compile(Precompile(T∞)) at s = 10, whose
+     spider-CQ bodies of 80-odd atoms give the plans real orders *)
+  let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
+  let spider () =
+    let st = Structure.create () in
+    let a = Structure.fresh ~name:"a" st and b = Structure.fresh ~name:"b" st in
+    ignore
+      (Spider.Real.realize p.Greengraph.Precompile.ctx st ~tail:a ~antenna:b
+         Spider.Ideal.full_green);
+    st
+  in
+  check_one_pipeline "T_Q(T∞) at s=10" ~max_stages:3
+    ~stop:(fun _ -> false)
+    p.Greengraph.Precompile.tgds spider;
+  let budget = Oracle.Diff.default_budget in
+  for case = 0 to 39 do
+    let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:42 ~case) in
+    check_one_pipeline
+      (Printf.sprintf "oracle case %d" case)
+      ~max_stages:budget.Oracle.Diff.max_stages
+      ~stop:(fun d ->
+        Structure.card d > budget.Oracle.Diff.max_elems
+        || Structure.size d > budget.Oracle.Diff.max_facts)
+      inst.Oracle.Gen.deps
+      (fun () -> Oracle.Gen.build inst)
+  done
+
 (* Random TGD sets over one binary symbol, random seed structures, short
    stage budgets: the two engines must build the very same structure. *)
 let dep_templates =
@@ -259,6 +333,8 @@ let () =
           Alcotest.test_case "T_Q fixture" `Quick test_tgd_engines_fixture;
           Alcotest.test_case "models after fixpoint" `Quick
             test_models_after_fixpoint;
+          Alcotest.test_case "seminaive = par at one worker, effort included"
+            `Quick test_one_pipeline;
         ] );
       ( "graph",
         [
