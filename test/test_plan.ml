@@ -435,7 +435,7 @@ let () =
         ] );
       ( "parallel chase",
         [
-          Alcotest.test_case "bit-identical to seminaive" `Quick
+          Alcotest.test_case "bit-identical to sem" `Quick
             test_par_bit_identity;
         ] );
     ]
