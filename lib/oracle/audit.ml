@@ -1,9 +1,12 @@
 (* Ground-truth recomputation audits (see audit.mli).
 
-   Style note: every check here is written against the *slow, obvious*
-   definition — list filters over [Structure.facts] / [Graph.edges] —
-   and never against the indices it is auditing.  Redundancy is the
-   point. *)
+   Style note: every check here is written against the plain
+   enumerations — [Structure.facts] (and the arena's [live_id] /
+   [id_fact] scan) for structures, [Graph.edges] for graphs — and never
+   against the indices it is auditing.  Redundancy is the point.  The
+   truth is derived once per audit: one pass over the enumeration groups
+   it by every key a bucket is checked under, and each bucket is then
+   compared with its group, which keeps an audit near-linear. *)
 
 open Relational
 
@@ -71,6 +74,23 @@ let structure ?(provenance = false) d =
              (0, acc) (Fact.args f)))
       Key_map.empty facts
   in
+  (* the facts grouped by symbol and by element (each element once per
+     fact, however often it occurs in the fact) *)
+  let sym_truth = Symbol.Tbl.create 16 in
+  let elem_truth = Hashtbl.create (Int_set.cardinal elems) in
+  let push tbl find replace k f =
+    replace tbl k (f :: Option.value ~default:[] (find tbl k))
+  in
+  List.iter
+    (fun f ->
+      push sym_truth Symbol.Tbl.find_opt Symbol.Tbl.replace (Fact.sym f) f;
+      List.iter
+        (fun e -> push elem_truth Hashtbl.find_opt Hashtbl.replace e f)
+        (List.sort_uniq Int.compare (Fact.elements f)))
+    facts;
+  let facts_of_sym sym =
+    Option.value ~default:[] (Symbol.Tbl.find_opt sym_truth sym)
+  in
   Key_map.iter
     (fun (sym, pos, e) expected ->
       let got = Structure.facts_with_pin d sym pos e in
@@ -85,25 +105,26 @@ let structure ?(provenance = false) d =
   (* per-symbol buckets *)
   List.iter
     (fun sym ->
-      let expected = List.filter (fun f -> Symbol.equal (Fact.sym f) sym) facts in
+      let expected = facts_of_sym sym in
       let got = Structure.facts_with_sym d sym in
       if sorted_facts got <> sorted_facts expected then
         fail violations "symbol bucket %a: %d facts indexed, %d expected"
           Symbol.pp sym (List.length got) (List.length expected))
     (Structure.symbols d);
   (* symbols list covers exactly the symbols with facts *)
-  let sym_truth =
-    List.sort_uniq Symbol.compare (List.map Fact.sym facts)
+  let syms_with_facts =
+    List.sort Symbol.compare
+      (Symbol.Tbl.fold (fun sym _ acc -> sym :: acc) sym_truth [])
   in
-  if List.sort Symbol.compare (Structure.symbols d) <> sym_truth then
+  if List.sort Symbol.compare (Structure.symbols d) <> syms_with_facts then
     fail violations "symbols: %d listed, %d with facts"
       (List.length (Structure.symbols d))
-      (List.length sym_truth);
+      (List.length syms_with_facts);
   (* per-element buckets *)
   Int_set.iter
     (fun e ->
       let expected =
-        List.filter (fun f -> List.mem e (Fact.elements f)) facts
+        Option.value ~default:[] (Hashtbl.find_opt elem_truth e)
       in
       let got = Structure.facts_with_elem d e in
       if sorted_facts got <> sorted_facts expected then
@@ -113,14 +134,17 @@ let structure ?(provenance = false) d =
   (* the dense-id arena view agrees with the boxed facts.  With
      retractions the journal keeps dead entries: the id bound is the
      live count plus the retraction count, and dead ids are excluded
-     from the bucket ground truth below. *)
+     from the bucket ground truth below.  The same scan records each
+     fact's live ids. *)
   let nretr = Structure.retraction_count d in
   if Structure.nfacts d <> n + nretr then
     fail violations "nfacts=%d but %d facts enumerate (+%d retracted)"
       (Structure.nfacts d) n nretr;
+  let live_ids = Fact.Tbl.create (Structure.nfacts d) in
   for id = 0 to Structure.nfacts d - 1 do
     if Structure.live_id d id then begin
       let f = Structure.id_fact d id in
+      push live_ids Fact.Tbl.find_opt Fact.Tbl.replace f id;
       let sym = Fact.sym f in
       let sid = Structure.sym_id d sym in
       if sid < 0 then
@@ -151,26 +175,24 @@ let structure ?(provenance = false) d =
         fail violations "retracted id %d holds %a, journal says %a" id
           (Fact.pp ()) (Structure.id_fact d id) (Fact.pp ()) f)
     retr;
-  (* dense-id buckets are the id images of the boxed buckets (live ids
-     only: a resurrected fact's dead former id must not count) *)
+  (* dense-id buckets are the id images of the ground-truth groups (live
+     ids only: a resurrected fact's dead former id must not count) *)
   let ids_of fs =
     List.sort Int.compare
       (List.concat_map
-         (fun f ->
-           List.filteri
-             (fun id _ ->
-               Structure.live_id d id
-               && Fact.equal (Structure.id_fact d id) f)
-             (List.init (Structure.nfacts d) Fun.id))
+         (fun f -> Option.value ~default:[] (Fact.Tbl.find_opt live_ids f))
          fs)
   in
+  (* [facts_with_sym] is itself the image of [ids_with_sym], so the id
+     bucket is held against the symbol's ground-truth group, as the pin
+     buckets are *)
   List.iter
     (fun sym ->
       let sid = Structure.sym_id d sym in
       let got =
         List.sort Int.compare (Intvec.to_list (Structure.ids_with_sym d sid))
       in
-      if got <> ids_of (Structure.facts_with_sym d sym) then
+      if got <> ids_of (facts_of_sym sym) then
         fail violations "ids_with_sym %a disagrees with facts_with_sym"
           Symbol.pp sym)
     (Structure.symbols d);
@@ -257,21 +279,36 @@ let graph g =
     fail violations "graph order=%d but %d vertices enumerate" (G.order g)
       (Int_set.cardinal vertices);
   let sorted es = List.sort compare es in
+  (* [what] describes the bucket; it is only formatted on a failure *)
   let check_bucket what expected got =
     if sorted got <> sorted expected then
-      fail violations "%s: %d edges indexed, %d expected" what (List.length got)
-        (List.length expected)
+      fail violations "%s: %d edges indexed, %d expected" (what ())
+        (List.length got) (List.length expected)
   in
+  (* ground truth: the edges grouped by every bucket key, in one pass,
+     into tables sized once from the counts *)
+  let nv = Int_set.cardinal vertices in
+  let by_src = Hashtbl.create nv and by_dst = Hashtbl.create nv in
+  let by_label = Hashtbl.create 8 in
+  let by_src_lab = Hashtbl.create n and by_dst_lab = Hashtbl.create n in
+  let group tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+  let push tbl k e = Hashtbl.replace tbl k (e :: group tbl k) in
+  List.iter
+    (fun (e : G.edge) ->
+      push by_src e.G.src e;
+      push by_dst e.G.dst e;
+      push by_label e.G.label e;
+      push by_src_lab (e.G.src, e.G.label) e;
+      push by_dst_lab (e.G.dst, e.G.label) e)
+    edges;
   Int_set.iter
     (fun v ->
       check_bucket
-        (Printf.sprintf "out-bucket of %d" v)
-        (List.filter (fun (e : G.edge) -> e.G.src = v) edges)
-        (G.out_edges g v);
+        (fun () -> Printf.sprintf "out-bucket of %d" v)
+        (group by_src v) (G.out_edges g v);
       check_bucket
-        (Printf.sprintf "in-bucket of %d" v)
-        (List.filter (fun (e : G.edge) -> e.G.dst = v) edges)
-        (G.in_edges g v))
+        (fun () -> Printf.sprintf "in-bucket of %d" v)
+        (group by_dst v) (G.in_edges g v))
     vertices;
   List.iter
     (fun (e : G.edge) ->
@@ -281,30 +318,25 @@ let graph g =
   (* label buckets and the (vertex, label) pin buckets, over the labels
      that actually occur *)
   let labels =
-    List.sort_uniq Greengraph.Label.compare
-      (List.map (fun (e : G.edge) -> e.G.label) edges)
+    List.sort Greengraph.Label.compare
+      (Hashtbl.fold (fun lab _ acc -> lab :: acc) by_label [])
   in
   List.iter
     (fun lab ->
       check_bucket
-        (Format.asprintf "label bucket %a" Greengraph.Label.pp lab)
-        (List.filter (fun (e : G.edge) -> Greengraph.Label.equal e.G.label lab) edges)
-        (G.with_label g lab);
+        (fun () -> Format.asprintf "label bucket %a" Greengraph.Label.pp lab)
+        (group by_label lab) (G.with_label g lab);
       Int_set.iter
         (fun v ->
           check_bucket
-            (Format.asprintf "(%d, %a) out-pin" v Greengraph.Label.pp lab)
-            (List.filter
-               (fun (e : G.edge) ->
-                 e.G.src = v && Greengraph.Label.equal e.G.label lab)
-               edges)
+            (fun () ->
+              Format.asprintf "(%d, %a) out-pin" v Greengraph.Label.pp lab)
+            (group by_src_lab (v, lab))
             (G.out_edges_with g v lab);
           check_bucket
-            (Format.asprintf "(%d, %a) in-pin" v Greengraph.Label.pp lab)
-            (List.filter
-               (fun (e : G.edge) ->
-                 e.G.dst = v && Greengraph.Label.equal e.G.label lab)
-               edges)
+            (fun () ->
+              Format.asprintf "(%d, %a) in-pin" v Greengraph.Label.pp lab)
+            (group by_dst_lab (v, lab))
             (G.in_edges_with g v lab))
         vertices)
     labels;

@@ -201,8 +201,8 @@ let diff_tgd budget inst =
   check_vs_sn "par(staged)" pf;
   (* Per-run invariants.  A budget-exceeded run can overshoot the fact
      budget within its final stage (stop is checked between stages), so
-     the quadratic audits and the full trigger rescans are only run on
-     results within a small slack of the budget — a fixpoint result is
+     the audits and the full trigger rescans are only run on results
+     within a small slack of the budget — a fixpoint result is
      always within budget, so the interesting checks are never skipped. *)
   let small r =
     Structure.size r.result <= 4 * budget.max_facts
@@ -310,8 +310,9 @@ let diff_graph budget gc =
   end;
   List.iter
     (fun (g, which) ->
-      (* same overshoot guard as diff_tgd: the label × vertex bucket audit
-         is quadratic, so skip it on runs that blew far past the budget *)
+      (* same overshoot guard as diff_tgd: the audit visits every
+         label × vertex pair, so skip it on runs that blew far past the
+         budget *)
       if G.size g <= 4 * budget.max_facts && G.order g <= 4 * budget.max_elems
       then
         List.iter
@@ -428,7 +429,7 @@ let run_cases ?(budget = default_budget) ?fold ?(from_case = 0) ~seed ~cases ()
     List.iter
       (fun v -> fail violations "[seed structure] %s" v)
       (Audit.structure ~provenance:true (Gen.build inst));
-    (* 2. four-engine differential, shrunk on failure *)
+    (* 2. five-run differential, shrunk on failure *)
     let dv, runs, dinc = diff_tgd budget inst in
     engine_runs := !engine_runs + List.length runs;
     incomparable := !incomparable + dinc;

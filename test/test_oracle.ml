@@ -39,10 +39,361 @@ let test_build_deterministic () =
 (* --- the auditor: it passes on honest structures, fails on corrupted
    recomputation inputs --------------------------------------------------- *)
 
+(* The quadratic audits, kept verbatim as the specification of
+   [Oracle.Audit]: every bucket is checked against a fresh filter over the
+   whole fact (edge) enumeration.  The audits under test derive each
+   ground truth once per audit and must report exactly what these report
+   on honest inputs, and at least what these report on corrupted ones. *)
+module Spec = struct
+  let fail violations fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt
+
+  (* --- structures --------------------------------------------------------- *)
+
+  module Key = struct
+    type t = Symbol.t * int * int
+
+    let compare (s1, p1, e1) (s2, p2, e2) =
+      let c = Symbol.compare s1 s2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare p1 p2 in
+        if c <> 0 then c else Int.compare e1 e2
+  end
+
+  module Key_map = Map.Make (Key)
+  module Int_set = Set.Make (Int)
+
+  let sorted_facts fs = List.sort Fact.compare fs
+
+  let structure ?(provenance = false) d =
+    let violations = ref [] in
+    let facts = Structure.facts d in
+    let n = List.length facts in
+    (* size / card coherence *)
+    if Structure.size d <> n then
+      fail violations "size=%d but %d facts enumerate" (Structure.size d) n;
+    let elems = Int_set.of_list (Structure.elems d) in
+    if Structure.card d <> Int_set.cardinal elems then
+      fail violations "card=%d but %d elements enumerate" (Structure.card d)
+        (Int_set.cardinal elems);
+    List.iter
+      (fun f ->
+        List.iter
+          (fun e ->
+            if not (Int_set.mem e elems) then
+              fail violations "fact %a uses unregistered element %d" (Fact.pp ()) f e)
+          (Fact.elements f))
+      facts;
+    (* constants resolve to registered elements and back *)
+    List.iter
+      (fun c ->
+        match Structure.constant_opt d c with
+        | None -> fail violations "constant %s lost its element" c
+        | Some e ->
+            if not (Int_set.mem e elems) then
+              fail violations "constant %s -> unregistered element %d" c e;
+            if Structure.constant_name d e <> Some c then
+              fail violations "constant %s -> %d does not resolve back" c e)
+      (Structure.constants d);
+    (* ground-truth pin table: (sym, pos, elem) -> facts *)
+    let truth =
+      List.fold_left
+        (fun acc f ->
+          let sym = Fact.sym f in
+          snd
+            (Array.fold_left
+               (fun (i, acc) e ->
+                 let key = (sym, i, e) in
+                 let prev = Option.value ~default:[] (Key_map.find_opt key acc) in
+                 (i + 1, Key_map.add key (f :: prev) acc))
+               (0, acc) (Fact.args f)))
+        Key_map.empty facts
+    in
+    Key_map.iter
+      (fun (sym, pos, e) expected ->
+        let got = Structure.facts_with_pin d sym pos e in
+        if sorted_facts got <> sorted_facts expected then
+          fail violations "pin bucket (%a,%d,%d): %d facts indexed, %d expected"
+            Symbol.pp sym pos e (List.length got) (List.length expected);
+        let cnt = Structure.pin_count d sym pos e in
+        if cnt <> List.length expected then
+          fail violations "pin count (%a,%d,%d)=%d, expected %d" Symbol.pp sym pos
+            e cnt (List.length expected))
+      truth;
+    (* per-symbol buckets *)
+    List.iter
+      (fun sym ->
+        let expected = List.filter (fun f -> Symbol.equal (Fact.sym f) sym) facts in
+        let got = Structure.facts_with_sym d sym in
+        if sorted_facts got <> sorted_facts expected then
+          fail violations "symbol bucket %a: %d facts indexed, %d expected"
+            Symbol.pp sym (List.length got) (List.length expected))
+      (Structure.symbols d);
+    (* symbols list covers exactly the symbols with facts *)
+    let sym_truth =
+      List.sort_uniq Symbol.compare (List.map Fact.sym facts)
+    in
+    if List.sort Symbol.compare (Structure.symbols d) <> sym_truth then
+      fail violations "symbols: %d listed, %d with facts"
+        (List.length (Structure.symbols d))
+        (List.length sym_truth);
+    (* per-element buckets *)
+    Int_set.iter
+      (fun e ->
+        let expected =
+          List.filter (fun f -> List.mem e (Fact.elements f)) facts
+        in
+        let got = Structure.facts_with_elem d e in
+        if sorted_facts got <> sorted_facts expected then
+          fail violations "element bucket %d: %d facts indexed, %d expected" e
+            (List.length got) (List.length expected))
+      elems;
+    (* the dense-id arena view agrees with the boxed facts.  With
+       retractions the journal keeps dead entries: the id bound is the
+       live count plus the retraction count, and dead ids are excluded
+       from the bucket ground truth below. *)
+    let nretr = Structure.retraction_count d in
+    if Structure.nfacts d <> n + nretr then
+      fail violations "nfacts=%d but %d facts enumerate (+%d retracted)"
+        (Structure.nfacts d) n nretr;
+    for id = 0 to Structure.nfacts d - 1 do
+      if Structure.live_id d id then begin
+        let f = Structure.id_fact d id in
+        let sym = Fact.sym f in
+        let sid = Structure.sym_id d sym in
+        if sid < 0 then
+          fail violations "fact %d's symbol %a is not interned" id Symbol.pp sym
+        else if Structure.id_sym d id <> sid then
+          fail violations "id_sym %d=%d but sym_id %a=%d" id
+            (Structure.id_sym d id) Symbol.pp sym sid;
+        Array.iteri
+          (fun pos e ->
+            if Structure.id_arg d id pos <> e then
+              fail violations "arena arg (%d,%d)=%d but fact %a has %d" id pos
+                (Structure.id_arg d id pos) (Fact.pp ()) f e)
+          (Fact.args f)
+      end
+    done;
+    (* the retraction journal names exactly the dead ids *)
+    let retr = Structure.retractions d in
+    if List.length retr <> nretr then
+      fail violations "retraction journal has %d entries, count says %d"
+        (List.length retr) nretr;
+    List.iter
+      (fun (id, f) ->
+        if id < 0 || id >= Structure.nfacts d then
+          fail violations "retracted id %d outside the journal" id
+        else if Structure.live_id d id then
+          fail violations "retracted id %d still live" id
+        else if not (Fact.equal (Structure.id_fact d id) f) then
+          fail violations "retracted id %d holds %a, journal says %a" id
+            (Fact.pp ()) (Structure.id_fact d id) (Fact.pp ()) f)
+      retr;
+    (* dense-id buckets are the id images of the boxed buckets (live ids
+       only: a resurrected fact's dead former id must not count) *)
+    let ids_of fs =
+      List.sort Int.compare
+        (List.concat_map
+           (fun f ->
+             List.filteri
+               (fun id _ ->
+                 Structure.live_id d id
+                 && Fact.equal (Structure.id_fact d id) f)
+               (List.init (Structure.nfacts d) Fun.id))
+           fs)
+    in
+    List.iter
+      (fun sym ->
+        let sid = Structure.sym_id d sym in
+        let got =
+          List.sort Int.compare (Intvec.to_list (Structure.ids_with_sym d sid))
+        in
+        if got <> ids_of (Structure.facts_with_sym d sym) then
+          fail violations "ids_with_sym %a disagrees with facts_with_sym"
+            Symbol.pp sym)
+      (Structure.symbols d);
+    Key_map.iter
+      (fun (sym, pos, e) expected ->
+        let sid = Structure.sym_id d sym in
+        let got =
+          List.sort Int.compare
+            (Intvec.to_list (Structure.ids_with_pin d sid pos e))
+        in
+        if got <> ids_of expected then
+          fail violations "ids_with_pin (%a,%d,%d) disagrees with ground truth"
+            Symbol.pp sym pos e;
+        if Structure.pin_count_id d sid pos e <> List.length expected then
+          fail violations "pin_count_id (%a,%d,%d)=%d, expected %d" Symbol.pp sym
+            pos e
+            (Structure.pin_count_id d sid pos e)
+            (List.length expected))
+      truth;
+    (* journal and watermark *)
+    if Structure.watermark d <> n + nretr then
+      fail violations "watermark=%d but size=%d (+%d retracted)"
+        (Structure.watermark d) n nretr;
+    let lo, hi = Structure.delta_ids d (Structure.watermark d) in
+    if lo <> hi then
+      fail violations "delta_ids at the watermark is nonempty: [%d, %d)" lo hi;
+    (let lo, hi = Structure.delta_ids d 0 in
+     if lo <> 0 || hi <> n + nretr then
+       fail violations "delta_ids 0 = [%d, %d), expected [0, %d)" lo hi (n + nretr));
+    let journal = Structure.delta_since d 0 in
+    if List.length journal <> n then
+      fail violations "journal has %d entries for %d facts" (List.length journal) n;
+    if sorted_facts journal <> sorted_facts facts then
+      fail violations "journal is not a permutation of the fact set";
+    let seen = Fact.Tbl.create 64 in
+    List.iter
+      (fun f ->
+        if Fact.Tbl.mem seen f then
+          fail violations "journal repeats fact %a" (Fact.pp ()) f
+        else Fact.Tbl.replace seen f ())
+      journal;
+    (* provenance (chase outputs only): every fact and element is stamped,
+       journal stages never decrease, and a fact is never older than the
+       elements it mentions *)
+    if provenance then begin
+      let last = ref min_int in
+      List.iter
+        (fun f ->
+          match Structure.fact_stage d f with
+          | None -> fail violations "fact %a has no stage" (Fact.pp ()) f
+          | Some s ->
+              if s < !last then
+                fail violations
+                  "journal stage drops from %d to %d at %a (provenance not \
+                   monotone)"
+                  !last s (Fact.pp ()) f;
+              last := max !last s;
+              List.iter
+                (fun e ->
+                  match Structure.elem_stage d e with
+                  | None -> fail violations "element %d has no birth stage" e
+                  | Some b ->
+                      if b > s then
+                        fail violations
+                          "fact %a at stage %d mentions element %d born later \
+                           (stage %d)"
+                          (Fact.pp ()) f s e b)
+                (Fact.elements f))
+        journal
+    end;
+    List.rev !violations
+
+  (* --- green graphs -------------------------------------------------------- *)
+
+  let graph g =
+    let module G = Greengraph.Graph in
+    let violations = ref [] in
+    let edges = G.edges g in
+    let n = List.length edges in
+    if G.size g <> n then
+      fail violations "graph size=%d but %d edges enumerate" (G.size g) n;
+    let vertices = Int_set.of_list (G.vertices g) in
+    if G.order g <> Int_set.cardinal vertices then
+      fail violations "graph order=%d but %d vertices enumerate" (G.order g)
+        (Int_set.cardinal vertices);
+    let sorted es = List.sort compare es in
+    let check_bucket what expected got =
+      if sorted got <> sorted expected then
+        fail violations "%s: %d edges indexed, %d expected" what (List.length got)
+          (List.length expected)
+    in
+    Int_set.iter
+      (fun v ->
+        check_bucket
+          (Printf.sprintf "out-bucket of %d" v)
+          (List.filter (fun (e : G.edge) -> e.G.src = v) edges)
+          (G.out_edges g v);
+        check_bucket
+          (Printf.sprintf "in-bucket of %d" v)
+          (List.filter (fun (e : G.edge) -> e.G.dst = v) edges)
+          (G.in_edges g v))
+      vertices;
+    List.iter
+      (fun (e : G.edge) ->
+        if not (Int_set.mem e.G.src vertices && Int_set.mem e.G.dst vertices) then
+          fail violations "edge endpoints (%d, %d) not registered" e.G.src e.G.dst)
+      edges;
+    (* label buckets and the (vertex, label) pin buckets, over the labels
+       that actually occur *)
+    let labels =
+      List.sort_uniq Greengraph.Label.compare
+        (List.map (fun (e : G.edge) -> e.G.label) edges)
+    in
+    List.iter
+      (fun lab ->
+        check_bucket
+          (Format.asprintf "label bucket %a" Greengraph.Label.pp lab)
+          (List.filter (fun (e : G.edge) -> Greengraph.Label.equal e.G.label lab) edges)
+          (G.with_label g lab);
+        Int_set.iter
+          (fun v ->
+            check_bucket
+              (Format.asprintf "(%d, %a) out-pin" v Greengraph.Label.pp lab)
+              (List.filter
+                 (fun (e : G.edge) ->
+                   e.G.src = v && Greengraph.Label.equal e.G.label lab)
+                 edges)
+              (G.out_edges_with g v lab);
+            check_bucket
+              (Format.asprintf "(%d, %a) in-pin" v Greengraph.Label.pp lab)
+              (List.filter
+                 (fun (e : G.edge) ->
+                   e.G.dst = v && Greengraph.Label.equal e.G.label lab)
+                 edges)
+              (G.in_edges_with g v lab))
+          vertices)
+      labels;
+    (* journal and watermark *)
+    if G.watermark g <> n then
+      fail violations "graph watermark=%d but size=%d" (G.watermark g) n;
+    let journal = G.delta_since g 0 in
+    if List.length journal <> n then
+      fail violations "edge journal has %d entries for %d edges"
+        (List.length journal) n;
+    if sorted journal <> sorted edges then
+      fail violations "edge journal is not a permutation of the edge set";
+    List.rev !violations
+end
+
+let check_violations = Alcotest.(check (list string))
+
+let generated_structure seed case =
+  Oracle.Gen.build (Oracle.Gen.instance (Oracle.Gen.case_rng ~seed ~case))
+
+let generated_graph seed case =
+  Oracle.Gen.build_graph (Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed ~case))
+
+(* The oldest live fact of [d], retracted for good, and the next one
+   retracted and re-added: a dead id, and a fact whose live id is not
+   its first. *)
+let edited_structure seed case =
+  let d = generated_structure seed case in
+  (match Structure.delta_since d 0 with
+  | f1 :: f2 :: _ ->
+      ignore (Structure.retract_fact d f1);
+      ignore (Structure.retract_fact d f2);
+      ignore (Structure.add_fact d f2)
+  | _ -> ());
+  d
+
+(* The graph analog: one edge removed, another removed and re-added. *)
+let edited_graph seed case =
+  let module G = Greengraph.Graph in
+  let g = generated_graph seed case in
+  (match G.delta_since g 0 with
+  | e1 :: e2 :: _ ->
+      ignore (G.remove_edge g e1.G.label e1.G.src e1.G.dst);
+      ignore (G.remove_edge g e2.G.label e2.G.src e2.G.dst);
+      ignore (G.add_edge g e2.G.label e2.G.src e2.G.dst)
+  | _ -> ());
+  g
+
 let test_audit_clean_structure () =
   for case = 0 to 24 do
-    let r = Oracle.Gen.case_rng ~seed:11 ~case in
-    let d = Oracle.Gen.build (Oracle.Gen.instance r) in
+    let d = generated_structure 11 case in
     check_int
       (Printf.sprintf "no violations on generated structure %d" case)
       0
@@ -51,13 +402,193 @@ let test_audit_clean_structure () =
 
 let test_audit_clean_graph () =
   for case = 0 to 24 do
-    let r = Oracle.Gen.case_rng ~seed:12 ~case in
-    let g = Oracle.Gen.build_graph (Oracle.Gen.graph_case r) in
+    let g = generated_graph 12 case in
     check_int
       (Printf.sprintf "no violations on generated graph %d" case)
       0
       (List.length (Oracle.Audit.graph g))
   done
+
+let check_structure_spec what ?provenance d =
+  check_violations what
+    (Spec.structure ?provenance d)
+    (Oracle.Audit.structure ?provenance d)
+
+let check_graph_spec what g =
+  check_violations what (Spec.graph g) (Oracle.Audit.graph g)
+
+let test_structure_spec () =
+  let edited = ref 0 in
+  for case = 0 to 24 do
+    check_structure_spec
+      (Printf.sprintf "generated structure %d" case)
+      (generated_structure 11 case);
+    let d = edited_structure 13 case in
+    if Structure.retraction_count d > 0 then incr edited;
+    check_structure_spec (Printf.sprintf "edited structure %d" case) d
+  done;
+  check "some structures carry retractions" true (!edited > 0);
+  (* every engine's chase output, under the oracle's own overshoot guard *)
+  let budget = Oracle.Diff.default_budget in
+  for case = 0 to 14 do
+    let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:9 ~case) in
+    let _, runs, _ = Oracle.Diff.diff_tgd budget inst in
+    check_int "five engine runs" 5 (List.length runs);
+    List.iter
+      (fun (r : Oracle.Diff.engine_run) ->
+        let d = r.Oracle.Diff.result in
+        if
+          Structure.size d <= 4 * budget.Oracle.Diff.max_facts
+          && Structure.card d <= 4 * budget.Oracle.Diff.max_elems
+        then
+          check_structure_spec
+            (Format.asprintf "case %d, %a output" case Tgd.Chase.pp_engine
+               r.Oracle.Diff.engine)
+            ~provenance:true d)
+      runs
+  done
+
+let test_graph_spec () =
+  for case = 0 to 24 do
+    check_graph_spec
+      (Printf.sprintf "generated graph %d" case)
+      (generated_graph 12 case);
+    check_graph_spec
+      (Printf.sprintf "edited graph %d" case)
+      (edited_graph 14 case);
+    let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:12 ~case) in
+    List.iter
+      (fun (engine, name) ->
+        let g = Oracle.Gen.build_graph gc in
+        ignore
+          (Greengraph.Rule.chase ~engine ~max_stages:4
+             ~stop:(fun g -> Greengraph.Graph.size g > 500)
+             gc.Oracle.Gen.rules g);
+        check_graph_spec (Printf.sprintf "case %d, %s output" case name) g)
+      [ (`Stage, "stage"); (`Seminaive, "seminaive"); (`Par, "par") ]
+  done
+
+(* Corruptions of the live id buckets of a structure: [ids_with_pin] and
+   [ids_with_sym] hand out the index vectors themselves, so a push or a
+   sorted removal on them is a fault inside the index under audit. *)
+type corruption =
+  | Pin_drop  (** the oldest fact leaves its first pin bucket *)
+  | Pin_dup  (** the oldest fact is indexed twice in that bucket *)
+  | Pin_foreign  (** the newest fact joins that bucket *)
+  | Sym_drop  (** the oldest fact leaves its symbol bucket *)
+  | Sym_foreign  (** a fact of another symbol joins that bucket *)
+  | Sym_dead  (** a retracted id rejoins its symbol's bucket *)
+
+let corruptions =
+  [ Pin_drop; Pin_dup; Pin_foreign; Sym_drop; Sym_foreign; Sym_dead ]
+
+let corruption_name = function
+  | Pin_drop -> "pin drop"
+  | Pin_dup -> "pin duplicate"
+  | Pin_foreign -> "pin foreign"
+  | Sym_drop -> "symbol drop"
+  | Sym_foreign -> "symbol foreign"
+  | Sym_dead -> "symbol dead id"
+
+(* Apply the corruption to the oldest live fact's buckets; [false] when
+   the structure offers nothing to corrupt that way. *)
+let corrupt d c =
+  let live =
+    List.filter (Structure.live_id d) (List.init (Structure.nfacts d) Fun.id)
+  in
+  match live with
+  | [] -> false
+  | id :: _ -> (
+      let sid = Structure.id_sym d id in
+      let pin = Structure.ids_with_pin d sid 0 (Structure.id_arg d id 0) in
+      let sym = Structure.ids_with_sym d sid in
+      let newest = List.nth live (List.length live - 1) in
+      match c with
+      | Pin_drop -> Intvec.remove_sorted pin id
+      | Pin_dup ->
+          Intvec.push pin id;
+          true
+      | Pin_foreign ->
+          if List.mem newest (Intvec.to_list pin) then false
+          else begin
+            Intvec.push pin newest;
+            true
+          end
+      | Sym_drop -> Intvec.remove_sorted sym id
+      | Sym_foreign -> (
+          match List.find_opt (fun i -> Structure.id_sym d i <> sid) live with
+          | None -> false
+          | Some other ->
+              Intvec.push sym other;
+              true)
+      | Sym_dead -> (
+          match Structure.retractions d with
+          | [] -> false
+          | (dead, _) :: _ ->
+              Intvec.push
+                (Structure.ids_with_sym d (Structure.id_sym d dead))
+                dead;
+              true))
+
+let test_corrupted_structures () =
+  List.iter
+    (fun c ->
+      let applied = ref 0 in
+      for case = 0 to 24 do
+        List.iter
+          (fun (what, d) ->
+            if corrupt d c then begin
+              incr applied;
+              let got = Oracle.Audit.structure d and spec = Spec.structure d in
+              let name =
+                Printf.sprintf "%s, %s %d" (corruption_name c) what case
+              in
+              check (name ^ ": flagged") true (got <> []);
+              List.iter
+                (fun v ->
+                  check
+                    (Printf.sprintf "%s: reports the spec's %S" name v)
+                    true (List.mem v got))
+                spec
+            end)
+          [
+            ("generated structure", generated_structure 11 case);
+            ("edited structure", edited_structure 13 case);
+          ]
+      done;
+      check
+        (corruption_name c ^ " was injected at least once")
+        true (!applied > 0))
+    corruptions
+
+(* [facts_with_sym] is the image of [ids_with_sym], so an id dropped from
+   a symbol bucket vanishes from both: the old check compared the bucket
+   with its own image and passed.  Held against the ground-truth symbol
+   group, the id-bucket check must flag the drop itself.  (A bucket the
+   drop empties takes its symbol off [Structure.symbols], which the
+   symbols check flags instead.) *)
+let test_ids_with_sym_not_circular () =
+  let flagged = ref 0 in
+  for case = 0 to 24 do
+    let d = generated_structure 11 case in
+    let sym = Fact.sym (Structure.id_fact d 0) in
+    if corrupt d Sym_drop && List.mem sym (Structure.symbols d) then begin
+      incr flagged;
+      let msg =
+        Format.asprintf "ids_with_sym %a disagrees with facts_with_sym"
+          Symbol.pp sym
+      in
+      check
+        (Printf.sprintf "case %d: the id-bucket check flags the drop" case)
+        true
+        (List.mem msg (Oracle.Audit.structure d));
+      check
+        (Printf.sprintf "case %d: the circular spec check missed it" case)
+        false
+        (List.mem msg (Spec.structure d))
+    end
+  done;
+  check "some drop left its symbol listed" true (!flagged > 0)
 
 (* --- satellite fix: folding a variable onto a constant ------------------- *)
 
@@ -237,6 +768,17 @@ let test_harness_clean () =
   check_int "eight engine runs per case" (8 * 60)
     report.Oracle.Diff.engine_runs
 
+(* The audit workload's case universe, pinned to its exact outcome: a
+   faster oracle must still run every engine on every case and bucket
+   the endings the same way. *)
+let test_harness_exact_outcome () =
+  let report = Oracle.Diff.run_cases ~seed:42 ~from_case:0 ~cases:600 () in
+  check_int "engine runs" 4800 report.Oracle.Diff.engine_runs;
+  check_int "budget exceeded" 548 report.Oracle.Diff.budget_exceeded;
+  check_int "incomparable pairs" 0 report.Oracle.Diff.incomparable;
+  check_int "cases with violations" 0
+    (List.length report.Oracle.Diff.violations)
+
 let test_harness_catches_legacy_fold () =
   let report =
     Oracle.Diff.run_cases ~fold:legacy_fold_step ~seed:42 ~cases:200 ()
@@ -256,6 +798,13 @@ let () =
         [
           Alcotest.test_case "structures" `Quick test_audit_clean_structure;
           Alcotest.test_case "graphs" `Quick test_audit_clean_graph;
+          Alcotest.test_case "structures match the spec" `Quick
+            test_structure_spec;
+          Alcotest.test_case "graphs match the spec" `Quick test_graph_spec;
+          Alcotest.test_case "corrupted buckets flagged" `Quick
+            test_corrupted_structures;
+          Alcotest.test_case "ids_with_sym check is not circular" `Quick
+            test_ids_with_sym_not_circular;
         ] );
       ( "cores",
         [
@@ -278,6 +827,8 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "clean run" `Quick test_harness_clean;
+          Alcotest.test_case "exact outcome, seed 42, 600 cases" `Slow
+            test_harness_exact_outcome;
           Alcotest.test_case "catches the fold_step regression" `Quick
             test_harness_catches_legacy_fold;
         ] );
