@@ -208,6 +208,8 @@ let diff_tgd budget inst =
     Structure.size r.result <= 4 * budget.max_facts
     && Structure.card r.result <= 4 * budget.max_elems
   in
+  (* one model-checking compile for the case, shared by every result *)
+  let chk = Tgd.Chase.Check.make inst.Gen.deps in
   List.iter
     (fun r ->
       let name = Format.asprintf "%a" Tgd.Chase.pp_engine r.engine in
@@ -220,9 +222,9 @@ let diff_tgd budget inst =
           (Audit.structure ~provenance:true r.result);
         (* a fixpoint is a model; and the global trigger scan must agree
            with [models]/[find_violation] either way *)
-        let m = Tgd.Chase.models inst.Gen.deps r.result in
-        let viol = Tgd.Chase.find_violation inst.Gen.deps r.result in
-        let active = Tgd.Chase.active_triggers inst.Gen.deps r.result in
+        let m = Tgd.Chase.Check.models chk r.result in
+        let viol = Tgd.Chase.Check.find_violation chk r.result in
+        let active = Tgd.Chase.Check.active_triggers chk r.result in
         if r.outcome = Fixpoint && not m then
           fail violations "[%s] reached a fixpoint that is not a model" name;
         if m <> (active = []) then

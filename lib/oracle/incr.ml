@@ -93,6 +93,7 @@ let tgd_case r ~engine violations counters =
   if not s0.Tgd.Chase.fixpoint then incr incomparable
   else begin
     let n_scripts = Gen.range r 1 3 in
+    let chk = Tgd.Chase.Check.make inst.Gen.deps in
     let applied = ref [] in
     (try
        for si = 0 to n_scripts - 1 do
@@ -114,7 +115,7 @@ let tgd_case r ~engine violations counters =
            (fun v -> fail violations "[tgd %d] audit: %s" si v)
            (Tgd.Chase.Maint.check m);
          let d = Tgd.Chase.Maint.structure m in
-         if not (Tgd.Chase.models inst.Gen.deps d) then
+         if not (Tgd.Chase.Check.models chk d) then
            fail violations "[tgd %d] maintained structure violates deps" si;
          let scr = Structure.copy base in
          replay_ops scr !applied;

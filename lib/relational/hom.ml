@@ -510,26 +510,36 @@ module Plan = struct
     undo : int array;
   }
 
-  (* Resolve the plan's symbols and constants against [target] once per
-     evaluation entry. *)
+  (* Resolve the plan's symbols and constants against [target] into the
+     given arrays: per atom its symbol id, per position its constant's
+     element ([-1] at variables), and whether a constant is missing. *)
+  let resolve_into plan target sids cst_elems dead =
+    for i = 0 to Array.length plan.atoms - 1 do
+      let pa = plan.atoms.(i) in
+      sids.(i) <- Structure.sym_id target pa.psym;
+      dead.(i) <- false;
+      let ce = cst_elems.(i) in
+      Array.iteri
+        (fun p c ->
+          if c = "" then ce.(p) <- -1
+          else
+            match Structure.constant_opt target c with
+            | Some e -> ce.(p) <- e
+            | None ->
+                ce.(p) <- -1;
+                dead.(i) <- true)
+        pa.cst_of_pos
+    done
+
+  (* Resolve once per evaluation entry. *)
   let resolve plan target =
     let n = Array.length plan.atoms in
     let sids = Array.make n (-1) in
-    let cst_elems = Array.make n [||] in
+    let cst_elems =
+      Array.init n (fun i -> Array.make plan.atoms.(i).arity (-1))
+    in
     let dead = Array.make n false in
-    for i = 0 to n - 1 do
-      let pa = plan.atoms.(i) in
-      sids.(i) <- Structure.sym_id target pa.psym;
-      let ce = Array.make pa.arity (-1) in
-      Array.iteri
-        (fun p c ->
-          if c <> "" then
-            match Structure.constant_opt target c with
-            | Some e -> ce.(p) <- e
-            | None -> dead.(i) <- true)
-        pa.cst_of_pos;
-      cst_elems.(i) <- ce
-    done;
+    resolve_into plan target sids cst_elems dead;
     (sids, cst_elems, dead)
 
   (* The core evaluator.  [slots] is the shared mutable binding array
@@ -717,6 +727,59 @@ module Plan = struct
     let found = ref false in
     (try
        iter_slots ?init plan target (fun _ ->
+           found := true;
+           raise Exit)
+     with Exit -> ());
+    !found
+
+  (* A plan with its own resolution arrays, frames and slot array, for
+     repeated probes: [retarget] re-resolves in place, so a probe
+     allocates no scratch and a scan pays one resolve pass. *)
+  type prepared = {
+    pplan : t;
+    mutable ptarget : Structure.t option;
+    psids : int array;
+    pcsts : int array array;
+    pdead : bool array;
+    pframes : frame array;
+    pslots : int array;
+  }
+
+  let prepare plan =
+    let n = Array.length plan.atoms in
+    {
+      pplan = plan;
+      ptarget = None;
+      psids = Array.make n (-1);
+      pcsts = Array.init n (fun i -> Array.make plan.atoms.(i).arity (-1));
+      pdead = Array.make n false;
+      pframes = frames_of plan;
+      pslots = Array.make (max (nslots plan) 1) (-1);
+    }
+
+  let retarget p target =
+    resolve_into p.pplan target p.psids p.pcsts p.pdead;
+    p.ptarget <- Some target
+
+  (* An early exit leaves slots bound, so every evaluation starts by
+     clearing them. *)
+  let eval_prepared ~init p emit =
+    match p.ptarget with
+    | None -> invalid_arg "Hom.Plan: prepared plan has no target"
+    | Some target ->
+        for s = 0 to Array.length p.pslots - 1 do
+          p.pslots.(s) <- -1
+        done;
+        List.iter (fun (s, e) -> p.pslots.(s) <- e) init;
+        eval_core_in p.pframes p.pplan target p.psids p.pcsts p.pdead
+          ~skip:(-1) p.pslots emit
+
+  let iter_prepared p emit = eval_prepared ~init:[] p emit
+
+  let exists_prepared ?(init = []) p =
+    let found = ref false in
+    (try
+       eval_prepared ~init p (fun _ ->
            found := true;
            raise Exit)
      with Exit -> ());

@@ -147,6 +147,26 @@ module Plan : sig
       (condition ­ of the chase runs through this). *)
   val exists_slots : ?init:(int * int) list -> t -> Structure.t -> bool
 
+  (** A plan with its evaluation scratch allocated once, for a caller
+      that probes the same plan many times — the model checks of
+      [Tgd.Chase.Check] probe one head per frontier key.  {!retarget}
+      resolves its symbols and constants against a structure in place;
+      the evaluations below then run against that structure, allocate no
+      scratch, and stay valid while it is unchanged.  A prepared plan is
+      mutable scratch: use it from one domain at a time. *)
+  type prepared
+
+  val prepare : t -> prepared
+  val retarget : prepared -> Structure.t -> unit
+
+  (** {!iter_slots} on the prepared plan's target: same matches, same
+      order, same counters.
+      @raise Invalid_argument before the first {!retarget}. *)
+  val iter_prepared : prepared -> (int array -> unit) -> unit
+
+  (** {!exists_slots} on the prepared plan's target. *)
+  val exists_prepared : ?init:(int * int) list -> prepared -> bool
+
   (** [exists_since ~min_id ~cutoff ?init plan target] — the apply-time
       re-check.  Valid ONLY under the caller's invariant that no match
       lies wholly inside the [< min_id] id prefix (the chase has it: the

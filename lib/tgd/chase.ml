@@ -83,16 +83,6 @@ type par_tuning = { par_fire : [ `Auto | `Seq | `Staged ]; stealing : bool }
 
 let default_tuning = { par_fire = `Auto; stealing = true }
 
-(* Restrict a body binding to the frontier of the TGD: the b̄ of the paper. *)
-let frontier_binding dep binding =
-  let fr = Dep.frontier dep in
-  Term.Var_map.filter (fun x _ -> Term.Var_set.mem x fr) binding
-
-(* Condition ­: D ⊨ ∃z̄ Ψ(z̄, b̄). *)
-let head_satisfied d dep fb =
-  if !Obs.metrics_on then Obs.Metrics.incr c_head_checks;
-  Hom.exists ~init:fb d (Dep.head dep)
-
 (* Frontier access precomputed at the slot level: the frontier variables
    in ascending name order (the canonical key order — [Var_set.elements]
    and [Var_map.bindings] agree on it), their slots in the relevant body
@@ -256,10 +246,12 @@ let compile_dep dep =
    canonical firing order is unchanged. *)
 let key_of fi slots = Array.map (fun s -> Array.unsafe_get slots s) fi.fr_slots
 
-let binding_of_key fi key =
+let binding_of_names names key =
   let m = ref Term.Var_map.empty in
-  Array.iteri (fun i x -> m := Term.Var_map.add x key.(i) !m) fi.fr_names;
+  Array.iteri (fun i x -> m := Term.Var_map.add x key.(i) !m) names;
   !m
+
+let binding_of_key fi key = binding_of_names fi.fr_names key
 
 (* Condition ­ straight from a frontier key: the head plan is seeded by
    slot, skipping the binding round-trip. *)
@@ -292,13 +284,6 @@ let apply d dep fb =
       let args = Array.of_list (List.map elem_of (Atom.args atom)) in
       ignore (Structure.add_fact d (Fact.make (Atom.sym atom) args)))
     (Dep.head dep)
-
-module Binding_key = struct
-  (* Canonical key for a frontier binding, to deduplicate triggers:
-     [Var_map.bindings] already yields the pairs in ascending variable
-     order, so no extra sort is needed. *)
-  let of_binding fb = Term.Var_map.bindings fb
-end
 
 (* Sort a stage's surviving triggers into the canonical firing order
    (TGD index, then frontier key), shared by all engines so their fresh
@@ -474,39 +459,6 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
             (int_of_float ((Obs.Clock.now_s () -. t0) *. 1000.))
   end;
   triggers_of !out
-
-(* Collect the active pairs (T, b̄) of the current structure. *)
-let active_triggers deps d =
-  let considered = ref 0 and matches = ref 0 in
-  collect_triggers
-    ~seen_of:(fun _ _ -> Hashtbl.create 64)
-    ~considered ~matches
-    (List.map (fun dep -> compile_dep dep) deps)
-    d
-  |> List.map (fun (cd, fi, key) -> (cd.dep, binding_of_key fi key))
-
-(* The active pairs of one dependency, without materialising the other
-   dependencies' triggers. *)
-let active_triggers_of dep d = active_triggers [ dep ] d |> List.map snd
-
-(* Does [dep] have at least one active trigger?  Short-circuits on the
-   first one instead of materialising the trigger list. *)
-let has_active_trigger dep d =
-  let seen = Hashtbl.create 64 in
-  let found = ref false in
-  (try
-     Hom.iter_all d (Dep.body dep) (fun binding ->
-         let fb = frontier_binding dep binding in
-         let key = Binding_key.of_binding fb in
-         if not (Hashtbl.mem seen key) then begin
-           Hashtbl.replace seen key ();
-           if not (head_satisfied d dep fb) then begin
-             found := true;
-             raise Exit
-           end
-         end)
-   with Exit -> ());
-  !found
 
 (* Apply the surviving triggers in order, re-checking condition ­ against
    the evolving structure; returns the number of firings.  [on_fire] sees
@@ -1103,24 +1055,251 @@ let resume ?jobs ?tuning ?governor ?max_stages ?stop ?on_fire ?snapshot_every
   in
   (stats, d)
 
-(* Does D satisfy all the dependencies?  Short-circuits on the first
-   active trigger instead of materialising every dependency's trigger
-   list. *)
-let models deps d = not (List.exists (fun dep -> has_active_trigger dep d) deps)
+(* Model checking by frontier key.
 
-(* The first violated dependency in the order of [deps], with its least
-   active frontier binding — deterministic, and cheap on satisfied
-   prefixes because each dependency is first probed with the
-   short-circuiting check. *)
-let find_violation deps d =
-  List.find_map
-    (fun dep ->
-      if not (has_active_trigger dep d) then None
+   D ⊨ T iff every frontier key b̄ of T's body in D has a head witness,
+   so the rescans enumerate keys, not body matches.  A body splits into
+   connected components (atoms linked by shared variables); its matches
+   are the product of the components' matches, so its keys are the
+   product of the components' distinct frontier projections.  A
+   component that binds no frontier variable (a Boolean one) only has to
+   match somewhere: one [exists_slots] probe.  The scan shares nothing
+   with the engines' trigger discovery but {!Hom.Plan}'s evaluator, so
+   the oracle's model checks do not re-run the code they check. *)
+
+(* A component binding frontier variables: its prepared plan, the key
+   positions of those variables (ascending) and their slots in the plan.
+   Every plan of a [checked] is prepared once and retargeted per scan. *)
+type component = {
+  cm_plan : Hom.Plan.prepared;
+  cm_pos : int array;
+  cm_slots : int array;
+}
+
+type checked = {
+  ck_dep : Dep.t;
+  ck_names : string array;  (* the frontier, in canonical key order *)
+  ck_bool : Hom.Plan.prepared array;  (* components without frontier variables *)
+  ck_comps : component array;  (* the others, by first key position *)
+  ck_head : Hom.Plan.prepared;
+  ck_head_slots : int array;  (* head slot per key position, -1 if absent *)
+}
+
+(* The body's connected components, each in body order, ordered by first
+   atom: union-find over atom indices, the root of a class being its
+   least index.  A variable-free atom is a component of its own. *)
+let components atoms =
+  let atoms = Array.of_list atoms in
+  let n = Array.length atoms in
+  let parent = Array.init n Fun.id in
+  let rec root i =
+    if parent.(i) = i then i
+    else begin
+      let r = root parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
+  let owner = Hashtbl.create 16 in
+  Array.iteri
+    (fun i a ->
+      List.iter
+        (function
+          | Term.Var x -> (
+              match Hashtbl.find_opt owner x with
+              | None -> Hashtbl.replace owner x i
+              | Some j ->
+                  let ri = root i and rj = root j in
+                  parent.(max ri rj) <- min ri rj)
+          | Term.Cst _ -> ())
+        (Atom.args a))
+    atoms;
+  let groups = Array.make n [] in
+  for i = n - 1 downto 0 do
+    let r = root i in
+    groups.(r) <- atoms.(i) :: groups.(r)
+  done;
+  List.filter (fun g -> g <> []) (Array.to_list groups)
+
+let check_dep dep =
+  let names = Array.of_list (Term.Var_set.elements (Dep.frontier dep)) in
+  let bools = ref [] and comps = ref [] in
+  List.iter
+    (fun atoms ->
+      let plan = Hom.Plan.compile atoms in
+      let pos = ref [] and slots = ref [] in
+      for i = Array.length names - 1 downto 0 do
+        match Hom.Plan.slot plan names.(i) with
+        | Some s ->
+            pos := i :: !pos;
+            slots := s :: !slots
+        | None -> ()
+      done;
+      if !pos = [] then bools := Hom.Plan.prepare plan :: !bools
       else
-        match active_triggers_of dep d with
-        | fb :: _ -> Some (dep, fb)
-        | [] -> None)
-    deps
+        comps :=
+          {
+            cm_plan = Hom.Plan.prepare plan;
+            cm_pos = Array.of_list !pos;
+            cm_slots = Array.of_list !slots;
+          }
+          :: !comps)
+    (components (Dep.body dep));
+  let head = Hom.Plan.compile (Dep.head dep) in
+  {
+    ck_dep = dep;
+    ck_names = names;
+    ck_bool = Array.of_list (List.rev !bools);
+    ck_comps =
+      Array.of_list
+        (List.sort (fun a b -> Int.compare a.cm_pos.(0) b.cm_pos.(0)) !comps);
+    ck_head = Hom.Plan.prepare head;
+    ck_head_slots =
+      Array.map
+        (fun x -> Option.value ~default:(-1) (Hom.Plan.slot head x))
+        names;
+  }
+
+(* The canonical key order: lexicographic, as [compare] orders
+   same-length int arrays. *)
+let compare_key (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec go i =
+    if i >= n then 0
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* A component's distinct frontier projections, each passed to [each]
+   (a fresh array) as the enumeration first finds it. *)
+let iter_projections cm d each =
+  let seen = Hashtbl.create 16 in
+  let buf = Array.make (Array.length cm.cm_slots) 0 in
+  Hom.Plan.retarget cm.cm_plan d;
+  Hom.Plan.iter_prepared cm.cm_plan (fun slots ->
+      Array.iteri (fun j s -> buf.(j) <- slots.(s)) cm.cm_slots;
+      if not (Hashtbl.mem seen buf) then begin
+        let proj = Array.copy buf in
+        Hashtbl.replace seen proj ();
+        each proj
+      end)
+
+let projections cm d =
+  let out = ref [] in
+  iter_projections cm d (fun proj -> out := proj :: !out);
+  Array.of_list (List.rev !out)
+
+(* Every frontier key of the body in [d], once each, as the product of
+   the components' projections.  The Boolean components are probed
+   first, and the scan stops at the first component without a match.
+   The last component is streamed on the first pass over it, so a caller
+   that stops at its first key need not enumerate the whole component.
+   [f] receives a live array: copy it before storing it. *)
+let iter_keys ck d f =
+  let exception No_match in
+  let n = Array.length ck.ck_comps in
+  let projs = Array.make n [||] in
+  let rec all_match i =
+    i >= n - 1
+    || begin
+         projs.(i) <- projections ck.ck_comps.(i) d;
+         Array.length projs.(i) > 0 && all_match (i + 1)
+       end
+  in
+  let probe p =
+    Hom.Plan.retarget p d;
+    Hom.Plan.exists_prepared p
+  in
+  if Array.for_all probe ck.ck_bool && all_match 0 then begin
+    Hom.Plan.retarget ck.ck_head d;
+    let key = Array.make (Array.length ck.ck_names) 0 in
+    let set i proj =
+      Array.iteri (fun j p -> key.(p) <- proj.(j)) ck.ck_comps.(i).cm_pos
+    in
+    let streamed = ref false in
+    let rec fill i =
+      if i >= n then f key
+      else if i < n - 1 || !streamed then
+        Array.iter
+          (fun proj ->
+            set i proj;
+            fill (i + 1))
+          projs.(i)
+      else begin
+        streamed := true;
+        let found = ref [] in
+        iter_projections ck.ck_comps.(i) d (fun proj ->
+            found := proj :: !found;
+            set i proj;
+            f key);
+        if !found = [] then raise_notrace No_match;
+        projs.(i) <- Array.of_list (List.rev !found)
+      end
+    in
+    try fill 0 with No_match -> ()
+  end
+
+(* [scan ?skip ck d f] calls [f] on every key without a head witness
+   (condition ­ fails), in enumeration order, leaving out the head check
+   — and the key — wherever [skip key]. *)
+let scan ?(skip = fun _ -> false) ck d f =
+  iter_keys ck d (fun key ->
+      if not (skip key) then begin
+        if !Obs.metrics_on then Obs.Metrics.incr c_head_checks;
+        let init = ref [] in
+        Array.iteri
+          (fun i s -> if s >= 0 then init := (s, key.(i)) :: !init)
+          ck.ck_head_slots;
+        if not (Hom.Plan.exists_prepared ~init:!init ck.ck_head) then
+          f key
+      end)
+
+module Check = struct
+  type t = checked list
+
+  exception Violated
+
+  let make deps = List.map check_dep deps
+
+  let models t d =
+    List.for_all
+      (fun ck ->
+        match scan ck d (fun _ -> raise_notrace Violated) with
+        | () -> true
+        | exception Violated -> false)
+      t
+
+  (* Any key not below the least unwitnessed one so far cannot replace
+     it, so its head check is skipped. *)
+  let find_violation t d =
+    List.find_map
+      (fun ck ->
+        let best = ref None in
+        let skip key =
+          match !best with None -> false | Some b -> compare_key key b >= 0
+        in
+        scan ~skip ck d (fun key -> best := Some (Array.copy key));
+        Option.map
+          (fun key -> (ck.ck_dep, binding_of_names ck.ck_names key))
+          !best)
+      t
+
+  let active_triggers t d =
+    List.concat_map
+      (fun ck ->
+        let keys = ref [] in
+        scan ck d (fun key -> keys := Array.copy key :: !keys);
+        List.map
+          (fun key -> (ck.ck_dep, binding_of_names ck.ck_names key))
+          (List.sort compare_key !keys))
+      t
+end
+
+let models deps d = Check.models (Check.make deps) d
+let find_violation deps d = Check.find_violation (Check.make deps) d
+let active_triggers deps d = Check.active_triggers (Check.make deps) d
 
 (* Incremental maintenance of a chased structure under base edits
    (insertions AND retractions), in the spirit of counting / DRed view
@@ -1226,11 +1405,7 @@ module Maint = struct
   let key_of_binding fb =
     Array.of_list (List.map snd (Term.Var_map.bindings fb))
 
-  let binding_of_key' t di key =
-    let names = t.m_frnames.(di) in
-    let m = ref Term.Var_map.empty in
-    Array.iteri (fun i x -> m := Term.Var_map.add x key.(i) !m) names;
-    !m
+  let binding_of_key' t di key = binding_of_names t.m_frnames.(di) key
 
   (* Instantiate atoms under a full binding (constants resolve through the
      structure's constant table — they exist, the atoms matched). *)

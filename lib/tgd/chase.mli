@@ -83,23 +83,8 @@ type snapshot = {
   snap_structure : Structure.t;
 }
 
-(** Restrict a body binding to the frontier: the b̄ of the paper. *)
-val frontier_binding : Dep.t -> Hom.binding -> Hom.binding
-
-(** Condition ­: [D ⊨ ∃z̄ Ψ(z̄, b̄)]. *)
-val head_satisfied : Structure.t -> Dep.t -> Hom.binding -> bool
-
 (** Fire (T, b̄): add a fresh copy of A[Ψ] glued along b̄. *)
 val apply : Structure.t -> Dep.t -> Hom.binding -> unit
-
-(** The active pairs (T, b̄) of the current structure, deduplicated by
-    frontier tuple and sorted in the canonical firing order (TGD index,
-    then frontier tuple). *)
-val active_triggers : Dep.t list -> Structure.t -> (Dep.t * Hom.binding) list
-
-(** [has_active_trigger dep d]: does [dep] have an active trigger?
-    Short-circuits on the first one. *)
-val has_active_trigger : Dep.t -> Structure.t -> bool
 
 (** One stage; returns the number of firings. *)
 val chase_stage : Dep.t list -> Structure.t -> int
@@ -247,17 +232,54 @@ val run_oblivious :
   Structure.t ->
   stats
 
-(** Does the structure satisfy all dependencies?  Probes each dependency
-    with {!has_active_trigger}, so it stops at the first active trigger
-    instead of materialising full trigger lists. *)
+(** {1 Model checking}
+
+    [D ⊨ T] iff every frontier key b̄ of T's body in D has a head
+    witness.  The checks below scan keys, not body matches: each body is
+    split into connected components (atoms that share a variable), the
+    keys are the product of the components' distinct frontier
+    projections, and a component binding no frontier variable is a
+    single existence probe.  Boolean components run first and a scan
+    stops at the first component without a match.  Keys are ordered
+    canonically, as the engines fire them: by frontier variable in
+    ascending name order, then by element.  The scans are independent
+    of the engines' trigger discovery: they share only {!Hom.Plan}'s
+    evaluator.  Each head check ticks [tgd.head_checks]. *)
+
+(** A dependency list compiled once for model checking: one plan per
+    body component and one per head ([plan.compilations] ticks once
+    each), each with its evaluation scratch.  The scans compile and
+    allocate no plan; they resolve each plan against the structure once
+    per scan.  Reuse one [Check.t] across the structures checked against
+    the same dependencies, from one domain at a time (the scratch is
+    mutable). *)
+module Check : sig
+  type t
+
+  val make : Dep.t list -> t
+
+  (** Does the structure satisfy all the dependencies?  Stops at the
+      first key whose head is not witnessed. *)
+  val models : t -> Structure.t -> bool
+
+  (** The first violated dependency in list order, with its least
+      unwitnessed key in the canonical order.  A key not below the least
+      one found so far is not head-checked. *)
+  val find_violation : t -> Structure.t -> (Dep.t * Hom.binding) option
+
+  (** The active pairs (T, b̄), deduplicated by frontier key and sorted
+      in the canonical firing order (dependency index, then key). *)
+  val active_triggers : t -> Structure.t -> (Dep.t * Hom.binding) list
+end
+
+(** {!Check.models} on a fresh {!Check.make}. *)
 val models : Dep.t list -> Structure.t -> bool
 
-(** The first violated dependency, deterministically: the dependencies
-    are probed in list order, and the witness reported for the first
-    violated one is its *least* active frontier binding in the canonical
-    trigger order (ascending variable name, then element).  Satisfied
-    prefixes cost one short-circuited probe each. *)
+(** {!Check.find_violation} on a fresh {!Check.make}. *)
 val find_violation : Dep.t list -> Structure.t -> (Dep.t * Hom.binding) option
+
+(** {!Check.active_triggers} on a fresh {!Check.make}. *)
+val active_triggers : Dep.t list -> Structure.t -> (Dep.t * Hom.binding) list
 
 (** {1 Incremental maintenance}
 

@@ -153,6 +153,26 @@ let test_lemma27_negative () =
   let tgds = Spider.Query.tgds_of_binaries ctx [ Swarm.Rule.compile rule ] in
   check "compiled structure not a model" false (Tgd.Chase.models tgds st)
 
+(* The compiled T_Q structures of both Lemma 27 tests, model and
+   counter-model: [Tgd.Chase.Check] agrees with the body-match scan it
+   replaced on the verdict, the violation and the trigger list. *)
+let test_lemma27_check_spec () =
+  let ctx = Spider.Ctx.create 3 in
+  let rule = Swarm.Rule.amp (f ~upper:1 ~lower:1 ()) (f ~upper:2 ~lower:2 ()) in
+  let tgds = Spider.Query.tgds_of_binaries ctx [ Swarm.Rule.compile rule ] in
+  let unwitnessed = Swarm.Graph.create () in
+  let x = Swarm.Graph.fresh unwitnessed
+  and x' = Swarm.Graph.fresh unwitnessed in
+  let y = Swarm.Graph.fresh unwitnessed in
+  ignore (Swarm.Graph.add_edge unwitnessed (Spider.Ideal.green ~upper:1 ()) x y);
+  ignore (Swarm.Graph.add_edge unwitnessed (Spider.Ideal.green ~upper:2 ()) x' y);
+  List.iter
+    (fun (what, g) ->
+      match Chase_spec.agree tgds (Swarm.Compile.compile ctx g) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" what msg)
+    [ ("model", mk_model_swarm ()); ("not a model", unwitnessed) ]
+
 (* --- green graphs ------------------------------------------------------ *)
 
 let test_12_pattern () =
@@ -290,6 +310,8 @@ let () =
           Alcotest.test_case "Lemma 30 roundtrip" `Quick test_lemma30_roundtrip;
           Alcotest.test_case "Lemma 27 transfer" `Quick test_lemma27_model_transfer;
           Alcotest.test_case "Lemma 27 negative" `Quick test_lemma27_negative;
+          Alcotest.test_case "Lemma 27 checks match the spec" `Quick
+            test_lemma27_check_spec;
         ] );
       ( "greengraph",
         [
