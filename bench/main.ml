@@ -240,9 +240,9 @@ let table_ablations () =
   let d1 = seed () in
   let s1 = Tgd.Chase.run_stage ~max_stages:6 deps d1 in
   let d1' = seed () in
-  let s1' = Tgd.Chase.run_seminaive ~max_stages:6 deps d1' in
+  let s1' = Tgd.Chase.run ~engine:`Seminaive ~max_stages:6 deps d1' in
   let d2 = seed () in
-  let s2 = Tgd.Chase.run_oblivious ~max_stages:6 deps d2 in
+  let s2 = Tgd.Chase.run ~engine:`Oblivious ~max_stages:6 deps d2 in
   Format.printf "lazy stage chase:     %d firings, %d facts, %d triggers considered@."
     s1.Tgd.Chase.applications
     (Relational.Structure.size d1)
@@ -350,7 +350,7 @@ let benches =
          (let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
           fun () ->
             let d = fst (Tgd.Greenred.green_canonical (path_query 5)) in
-            Tgd.Chase.run_oblivious ~max_stages:4 deps d));
+            Tgd.Chase.run ~engine:`Oblivious ~max_stages:4 deps d));
     (let target = long_path 40 in
      Test.make ~name:"E13c hom search: scrambled P7, greedy ordering"
        (Staged.stage (fun () -> Relational.Hom.count target scrambled_p7)));
@@ -1037,29 +1037,21 @@ let incr_smoke baseline_path =
   end
   else Format.printf "incr-smoke: all checks passed@."
 
-(* E19: the par-pipeline ablation — firing (sequential / staged
-   two-phase) on the E10 chase at default jobs; then the scheduling axis (round-robin vs work-stealing) at jobs=2,
-   where a pool actually runs. *)
+(* E19: the par-pipeline ablation — the scheduling axis (round-robin vs
+   work-stealing) on the E10 chase at jobs=2, where a pool actually runs. *)
 let emit_ablation () =
   section "E19: par pipeline ablation (E10 tgd {P2,P3}->P5, 6 stages)";
-  let e10 ?jobs tuning () =
+  let e10 tuning () =
     let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
     let d = fst (Tgd.Greenred.green_canonical (path_query 5)) in
-    ignore (Tgd.Chase.run ~engine:`Par ?jobs ~tuning ~max_stages:6 deps d)
+    ignore (Tgd.Chase.run ~engine:`Par ~jobs:2 ~tuning ~max_stages:6 deps d)
   in
-  Format.printf "%-8s %12s@." "firing" "time/run";
-  List.iter
-    (fun (fm, fn) ->
-      let tuning = { Tgd.Chase.par_fire = fm; Tgd.Chase.stealing = true } in
-      let w, () = wall_clock (e10 tuning) in
-      Format.printf "%-8s %10.4fms@." fn (w *. 1e3))
-    [ (`Seq, "seq"); (`Staged, "staged") ];
-  Format.printf "@.%-12s %12s  (jobs=2: pooled scans, staged firing)@."
+  Format.printf "%-12s %12s  (jobs=2: pooled scans, staged firing)@."
     "scheduling" "time/run";
   List.iter
     (fun (st, sn) ->
       let tuning = { Tgd.Chase.par_fire = `Staged; stealing = st } in
-      let w, () = wall_clock (e10 ~jobs:2 tuning) in
+      let w, () = wall_clock (e10 tuning) in
       Format.printf "%-12s %10.4fms@." sn (w *. 1e3))
     [ (false, "round-robin"); (true, "stealing") ]
 
@@ -1746,7 +1738,7 @@ let smoke () =
   let d1 = fst (Tgd.Greenred.green_canonical (path_query 5)) in
   let d2 = fst (Tgd.Greenred.green_canonical (path_query 5)) in
   let t1 = Tgd.Chase.run_stage ~max_stages:4 deps d1 in
-  let t2 = Tgd.Chase.run_seminaive ~max_stages:4 deps d2 in
+  let t2 = Tgd.Chase.run ~engine:`Seminaive ~max_stages:4 deps d2 in
   assert (Relational.Structure.equal_sets d1 d2);
   assert (t1.Tgd.Chase.applications = t2.Tgd.Chase.applications);
   let rows = chase_rows ~tinf_stages:10 ~grid:(2, 2) ~tgd_stages:3 in

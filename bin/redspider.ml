@@ -172,21 +172,19 @@ let governed_exit (outcome : Resilience.Governor.outcome) =
 let engine_arg =
   let e =
     Arg.enum
-      [
-        ("stage", `Stage); ("seminaive", `Seminaive);
-        ("oblivious", `Oblivious); ("par", `Par);
-      ]
+      [ ("seminaive", `Seminaive); ("oblivious", `Oblivious); ("par", `Par) ]
   in
   Arg.(
     value
     & opt e `Seminaive
     & info [ "engine" ]
         ~doc:
-          "Chase engine: $(b,stage) (full rescan per stage, the \
-           reference), $(b,par) (delta-restricted semi-naive, with \
-           discovery and firing spread over $(b,--jobs) workers), \
-           $(b,seminaive) (the same pipeline at one worker, the \
-           default) or $(b,oblivious) (TGD chase only)." )
+          "Chase engine: $(b,seminaive) (delta-restricted semi-naive \
+           discovery and firing at one worker, the default), $(b,par) \
+           (the same pipeline spread over $(b,--jobs) workers) or \
+           $(b,oblivious) (the semi-oblivious chase on the same \
+           one-worker pipeline, every trigger fired once without a \
+           head check; TGD chase only)." )
 
 let jobs_arg =
   Arg.(

@@ -37,14 +37,6 @@ val free_of : conn -> Graph.edge -> int
     present? *)
 val pair_present : Graph.t -> conn -> Label.t * Label.t -> int * int -> bool
 
-(** Active triggers of one direction: lhs pair present, rhs pair absent. *)
-val directed_triggers :
-  Graph.t ->
-  conn ->
-  Label.t * Label.t ->
-  Label.t * Label.t ->
-  ((Label.t * int) * (Label.t * int)) list
-
 (** Both directions of the equivalence. *)
 val triggers : t -> Graph.t -> ((Label.t * int) * (Label.t * int)) list
 

@@ -42,8 +42,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** Collapse an engine's structured verdict onto {!outcome}. *)
 val outcome_of_chase : Tgd.Chase.stats -> outcome
 
-val outcome_of_graph : Greengraph.Rule.stats -> outcome
-
 (** One firing of the chase, as recorded through [Chase.run ~on_fire]. *)
 type firing = { at_stage : int; dep : string; frontier : (string * int) list }
 

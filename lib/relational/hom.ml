@@ -950,41 +950,72 @@ module Plan = struct
   (* Semi-naive family evaluation over a dense {!delta_index}: for each
      pivot in turn, match it against the delta facts of its symbol
      (ascending id = delta order), then run the pivot's rest-plan over the
-     full structure.  With [dedup] (default) a full match is emitted
-     once, keyed on a copy of the slot array.  [lo]/[hi) further restrict
-     the pivot ids to a sub-range — the work-stealing chunks of the
-     parallel collector; the default is the whole index. *)
-  let iter_family_ids ?(init = []) ?(dedup = true) ?(lo = 0) ?(hi = max_int)
-      fam target (dix : delta_index) emit =
+     full structure.  [lo]/[hi) further restrict the pivot ids to a
+     sub-range — the work-stealing chunks of the parallel collector; the
+     default is the whole index.
+
+     Each full match is emitted once, by the first pivot whose atom it
+     maps to a delta fact.  One pivot never emits a match twice (every
+     atom's candidate is its image), so a match found at pivot [j] is
+     dropped iff an earlier pivot's atom maps into that pivot's bucket:
+     one fact lookup per earlier pivot, and no table of the matches.  A
+     call restricted to [lo, hi) emits the matches whose first delta
+     fact lies in the range, so disjoint ranges partition the matches. *)
+  let iter_family_ids ?(init = []) ?(lo = 0) ?(hi = max_int) fam target
+      (dix : delta_index) emit =
     let slots = seed_slots (family_nslots fam) init in
-    let seen = Hashtbl.create (if dedup then 64 else 1) in
-    let emit' slots =
-      if not dedup then emit slots
-      else begin
-        let key = Array.copy slots in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          emit slots
-        end
-      end
+    let buckets =
+      Array.map
+        (fun (pivot, _) ->
+          let sid = Structure.sym_id target pivot.psym in
+          if sid >= 0 && sid < Array.length dix then dix.(sid) else no_ids)
+        fam.pivots
     in
-    Array.iter
-      (fun (pivot, rest_plan) ->
-        let sid = Structure.sym_id target pivot.psym in
-        if sid >= 0 && sid < Array.length dix then begin
-          let bucket = dix.(sid) in
-          let len = Intvec.length bucket in
-          if len > 0 then begin
-            let ce = Array.make pivot.arity (-1) in
-            let dead = ref false in
-            Array.iteri
-              (fun p c ->
-                if c <> "" then
-                  match Structure.constant_opt target c with
-                  | Some e -> ce.(p) <- e
-                  | None -> dead := true)
-              pivot.cst_of_pos;
-            if not !dead then begin
+    (* per pivot, its constants by position (-1 elsewhere), or [None]
+       when one is missing from the structure: the pivot matches nothing *)
+    let consts =
+      Array.map
+        (fun (pivot, _) ->
+          let ce = Array.make pivot.arity (-1) in
+          let dead = ref false in
+          Array.iteri
+            (fun p c ->
+              if c <> "" then
+                match Structure.constant_opt target c with
+                | Some e -> ce.(p) <- e
+                | None -> dead := true)
+            pivot.cst_of_pos;
+          if !dead then None else Some ce)
+        fam.pivots
+    in
+    let in_delta i =
+      let bucket = buckets.(i) in
+      let len = Intvec.length bucket in
+      match consts.(i) with
+      | Some ce when len > 0 -> (
+          let pivot, _ = fam.pivots.(i) in
+          let args =
+            Array.mapi
+              (fun p s -> if s >= 0 then slots.(s) else ce.(p))
+              pivot.slot_of_pos
+          in
+          match Structure.fact_id target (Fact.make pivot.psym args) with
+          | Some id ->
+              id >= Intvec.unsafe_get bucket 0
+              && id <= Intvec.unsafe_get bucket (len - 1)
+          | None -> false)
+      | _ -> false
+    in
+    let rec repeat j i = i < j && (in_delta i || repeat j (i + 1)) in
+    Array.iteri
+      (fun j (pivot, rest_plan) ->
+        let bucket = buckets.(j) in
+        let len = Intvec.length bucket in
+        if len > 0 then begin
+          match consts.(j) with
+          | None -> ()
+          | Some ce ->
+              let emit' slots = if not (repeat j 0) then emit slots in
               (* Hoisted per-pivot evaluation state: the structure is
                  frozen during a discovery scan, so the rest-plan's
                  symbol/constant resolution and its scratch frames are
@@ -1041,8 +1072,6 @@ module Plan = struct
                 end;
                 incr k
               done
-            end
-          end
         end)
       fam.pivots
 end

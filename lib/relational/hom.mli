@@ -195,16 +195,15 @@ module Plan : sig
       [\[lo, hi)] by symbol. *)
   val delta_index_of : Structure.t -> lo:int -> hi:int -> delta_index
 
-  (** [iter_family_ids ?init ?dedup ?lo ?hi fam target delta emit] —
+  (** [iter_family_ids ?init ?lo ?hi fam target delta emit] —
       semi-naive evaluation: each pivot against its {!delta_index}
       bucket (ascending fact id, i.e. delta order), the rest-plan against
-      the full structure.  [dedup] (default [true]) emits each full match
-      once; pass [false] when a later merge deduplicates (the parallel
-      shards).  [lo]/[hi] restrict the pivot ids to [\[lo, hi)] (the
-      parallel collector's chunks). *)
+      the full structure.  Each full match is emitted once, by the first
+      pivot whose atom it maps to a delta fact.  [lo]/[hi] restrict the
+      pivot ids to [\[lo, hi)] (the parallel collector's chunks), so
+      disjoint ranges partition the matches. *)
   val iter_family_ids :
     ?init:(int * int) list ->
-    ?dedup:bool ->
     ?lo:int ->
     ?hi:int ->
     family ->

@@ -204,9 +204,6 @@ val filter : (Fact.t -> bool) -> t -> t
 (** [restrict_color c t] is D↾G or D↾R (Section IV.A). *)
 val restrict_color : Symbol.color -> t -> t
 
-(** [map_facts f t] rebuilds the structure with each fact transformed. *)
-val map_facts : (Fact.t -> Fact.t) -> t -> t
-
 (** Daltonisation: erase all colors (Section IV.A). *)
 val dalt : t -> t
 
@@ -217,10 +214,6 @@ val paint : Symbol.color -> t -> t
     that share an image.
     @raise Invalid_argument if a constant is not a fixed point of [f]. *)
 val quotient : (int -> int) -> t -> t
-
-(** [union_into ~into src] adds a renamed-apart copy of [src] to [into],
-    identifying constants by name; returns the renaming. *)
-val union_into : into:t -> t -> int -> int option
 
 (** Disjoint union of structures; constants are shared by name (the
     Section IX constructions rely on this).  Also returns the per-part

@@ -140,8 +140,11 @@ let engine_name : engine -> string = function
   | `Oblivious -> "oblivious"
   | `Par -> "par"
 
+(* [`Stage] is the tests' and the oracle's reference, not a daemon
+   engine.  Specs and stored manifests that name it run [`Seminaive],
+   which builds the bit-identical structure. *)
 let engine_of_name : string -> engine option = function
-  | "stage" -> Some `Stage
+  | "stage" -> Some `Seminaive
   | "seminaive" -> Some `Seminaive
   | "oblivious" -> Some `Oblivious
   | "par" -> Some `Par
@@ -233,12 +236,13 @@ let structure_digest d = Relational.Structure.digest_hex d
 
    [Pure k]: the result is a function of the spec alone — the key [k]
    canonicalizes the inputs (ruleset digest + canonical-instance digest
-   for chases, machine/steps for worms, parameters for audits).  The
-   engine is deliberately NOT part of the key: the engines are proven
-   bit-identical (same structures, same fresh ids, same digest), so a
-   [`Par] submission may legitimately be answered by a cached
-   [`Seminaive] result.  [quantum_override] is excluded for the same
-   reason — preempted ≡ uninterrupted is an invariant, not a parameter.
+   for chases, machine/steps for worms, parameters for audits).  Of the
+   engine only its chase class is part of the key: the lazy engines are
+   proven bit-identical (same structures, same fresh ids, same digest),
+   so a [`Par] submission may legitimately be answered by a cached
+   [`Seminaive] result, but the semi-oblivious chase builds a different
+   structure and keys apart.  [quantum_override] is excluded because
+   preempted ≡ uninterrupted is an invariant, not a parameter.
 
    [Instance_read]: a mutate job with an empty edit script reads a
    daemon-held instance; its key is only complete once the scheduler
@@ -251,6 +255,13 @@ type cache_class =
   | Uncacheable
   | Pure of string
   | Instance_read of { instance : string; partial : string }
+
+(* The chase class of an engine, in the key of every chase-backed spec.
+   The ["/lazy"] and ["/oblivious"] suffixes also retire every entry
+   persisted while the key held no engine at all. *)
+let engine_class : engine -> string = function
+  | `Stage | `Seminaive | `Par -> "lazy"
+  | `Oblivious -> "oblivious"
 
 let chase_key ~tag views q0 max_stages =
   match parse_rules views q0 with
@@ -268,12 +279,17 @@ let chase_key ~tag views q0 max_stages =
            ])
 
 let cache_class = function
-  | Chase { views; q0; max_stages; _ } -> (
-      match chase_key ~tag:"chase" views q0 max_stages with
+  | Chase { views; q0; max_stages; engine } -> (
+      match
+        chase_key ~tag:("chase/" ^ engine_class engine) views q0 max_stages
+      with
       | Some k -> Pure k
       | None -> Uncacheable)
-  | Determinacy { views; q0; max_stages; _ } -> (
-      match chase_key ~tag:"determinacy" views q0 max_stages with
+  | Determinacy { views; q0; max_stages; engine } -> (
+      match
+        chase_key ~tag:("determinacy/" ^ engine_class engine) views q0
+          max_stages
+      with
       | Some k -> Pure k
       | None -> Uncacheable)
   | Worm { machine; steps } ->

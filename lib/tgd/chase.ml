@@ -2,10 +2,10 @@
 
    The paper's chase is "lazy": a pair (T, b̄) fires only when the body
    matches at b̄ (condition ¬) and no head witness exists yet (condition ­),
-   both checked against the *current* structure.  [chase_stage] performs one
-   pass of the stage procedure of Section II.C: it enumerates the pairs
-   (T, b̄) over the stage-start structure, then applies the surviving
-   triggers in order, re-checking ­ as the structure grows.
+   both checked against the *current* structure.  A stage of the procedure
+   of Section II.C enumerates the pairs (T, b̄) over the stage-start
+   structure, then applies the surviving triggers in order, re-checking ­
+   as the structure grows.
 
    Two trigger-discovery pipelines implement that stage semantics:
 
@@ -20,16 +20,20 @@
                   the matches are merged in canonical sort order.
      [`Seminaive] (default) is [`Par] at one worker, where the pool and
                   the merge collapse to a sequential scan.
+     [`Oblivious] is the same one-worker pipeline without condition ­:
+                  the semi-oblivious chase, the ablation baseline.
 
    Delta-restriction is sound for the lazy chase because both conditions
    are monotone in the structure: a body match wholly inside old facts was
    already discovered at an earlier stage, where it either fired (so its
    head witness now exists) or was withheld because condition ­ held (and
    head witnesses never disappear).  Either way it is inactive forever,
-   so only delta-touching matches can yield new triggers.  Within a stage
-   every engine applies the surviving triggers in the same canonical order
-   (TGD index, then frontier tuple), so they build identical structures,
-   fresh element ids included.
+   so only delta-touching matches can yield new triggers.  The
+   semi-oblivious chase fires each frontier key once, at its first
+   discovery, so for it too an old match can never yield a new trigger.
+   Within a stage every engine applies the surviving triggers in the same
+   canonical order (TGD index, then frontier tuple), so the lazy engines
+   build identical structures, fresh element ids included.
 
    Each dependency's body, delta family and head are compiled once per
    run into {!Hom.Plan}s; every stage re-evaluates the plans instead of
@@ -70,16 +74,15 @@ let pp_stats ppf s =
     s.stages s.applications s.triggers_considered s.body_matches s.fixpoint
     G.pp_outcome s.outcome
 
-(* Knobs of the [`Par] engine, exposed for the ablation bench and the
-   oracle.  [par_fire] selects the firing path: [`Seq] is the sequential
-   delta-recheck replay, [`Staged] forces the partitioned-writer staging
-   pipeline, [`Auto] (default) stages only when it can pay off — more
-   than one worker — or when a failpoint campaign is active, so the
-   staged path and its ["par.fire"] ladder stay exercised at [jobs = 1].
-   [stealing] switches the worker pool between work-stealing and static
-   round-robin scheduling.  Every combination is bit-identical to every
-   other; only speed moves. *)
-type par_tuning = { par_fire : [ `Auto | `Seq | `Staged ]; stealing : bool }
+(* Knobs of the delta pipeline, exposed for the ablation bench and the
+   oracle.  [par_fire] selects the firing path: [`Staged] forces the
+   partitioned-writer staging pipeline, [`Auto] (default) stages only
+   when it can pay off — more than one worker — or when a failpoint
+   campaign is active, and otherwise runs the sequential delta-recheck
+   replay.  [stealing] switches the worker pool between work-stealing and
+   static round-robin scheduling.  Every combination is bit-identical to
+   every other; only speed moves. *)
+type par_tuning = { par_fire : [ `Auto | `Staged ]; stealing : bool }
 
 let default_tuning = { par_fire = `Auto; stealing = true }
 
@@ -301,17 +304,19 @@ let triggers_of out =
   List.map (fun (_, cd, fi, key) -> (cd, fi, key)) (sort_triggers out)
 
 (* Examine one deduplicated body match: first-time frontier keys count as
-   considerations; those with no head witness survive as triggers.
-   [note] observes every first consideration — (dependency index, key) —
-   whether or not the trigger survives; the maintenance layer rebuilds
-   its withheld-trigger records from it. *)
-let consider_match ~seen ~considered ~note d di cd fi key out =
+   considerations; those with no head witness survive as triggers, and
+   under [oblivious] all of them do, unchecked.  [note] observes every
+   first consideration — (dependency index, key) — whether or not the
+   trigger survives; the maintenance layer rebuilds its withheld-trigger
+   records from it. *)
+let consider_match ~oblivious ~seen ~considered ~note d di cd fi key out =
   if not (Hashtbl.mem seen key) then begin
     Hashtbl.replace seen key ();
     incr considered;
     if !Obs.metrics_on then Obs.Metrics.incr c_considered;
     note di key;
-    if not (head_witnessed d cd fi key) then out := (di, cd, fi, key) :: !out
+    if oblivious || not (head_witnessed d cd fi key) then
+      out := (di, cd, fi, key) :: !out
   end
 
 let no_note (_ : int) (_ : int array) = ()
@@ -332,8 +337,8 @@ let collect_triggers ~seen_of ~considered ~matches cdeps d =
       Hom.Plan.iter_slots (Lazy.force cd.body_plan) d (fun slots ->
           incr matches;
           if !Obs.metrics_on then Obs.Metrics.incr c_matches;
-          consider_match ~seen ~considered ~note:no_note d di cd fi
-            (key_of fi slots) out))
+          consider_match ~oblivious:false ~seen ~considered ~note:no_note d
+            di cd fi (key_of fi slots) out))
     cdeps;
   triggers_of !out
 
@@ -368,8 +373,8 @@ let collect_triggers ~seen_of ~considered ~matches cdeps d =
    re-raises after joining everyone, the whole scan is retried once and
    then degrades to the sequential fast path — whose results feed the
    same dedup, keeping faulted runs bit-identical too. *)
-let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
-    ~matches cdeps d ~lo ~hi =
+let collect_triggers_idx ?(note = no_note) ~oblivious ~jobs ~stealing ~seen_of
+    ~considered ~matches cdeps d ~lo ~hi =
   let dix = Hom.Plan.delta_index_of d ~lo ~hi in
   let out = ref [] in
   let run_deps f = List.iteri f cdeps in
@@ -383,8 +388,8 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
           (fun slots ->
             incr matches;
             if !Obs.metrics_on then Obs.Metrics.incr c_matches;
-            consider_match ~seen ~considered ~note d di cd fi (key_of fi slots)
-              out))
+            consider_match ~oblivious ~seen ~considered ~note d di cd fi
+              (key_of fi slots) out))
   in
   if jobs <= 1 && not (Resilience.Failpoint.active ()) then begin
     (* one worker: the stage is its own single shard *)
@@ -449,7 +454,7 @@ let collect_triggers_idx ?(note = no_note) ~jobs ~stealing ~seen_of ~considered
                 Hashtbl.replace seen_full slots ();
                 incr matches;
                 if !Obs.metrics_on then Obs.Metrics.incr c_matches;
-                consider_match ~seen ~considered ~note d di cd fi
+                consider_match ~oblivious ~seen ~considered ~note d di cd fi
                   (key_of fi slots) out
               end)
             all
@@ -511,13 +516,13 @@ let head_witnessed_delta ~wm0 d cd fi key =
    that matter ([c_head_checks] ticks once per trigger either way); only
    the per-trigger cost drops.  The semi-naive pipeline's sequential
    firing rung; [`Stage] keeps the full re-check as the pristine
-   reference. *)
-let apply_triggers_delta ?(on_fire = fun _ _ -> ()) triggers d =
+   reference.  Under [oblivious] every trigger fires, unchecked. *)
+let apply_triggers_delta ?(on_fire = fun _ _ -> ()) ~oblivious triggers d =
   let wm0 = Structure.watermark d in
   let fired = ref 0 in
   List.iter
     (fun (cd, fi, key) ->
-      if not (head_witnessed_delta ~wm0 d cd fi key) then begin
+      if oblivious || not (head_witnessed_delta ~wm0 d cd fi key) then begin
         on_fire cd.dep (binding_of_key fi key);
         replay_fire d (Lazy.force cd.fire_plan) key;
         if !Obs.metrics_on then Obs.Metrics.incr c_firings;
@@ -548,8 +553,10 @@ let apply_triggers_delta ?(on_fire = fun _ _ -> ()) triggers d =
    The ["par.fire"] failpoint kills a marked task before it stages
    (decisions drawn pre-spawn, as with "par.shard"); staging is
    side-effect-free, so the ladder — retry once, then degrade to
-   {!apply_triggers_delta} — never leaves partial state behind. *)
-let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~jobs ~stealing triggers d =
+   {!apply_triggers_delta} — never leaves partial state behind.  Under
+   [oblivious] the merge skips the re-check, as that path does. *)
+let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~oblivious ~jobs ~stealing
+    triggers d =
   let tarr = Array.of_list triggers in
   let nt = Array.length tarr in
   if nt = 0 then 0
@@ -592,7 +599,7 @@ let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~jobs ~stealing triggers d =
               if !Obs.metrics_on then Obs.Metrics.incr c_par_degraded;
               None))
     with
-    | None -> apply_triggers_delta ~on_fire triggers d
+    | None -> apply_triggers_delta ~on_fire ~oblivious triggers d
     | Some buffers ->
         (* Canonical merge: triggers in ascending order, the re-check and
            placeholder resolution exactly as the sequential path runs
@@ -626,7 +633,8 @@ let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~jobs ~stealing triggers d =
                 if trigger <> !cur then begin
                   cur := trigger;
                   let cd, fi, key = tarr.(trigger) in
-                  if head_witnessed_delta ~wm0 d cd fi key then begin
+                  if (not oblivious) && head_witnessed_delta ~wm0 d cd fi key
+                  then begin
                     cur_fires := false;
                     cur_fp := None
                   end
@@ -656,18 +664,6 @@ let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~jobs ~stealing triggers d =
             (int_of_float ((Obs.Clock.now_s () -. t0) *. 1000.));
         !fired
   end
-
-(* One stage of the chase procedure; returns the number of firings. *)
-let chase_stage deps d =
-  let considered = ref 0 and matches = ref 0 in
-  let triggers =
-    collect_triggers
-      ~seen_of:(fun _ _ -> Hashtbl.create 64)
-      ~considered ~matches
-      (List.map (fun dep -> compile_dep dep) deps)
-      d
-  in
-  apply_triggers triggers d
 
 type engine = [ `Stage | `Seminaive | `Oblivious | `Par ]
 
@@ -856,12 +852,14 @@ let persistent_seen ?(from = []) () =
   in
   (get, dump)
 
-(* The semi-naive driver.  [engine] only labels the run (snapshot stamp,
-   trace span): [`Seminaive] is one worker with the default tuning, [`Par]
-   takes [jobs] (default [Pool.default_jobs ()]) and [tuning]. *)
-let run_delta ~(engine : [ `Seminaive | `Par ]) ?jobs ?(tuning = default_tuning)
-    ?(note = no_note) ~governor ~max_stages ~stop ~on_fire ~snapshot_every
-    ~on_snapshot ~from deps d =
+(* The delta pipeline.  [engine] picks the variant: [`Seminaive] is one
+   worker with the default tuning, [`Par] takes [jobs] (default
+   [Pool.default_jobs ()]) and [tuning], [`Oblivious] is [`Seminaive]
+   without condition ­.  It also labels the run (snapshot stamp, trace
+   span). *)
+let run_delta ~(engine : [ `Seminaive | `Oblivious | `Par ]) ?jobs
+    ?(tuning = default_tuning) ?(note = no_note) ~governor ~max_stages ~stop
+    ~on_fire ~snapshot_every ~on_snapshot ~from deps d =
   (match from with Some s -> check_resume_deps deps s | None -> ());
   let cdeps = List.map compile_dep deps in
   let start_stage, wm0, seen0, considered0, matches0, apps0 =
@@ -893,9 +891,10 @@ let run_delta ~(engine : [ `Seminaive | `Par ]) ?jobs ?(tuning = default_tuning)
       snap_structure = Resilience.Checkpoint.clone d;
     }
   in
+  let oblivious = engine = `Oblivious in
   let jobs =
     match (engine, jobs) with
-    | `Seminaive, _ -> 1
+    | (`Seminaive | `Oblivious), _ -> 1
     | `Par, Some j -> max 1 j
     | `Par, None -> Pool.default_jobs ()
   in
@@ -903,8 +902,8 @@ let run_delta ~(engine : [ `Seminaive | `Par ]) ?jobs ?(tuning = default_tuning)
     let lo, hi = Structure.delta_ids d !wm in
     if !Obs.metrics_on then Obs.Metrics.observe h_delta (hi - lo);
     let triggers =
-      collect_triggers_idx ~note ~jobs ~stealing:tuning.stealing ~seen_of
-        ~considered ~matches cdeps d ~lo ~hi
+      collect_triggers_idx ~note ~oblivious ~jobs ~stealing:tuning.stealing
+        ~seen_of ~considered ~matches cdeps d ~lo ~hi
     in
     (* advance only after a completed scan: a cancelled scan must not
        move the watermark past the last resumable boundary *)
@@ -914,144 +913,58 @@ let run_delta ~(engine : [ `Seminaive | `Par ]) ?jobs ?(tuning = default_tuning)
   let apply on_fire triggers =
     let staged =
       match tuning.par_fire with
-      | `Seq -> false
       | `Staged -> true
       | `Auto -> jobs > 1 || Resilience.Failpoint.active ()
     in
     if staged then
-      apply_triggers_par ~on_fire ~jobs ~stealing:tuning.stealing triggers d
-    else apply_triggers_delta ~on_fire triggers d
+      apply_triggers_par ~on_fire ~oblivious ~jobs ~stealing:tuning.stealing
+        triggers d
+    else apply_triggers_delta ~on_fire ~oblivious triggers d
   in
   let span =
     match engine with
     | `Seminaive -> "tgd.chase(seminaive)"
+    | `Oblivious -> "tgd.chase(oblivious)"
     | `Par -> "tgd.chase(par)"
   in
   run_engine ~span ~governor ~max_stages ~stop ~on_fire ~considered ~matches
     ~collect ~apply ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
     ~start_applications:apps0 d
 
-let run_seminaive ?(governor = G.unlimited) ?(max_stages = max_int)
-    ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
-    ?on_snapshot ?from deps d =
-  run_delta ~engine:`Seminaive ~governor ~max_stages ~stop ~on_fire
-    ~snapshot_every ~on_snapshot ~from deps d
-
-let run_par ?jobs ?tuning ?(governor = G.unlimited) ?(max_stages = max_int)
-    ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
-    ?on_snapshot ?from deps d =
-  run_delta ~engine:`Par ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
-    ~snapshot_every ~on_snapshot ~from deps d
-
-(* The semi-oblivious (skolem) chase: every pair (T, b̄) fires exactly
-   once, whether or not the head is already satisfied.  It diverges more
-   often than the paper's lazy chase — condition ­ is exactly what keeps
-   chase(T_Q, ·) tame — and exists here as the ablation baseline. *)
-let run_oblivious ?(governor = G.unlimited) ?(max_stages = max_int)
-    ?(stop = fun _ -> false) ?(on_fire = no_fire) deps d =
-  let fired = Hashtbl.create 256 in
-  let applications = ref 0 in
-  let considered = ref 0 in
-  let matches = ref 0 in
-  let finish i outcome =
-    {
-      stages = i;
-      applications = !applications;
-      triggers_considered = !considered;
-      body_matches = !matches;
-      fixpoint = (outcome = G.Fixpoint);
-      outcome;
-    }
-  in
-  let cdeps = List.map (fun dep -> compile_dep dep) deps in
-  let max_stages = min max_stages governor.G.max_stages in
-  let rec go i =
-    match G.interrupted governor with
-    | Some o -> finish (i - 1) o
-    | None ->
-    if i > max_stages then finish (i - 1) (G.Budget G.Stages)
-    else begin
-      Structure.set_stage d i;
-      let n = ref 0 in
-      Obs.Trace.with_span "tgd.stage"
-        ~args:(fun () -> [ ("stage", i); ("fired", !n) ])
-        (fun () ->
-          let triggers = ref [] in
-          List.iter
-            (fun cd ->
-              let fi = Lazy.force cd.fr_stage in
-              Hom.Plan.iter_slots (Lazy.force cd.body_plan) d (fun slots ->
-                  incr matches;
-                  if !Obs.metrics_on then Obs.Metrics.incr c_matches;
-                  let key = key_of fi slots in
-                  let dkey = (Dep.name cd.dep, key) in
-                  if not (Hashtbl.mem fired dkey) then begin
-                    Hashtbl.replace fired dkey ();
-                    incr considered;
-                    if !Obs.metrics_on then Obs.Metrics.incr c_considered;
-                    triggers := (cd.dep, binding_of_key fi key) :: !triggers
-                  end))
-            cdeps;
-          n := List.length !triggers;
-          List.iter
-            (fun (dep, fb) ->
-              on_fire ~stage:i dep fb;
-              apply d dep fb;
-              if !Obs.metrics_on then Obs.Metrics.incr c_firings)
-            (List.rev !triggers));
-      applications := !applications + !n;
-      if !n = 0 then finish i G.Fixpoint
-      else begin
-        match
-          G.over_budget governor ~elems:(Structure.card d)
-            ~facts:(Structure.size d)
-        with
-        | Some o -> finish i o
-        | None -> if stop d then finish i (G.Budget G.Stop) else go (i + 1)
-      end
-    end
-  in
-  Obs.Trace.with_span "tgd.chase(oblivious)" (fun () -> go 1)
-
 (* The engine front door.  Semi-naive is the default: it implements the
    same lazy stage semantics as [`Stage] (equal structures, equal firing
    sequence) with per-stage work proportional to the delta rather than to
-   the whole structure.  [`Seminaive] is [`Par] at one worker; [jobs]
-   bounds [`Par]'s worker count (ignored by the other engines). *)
-let run ?(engine = `Seminaive) ?jobs ?tuning ?governor ?max_stages ?stop
-    ?on_fire ?snapshot_every ?on_snapshot deps d =
+   the whole structure.  Every engine but [`Stage] is a variant of the
+   delta pipeline; [jobs] bounds [`Par]'s worker count (ignored by the
+   other engines). *)
+let run ?(engine = `Seminaive) ?jobs ?tuning ?(governor = G.unlimited)
+    ?(max_stages = max_int) ?(stop = fun _ -> false) ?(on_fire = no_fire)
+    ?(snapshot_every = 1) ?on_snapshot deps d =
   match engine with
   | `Stage ->
-      run_stage ?governor ?max_stages ?stop ?on_fire ?snapshot_every
+      run_stage ~governor ~max_stages ~stop ~on_fire ~snapshot_every
         ?on_snapshot deps d
-  | `Seminaive ->
-      run_seminaive ?governor ?max_stages ?stop ?on_fire ?snapshot_every
-        ?on_snapshot deps d
-  | `Oblivious -> run_oblivious ?governor ?max_stages ?stop ?on_fire deps d
-  | `Par ->
-      run_par ?jobs ?tuning ?governor ?max_stages ?stop ?on_fire
-        ?snapshot_every ?on_snapshot deps d
+  | (`Seminaive | `Oblivious | `Par) as engine ->
+      run_delta ~engine ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
+        ~snapshot_every ~on_snapshot ~from:None deps d
 
 (* Continue a checkpointed run on the snapshot's own structure (clone the
    snapshot first to keep it reusable).  Stage numbering, the watermark,
    the persistent dedup tables and every counter pick up exactly where
    the snapshot left them, so prefix + resume is bit-identical — facts,
    firing sequence and stats — to one uninterrupted run. *)
-let resume ?jobs ?tuning ?governor ?max_stages ?stop ?on_fire ?snapshot_every
+let resume ?jobs ?tuning ?(governor = G.unlimited) ?(max_stages = max_int)
+    ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
     ?on_snapshot deps snap =
   let d = snap.snap_structure in
   let stats =
     match snap.snap_engine with
     | `Stage ->
-        run_stage ?governor ?max_stages ?stop ?on_fire ?snapshot_every
+        run_stage ~governor ~max_stages ~stop ~on_fire ~snapshot_every
           ?on_snapshot ~from:snap deps d
-    | `Seminaive ->
-        run_seminaive ?governor ?max_stages ?stop ?on_fire ?snapshot_every
-          ?on_snapshot ~from:snap deps d
-    | `Par ->
-        run_par ?jobs ?tuning ?governor ?max_stages ?stop ?on_fire
-          ?snapshot_every ?on_snapshot ~from:snap deps d
-    | `Oblivious -> invalid_arg "Chase.resume: oblivious runs cannot resume"
+    | (`Seminaive | `Oblivious | `Par) as engine ->
+        run_delta ~engine ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
+          ~snapshot_every ~on_snapshot ~from:(Some snap) deps d
   in
   (stats, d)
 
@@ -1633,7 +1546,9 @@ module Maint = struct
       if max_stages = max_int then max_int else t.m_stage + max_stages
     in
     let stats =
-      run_delta ~engine:t.m_engine ?jobs:t.m_jobs ~note ~governor
+      run_delta
+        ~engine:(t.m_engine :> [ `Seminaive | `Oblivious | `Par ])
+        ?jobs:t.m_jobs ~note ~governor
         ~max_stages:abs_max
         ~stop:(fun _ -> false)
         ~on_fire ~snapshot_every:1 ~on_snapshot:None ~from:(Some snap) t.m_deps

@@ -15,14 +15,18 @@ type stats = {
       (** distinct (TGD, frontier tuple) pairs examined.  Body matches are
           deduplicated by frontier key before they count: two matches that
           differ only in their existential witnesses are the same pair
-          (T, b̄) of the paper and count once.  For the lazy engines the
-          dedup table is per-stage ([`Stage]) or per-run ([`Seminaive]
-          and [`Par], whose persistent tables make the counts comparable
-          across engines); for [`Oblivious] it is per-run.  The paper's raw pair
-          enumeration — every body homomorphism — is [body_matches]. *)
+          (T, b̄) of the paper and count once.  The dedup table is
+          per-stage for [`Stage] and per-run for the delta pipeline
+          ([`Seminaive], [`Par] and [`Oblivious]), whose persistent tables
+          make the counts comparable across engines.  The paper's raw
+          pair enumeration — every body homomorphism — is
+          [body_matches]. *)
   body_matches : int;
       (** raw body matches enumerated, before frontier deduplication —
-          the cost driver of trigger discovery. *)
+          the cost driver of trigger discovery.  [`Stage] counts every
+          match of every stage's full rescan; the delta pipeline,
+          [`Oblivious] included, counts only the matches that use a fact
+          added since the previous stage, so it reports fewer. *)
   fixpoint : bool;
       (** [outcome = Fixpoint], kept for existing callers *)
   outcome : Resilience.Governor.outcome;
@@ -43,22 +47,26 @@ val pp_stats : Format.formatter -> stats -> unit
     (disjoint delta shards, canonical sorted merge — still
     bit-identical).  [`Seminaive] (the default) is [`Par] at one worker:
     the same code, labelled apart so its snapshots resume as
-    [`Seminaive].  [`Oblivious] is the skolem chase baseline
-    ({!run_oblivious}). *)
+    [`Seminaive].  [`Oblivious] is the semi-oblivious (skolem) chase,
+    the ablation baseline: the [`Seminaive] pipeline without condition
+    ­, so every (T, b̄) fires exactly once, at its first discovery.  It
+    diverges more often than the lazy chase.  [`Stage] is the reference
+    for the oracle and the tests; the CLI and the daemon do not offer
+    it. *)
 type engine = [ `Stage | `Seminaive | `Oblivious | `Par ]
 
 val pp_engine : Format.formatter -> engine -> unit
 
-(** Knobs of the [`Par] engine, exposed for the ablation bench and the
-    oracle.  [par_fire] selects the firing path: [`Seq] the sequential
-    delta-recheck replay, [`Staged] the partitioned-writer staging
-    pipeline unconditionally, [`Auto] (default) staged only with more
-    than one worker or under an active failpoint campaign.  [stealing]
-    (default [true]) picks work-stealing over static round-robin
-    scheduling.  Every combination builds the same structure, journal,
-    firing sequence and stats — only wall-clock moves. *)
+(** Knobs of the delta pipeline, exposed for the ablation bench and the
+    oracle.  [par_fire] selects the firing path: [`Staged] the
+    partitioned-writer staging pipeline unconditionally, [`Auto]
+    (default) staged only with more than one worker or under an active
+    failpoint campaign, the sequential delta-recheck replay otherwise.
+    [stealing] (default [true]) picks work-stealing over static
+    round-robin scheduling.  Every combination builds the same structure,
+    journal, firing sequence and stats — only wall-clock moves. *)
 type par_tuning = {
-  par_fire : [ `Auto | `Seq | `Staged ];
+  par_fire : [ `Auto | `Staged ];
   stealing : bool;
 }
 
@@ -86,22 +94,20 @@ type snapshot = {
 (** Fire (T, b̄): add a fresh copy of A[Ψ] glued along b̄. *)
 val apply : Structure.t -> Dep.t -> Hom.binding -> unit
 
-(** One stage; returns the number of firings. *)
-val chase_stage : Dep.t list -> Structure.t -> int
-
 (** Run the chase in place for at most [max_stages] stages, until the
     fixpoint, until [stop] holds (checked after each stage), or until the
     [governor] interrupts the run.  Stage numbers stamp provenance into
     the structure.  [engine] selects the trigger-discovery engine
     (default [`Seminaive]); the lazy engines share the canonical
     per-stage firing order, so [`Stage], [`Seminaive] and [`Par] build
-    identical structures, fresh element ids included.  [on_fire] observes
+    identical structures, fresh element ids included; [`Oblivious] fires
+    in the same canonical order.  [on_fire] observes
     every firing in order — (stage, TGD, frontier binding) — before its
     head atoms are added; the oracle's differential runner records the
     firing sequence through it.  [jobs] bounds the [`Par] engine's worker
-    count (default [Pool.default_jobs ()]; [`Seminaive] always runs one)
-    and [tuning] its firing/scheduling knobs (default {!default_tuning});
-    the other engines ignore both.
+    count (default [Pool.default_jobs ()]; [`Seminaive] and [`Oblivious]
+    always run one) and [tuning] its firing path (default
+    {!default_tuning}); [`Stage] ignores both.
 
     The [governor] (default [Resilience.Governor.unlimited]) bundles a
     wall-clock deadline, stage fuel, element/fact budgets and a
@@ -114,8 +120,7 @@ val chase_stage : Dep.t list -> Structure.t -> int
     When [on_snapshot] is given, a resumable {!snapshot} is delivered
     every [snapshot_every] (default 1) completed stages and at the final
     stage of a cleanly-ended run (a mid-scan cancellation or fault skips
-    the final snapshot: the last boundary snapshot is the resumable one).
-    [`Oblivious] does not snapshot. *)
+    the final snapshot: the last boundary snapshot is the resumable one). *)
 val run :
   ?engine:engine ->
   ?jobs:int ->
@@ -137,8 +142,7 @@ val run :
     them: prefix + resume is bit-identical — facts, firing sequence via
     [on_fire], and stats — to one uninterrupted run with the same
     [max_stages] (absolute) and budgets.  Raises [Invalid_argument] if
-    the dependency list differs from the snapshot's or the snapshot is
-    from an [`Oblivious] run. *)
+    the dependency list differs from the snapshot's. *)
 val resume :
   ?jobs:int ->
   ?tuning:par_tuning ->
@@ -165,23 +169,11 @@ val run_stage :
   Structure.t ->
   stats
 
-(** The semi-naive engine ([run ~engine:`Seminaive], the default):
-    {!run_par} at one worker with {!default_tuning}, its snapshots
-    stamped [`Seminaive]. *)
-val run_seminaive :
-  ?governor:Resilience.Governor.t ->
-  ?max_stages:int ->
-  ?stop:(Structure.t -> bool) ->
-  ?on_fire:(stage:int -> Dep.t -> Hom.binding -> unit) ->
-  ?snapshot_every:int ->
-  ?on_snapshot:(snapshot -> unit) ->
-  ?from:snapshot ->
-  Dep.t list ->
-  Structure.t ->
-  stats
+(** {2 The delta pipeline}
 
-(** The parallel engine ([run ~engine:`Par]): semi-naive trigger
-    discovery and firing over a {!Relational.Pool} of domains, driven by
+    [`Seminaive], [`Par] and [`Oblivious] are one pipeline: semi-naive
+    trigger discovery and firing over a {!Relational.Pool} of domains
+    (one for [`Seminaive] and [`Oblivious]), driven by
     each body's delta family of compiled plans ({!Hom.Plan.compile_family})
     over a dense per-stage delta index.
 
@@ -204,33 +196,10 @@ val run_seminaive :
     failpoints a marked task dies before doing any work; the phase is
     retried once and then degrades to its sequential rung.  Staging is
     side-effect-free and every rung feeds the same canonical merge, so a
-    faulted run stays bit-identical to an un-faulted one. *)
-val run_par :
-  ?jobs:int ->
-  ?tuning:par_tuning ->
-  ?governor:Resilience.Governor.t ->
-  ?max_stages:int ->
-  ?stop:(Structure.t -> bool) ->
-  ?on_fire:(stage:int -> Dep.t -> Hom.binding -> unit) ->
-  ?snapshot_every:int ->
-  ?on_snapshot:(snapshot -> unit) ->
-  ?from:snapshot ->
-  Dep.t list ->
-  Structure.t ->
-  stats
+    faulted run stays bit-identical to an un-faulted one.
 
-(** The semi-oblivious (skolem) chase: each pair (T, b̄) fires exactly
-    once, regardless of condition ­.  Diverges more often than the lazy
-    chase; kept as the ablation baseline.  Governed (budgets, deadline,
-    cancellation at stage boundaries) but not resumable. *)
-val run_oblivious :
-  ?governor:Resilience.Governor.t ->
-  ?max_stages:int ->
-  ?stop:(Structure.t -> bool) ->
-  ?on_fire:(stage:int -> Dep.t -> Hom.binding -> unit) ->
-  Dep.t list ->
-  Structure.t ->
-  stats
+    [`Oblivious] keeps every first-seen frontier key as a trigger and
+    fires it without either head check. *)
 
 (** {1 Model checking}
 

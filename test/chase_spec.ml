@@ -1,9 +1,15 @@
-(* The model checks as they stood before [Tgd.Chase.Check]: a body-match
+(* Executable specifications, over the public API.
+
+   The model checks as they stood before [Tgd.Chase.Check]: a body-match
    scan deduplicated by frontier binding, probing each dependency with a
    short-circuiting check before materialising its trigger list.  Kept
-   verbatim over the public API as the executable specification the
-   frontier-key scan is held to ([agree] below), ticking the same
-   [tgd.head_checks] counter so the two can be compared on effort too. *)
+   verbatim as the specification the frontier-key scan is held to
+   ([agree] below), ticking the same [tgd.head_checks] counter so the two
+   can be compared on effort too.
+
+   The semi-oblivious chase as a separate full-rescan engine
+   ([run_oblivious] below), the specification the delta pipeline's
+   [`Oblivious] variant is held to ([agree_oblivious]). *)
 
 open Relational
 module Dep = Tgd.Dep
@@ -141,4 +147,115 @@ let agree ?chk deps d =
     Some
       (Printf.sprintf "active_triggers: spec [%s], check [%s]" (show a)
          (show a'))
+  else None
+
+(* --- the semi-oblivious chase --------------------------------------------- *)
+
+module G = Resilience.Governor
+
+(* Every stage rescans every body match of the whole structure and keeps
+   each first-seen (dependency index, frontier key) as a trigger; every
+   trigger fires, with no head check.  Each stage fires its triggers in
+   the canonical (dependency index, key) order. *)
+let run_oblivious ?(max_stages = max_int) ?(stop = fun _ -> false)
+    ?(on_fire = fun ~stage:_ _ _ -> ()) deps d =
+  let fired = Hashtbl.create 256 in
+  let applications = ref 0 and considered = ref 0 and matches = ref 0 in
+  let finish i outcome =
+    {
+      Tgd.Chase.stages = i;
+      applications = !applications;
+      triggers_considered = !considered;
+      body_matches = !matches;
+      fixpoint = outcome = G.Fixpoint;
+      outcome;
+    }
+  in
+  let plans =
+    List.map
+      (fun dep ->
+        let plan = Hom.Plan.compile (Dep.body dep) in
+        let names = Array.of_list (Term.Var_set.elements (Dep.frontier dep)) in
+        let slots = Array.map (fun x -> Option.get (Hom.Plan.slot plan x)) names in
+        (dep, plan, names, slots))
+      deps
+  in
+  let rec go i =
+    if i > max_stages then finish (i - 1) (G.Budget G.Stages)
+    else begin
+      Structure.set_stage d i;
+      let triggers = ref [] in
+      List.iteri
+        (fun di (dep, plan, names, fr_slots) ->
+          Hom.Plan.iter_slots plan d (fun slots ->
+              incr matches;
+              let key = Array.map (fun s -> slots.(s)) fr_slots in
+              if not (Hashtbl.mem fired (di, key)) then begin
+                Hashtbl.replace fired (di, key) ();
+                incr considered;
+                triggers := (di, dep, names, key) :: !triggers
+              end))
+        plans;
+      let triggers =
+        List.sort
+          (fun (i1, _, _, k1) (i2, _, _, k2) ->
+            let c = Int.compare i1 i2 in
+            if c <> 0 then c else compare k1 k2)
+          !triggers
+      in
+      List.iter
+        (fun (_, dep, names, key) ->
+          let fb = ref Term.Var_map.empty in
+          Array.iteri (fun j x -> fb := Term.Var_map.add x key.(j) !fb) names;
+          on_fire ~stage:i dep !fb;
+          Tgd.Chase.apply d dep !fb)
+        triggers;
+      let n = List.length triggers in
+      applications := !applications + n;
+      if n = 0 then finish i G.Fixpoint
+      else if stop d then finish i (G.Budget G.Stop)
+      else go (i + 1)
+    end
+  in
+  go 1
+
+(* [agree_oblivious ?tuning ?max_stages ?stop deps build] runs the spec
+   and [Tgd.Chase.run ~engine:`Oblivious ?tuning] on two structures from
+   [build] and
+   compares facts, journal, firing sequence, stages, applications,
+   [triggers_considered] and outcome — not [body_matches], which counts
+   full rescans here and delta matches there.  Returns a description of
+   the first disagreement, if any. *)
+let agree_oblivious ?tuning ?max_stages ?stop deps build =
+  let run chase =
+    let firings = ref [] in
+    let on_fire ~stage dep fb =
+      firings := (stage, Dep.name dep, Term.Var_map.bindings fb) :: !firings
+    in
+    let d = build () in
+    let s : Tgd.Chase.stats = chase ~on_fire d in
+    (d, List.rev !firings, s)
+  in
+  let d, fs, s = run (fun ~on_fire -> run_oblivious ?max_stages ?stop ~on_fire deps) in
+  let d', fs', s' =
+    run (fun ~on_fire ->
+        Tgd.Chase.run ~engine:`Oblivious ?tuning ?max_stages ?stop ~on_fire deps)
+  in
+  let stats (s : Tgd.Chase.stats) =
+    (s.stages, s.applications, s.triggers_considered, s.outcome)
+  in
+  if not (Structure.equal_sets d d') then
+    Some
+      (Printf.sprintf "facts: spec %d, pipeline %d" (Structure.size d)
+         (Structure.size d'))
+  else if Structure.delta_since d 0 <> Structure.delta_since d' 0 then
+    Some "journals differ"
+  else if fs <> fs' then
+    Some
+      (Printf.sprintf "firing sequences differ (%d vs %d firings)"
+         (List.length fs) (List.length fs'))
+  else if stats s <> stats s' then
+    Some
+      (Format.asprintf "stats: spec %a, pipeline %a" Tgd.Chase.pp_stats s
+         Tgd.Chase.pp_stats s')
   else None

@@ -317,58 +317,67 @@ let record () =
   (firings, on_fire)
 
 let test_e10_resume_bit_identical () =
-  let full_fs, on_fire = record () in
-  let full_stats, full = run_e10 ~on_fire ~max_stages:6 `Seminaive in
   List.iter
-    (fun k ->
-      let fs, on_fire = record () in
-      let d = e10_seed () in
-      let snap = ref None in
-      let _ =
-        Tgd.Chase.run ~engine:`Seminaive ~on_fire ~max_stages:k
-          ~snapshot_every:1
-          ~on_snapshot:(fun s -> snap := Some s)
-          (e10_deps ()) d
-      in
-      let snap = CK.clone (Option.get !snap) in
-      let stats, d' =
-        Tgd.Chase.resume ~on_fire ~max_stages:6 (e10_deps ()) snap
-      in
-      check
-        (Printf.sprintf "k=%d: journal identical after resume" k)
-        true
-        (Structure.delta_since d' 0 = Structure.delta_since full 0);
-      check
-        (Printf.sprintf "k=%d: firing sequence identical" k)
-        true (!fs = !full_fs);
-      check
-        (Printf.sprintf "k=%d: stats identical" k)
-        true
-        (stats = full_stats))
-    [ 1; 2; 3; 5 ]
+    (fun engine ->
+      let name = Format.asprintf "%a" Tgd.Chase.pp_engine engine in
+      let full_fs, on_fire = record () in
+      let full_stats, full = run_e10 ~on_fire ~max_stages:6 engine in
+      List.iter
+        (fun k ->
+          let fs, on_fire = record () in
+          let d = e10_seed () in
+          let snap = ref None in
+          let _ =
+            Tgd.Chase.run ~engine ~on_fire ~max_stages:k ~snapshot_every:1
+              ~on_snapshot:(fun s -> snap := Some s)
+              (e10_deps ()) d
+          in
+          let snap = CK.clone (Option.get !snap) in
+          let stats, d' =
+            Tgd.Chase.resume ~on_fire ~max_stages:6 (e10_deps ()) snap
+          in
+          check
+            (Printf.sprintf "%s k=%d: journal identical after resume" name k)
+            true
+            (Structure.delta_since d' 0 = Structure.delta_since full 0);
+          check
+            (Printf.sprintf "%s k=%d: firing sequence identical" name k)
+            true (!fs = !full_fs);
+          check
+            (Printf.sprintf "%s k=%d: stats identical" name k)
+            true (stats = full_stats))
+        [ 1; 2; 3; 5 ])
+    [ `Seminaive; `Oblivious ]
 
 let test_e10_resume_through_file () =
-  let full_stats, full = run_e10 ~max_stages:6 `Seminaive in
-  with_tmp (fun path ->
-      let d = e10_seed () in
-      let _ =
-        Tgd.Chase.run ~engine:`Seminaive ~max_stages:3 ~snapshot_every:1
-          ~on_snapshot:(fun s ->
-            match CK.save ~kind:"tgd-chase" path s with
-            | Ok () -> ()
-            | Error m -> Alcotest.failf "checkpoint write failed: %s" m)
-          (e10_deps ()) d
-      in
-      match
-        (CK.load ~kind:"tgd-chase" path
-          : (Tgd.Chase.snapshot, string) result)
-      with
-      | Error m -> Alcotest.failf "checkpoint load failed: %s" m
-      | Ok snap ->
-          let stats, d' = Tgd.Chase.resume ~max_stages:6 (e10_deps ()) snap in
-          check "journal identical through the file" true
-            (Structure.delta_since d' 0 = Structure.delta_since full 0);
-          check "stats identical through the file" true (stats = full_stats))
+  List.iter
+    (fun engine ->
+      let name = Format.asprintf "%a" Tgd.Chase.pp_engine engine in
+      let full_stats, full = run_e10 ~max_stages:6 engine in
+      with_tmp (fun path ->
+          let d = e10_seed () in
+          let _ =
+            Tgd.Chase.run ~engine ~max_stages:3 ~snapshot_every:1
+              ~on_snapshot:(fun s ->
+                match CK.save ~kind:"tgd-chase" path s with
+                | Ok () -> ()
+                | Error m -> Alcotest.failf "checkpoint write failed: %s" m)
+              (e10_deps ()) d
+          in
+          match
+            (CK.load ~kind:"tgd-chase" path
+              : (Tgd.Chase.snapshot, string) result)
+          with
+          | Error m -> Alcotest.failf "checkpoint load failed: %s" m
+          | Ok snap ->
+              let stats, d' =
+                Tgd.Chase.resume ~max_stages:6 (e10_deps ()) snap
+              in
+              check (name ^ ": journal identical through the file") true
+                (Structure.delta_since d' 0 = Structure.delta_since full 0);
+              check (name ^ ": stats identical through the file") true
+                (stats = full_stats)))
+    [ `Seminaive; `Oblivious ]
 
 let test_resume_rejects_other_deps () =
   let d = e10_seed () in

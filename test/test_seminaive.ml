@@ -127,7 +127,7 @@ let test_tgd_engines_fixture () =
   let deps, seed = tq_fixture () in
   let d1 = seed () and d2 = seed () in
   let s1 = Tgd.Chase.run_stage ~max_stages:5 deps d1 in
-  let s2 = Tgd.Chase.run_seminaive ~max_stages:5 deps d2 in
+  let s2 = Tgd.Chase.run ~engine:`Seminaive ~max_stages:5 deps d2 in
   check "equal structures" true (Structure.equal_sets d1 d2);
   check_int "equal applications" s1.Tgd.Chase.applications
     s2.Tgd.Chase.applications;
@@ -239,7 +239,7 @@ let tgd_engines_random_property =
       in
       let d1 = seed () and d2 = seed () in
       let s1 = Tgd.Chase.run_stage ~max_stages:3 deps d1 in
-      let s2 = Tgd.Chase.run_seminaive ~max_stages:3 deps d2 in
+      let s2 = Tgd.Chase.run ~engine:`Seminaive ~max_stages:3 deps d2 in
       Structure.equal_sets d1 d2
       && s1.Tgd.Chase.applications = s2.Tgd.Chase.applications
       && s1.Tgd.Chase.stages = s2.Tgd.Chase.stages
@@ -262,7 +262,7 @@ let models_agree_property =
       let d = Structure.create () in
       let vs = Array.init 3 (fun _ -> Structure.fresh d) in
       List.iter (fun (i, j) -> Structure.add2 d edge vs.(i) vs.(j)) edges;
-      let stats = Tgd.Chase.run_seminaive ~max_stages:3 deps d in
+      let stats = Tgd.Chase.run ~engine:`Seminaive ~max_stages:3 deps d in
       let active = Tgd.Chase.active_triggers deps d in
       let m = Tgd.Chase.models deps d in
       let viol = Tgd.Chase.find_violation deps d in
@@ -277,7 +277,7 @@ let test_models_after_fixpoint () =
   let a = Structure.fresh d and b = Structure.fresh d and c = Structure.fresh d in
   Structure.add2 d edge a b;
   Structure.add2 d edge b c;
-  let stats = Tgd.Chase.run_seminaive deps d in
+  let stats = Tgd.Chase.run ~engine:`Seminaive deps d in
   check "fixpoint" true stats.Tgd.Chase.fixpoint;
   check "models" true (Tgd.Chase.models deps d);
   check "no violation" true (Tgd.Chase.find_violation deps d = None);

@@ -108,6 +108,17 @@ let test_spec_roundtrip () =
       check "spec json round-trips" true
         (Job.spec_of_json (Job.spec_to_json spec) = Ok spec))
     specs;
+  check "a spec naming the stage engine runs seminaive" true
+    (match Job.spec_to_json (divergent_spec 9) with
+    | Json.Obj fields ->
+        let staged =
+          List.map
+            (function
+              | "engine", _ -> ("engine", Json.String "stage") | f -> f)
+            fields
+        in
+        Job.spec_of_json (Json.Obj staged) = Ok (divergent_spec 9)
+    | _ -> false);
   check "unknown kind rejected" true
     (match Job.spec_of_json (Json.Obj [ ("kind", Json.String "frobnicate") ]) with
     | Error _ -> true
@@ -308,14 +319,40 @@ let job_digest j =
     (Option.bind (Json.member "result" j) (Json.mem_str "digest"))
 
 (* The uninterrupted governed reference run, in-process. *)
-let uninterrupted stages =
+let uninterrupted ?(engine = `Seminaive) stages =
   let views, q0 =
     ok_or_fail "parse" (Job.parse_rules divergent_views divergent_q0)
   in
   let deps = Tgd.Dep.t_q views in
   let d = fst (Tgd.Greenred.green_canonical q0) in
-  let stats = Tgd.Chase.run ~engine:`Seminaive ~max_stages:stages deps d in
+  let stats = Tgd.Chase.run ~engine ~max_stages:stages deps d in
   (stats, Job.structure_digest d)
+
+(* Run [job] to a terminal state through [Runner.run_slice] in a private
+   store, as a daemon worker does but with no cache in front; [between]
+   sees the store and the job after every slice that left it
+   unfinished.  Returns the result digest. *)
+let run_uncached ?(quantum = 1_000_000) ?(between = fun _ _ -> ()) spec =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let store = Store.open_ dir in
+      let job = Job.make ~seq:1 spec in
+      let quantum = { Runner.stages = quantum; seconds = 0. } in
+      let instances = Runner.instances () in
+      let rec go () =
+        Runner.run_slice ~store ~instances
+          ~cancel:Resilience.Governor.Cancel.never ~quantum job;
+        if not (Job.terminal job) then begin
+          between store job;
+          go ()
+        end
+      in
+      go ();
+      match job.Job.state with
+      | Job.Done r -> (job, r.Job.digest)
+      | st -> Alcotest.failf "uncached run ended %s" (Job.state_name st))
 
 (* --- live tests --------------------------------------------------------- *)
 
@@ -405,6 +442,28 @@ let test_preemption_bit_identity () =
               check "duplicate shorts all carry the identical digest" true
                 (List.for_all (String.equal d) rest)
           | [] -> ())))
+
+(* The semi-oblivious chase suspends like the lazy one: a checkpoint
+   between every pair of slices, and a finished digest equal to the
+   uninterrupted run's. *)
+let test_oblivious_checkpoints () =
+  let stages = 4 in
+  let ref_stats, ref_digest = uninterrupted ~engine:`Oblivious stages in
+  let between store (job : Job.t) =
+    check "suspended, not requeued" true (job.Job.state = Job.Suspended);
+    check "checkpoint left between slices" true
+      (Store.has_checkpoint store job.Job.id)
+  in
+  let job, digest =
+    run_uncached ~quantum:1 ~between
+      (Job.Chase
+         { views = divergent_views; q0 = divergent_q0; max_stages = stages;
+           engine = `Oblivious })
+  in
+  check_int "one slice per stage" stages job.Job.slices;
+  check_int "applications agree with the uninterrupted run"
+    ref_stats.Tgd.Chase.applications job.Job.applications;
+  check_str "resumed digest = uninterrupted digest" ref_digest digest
 
 let test_concurrent_clients () =
   with_daemon ~workers:4 ~quantum:2 (fun socket ->
@@ -654,6 +713,44 @@ let test_cache_hit_and_coalesce () =
             (job_int j_par "slices");
           check_str "cross-engine duplicate digest identical" ref_digest
             (job_digest j_par)))
+
+(* The semi-oblivious chase builds another structure than the lazy
+   engines, so its jobs key apart: each kind runs lazily first, then as
+   an oblivious duplicate that must miss and carry its own result. *)
+let test_cache_engine_classes () =
+  with_daemon ~workers:2 ~quantum:2 (fun socket ->
+      let conn = connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          let run spec =
+            let id = ok_or_fail "submit" (Client.submit conn spec) in
+            let j = ok_or_fail "wait" (Client.wait_terminal conn id) in
+            check "job done" true (job_field j "state" = Some "done");
+            j
+          in
+          List.iter
+            (fun (kind, spec) ->
+              ignore (run (spec `Seminaive));
+              let j = run (spec `Oblivious) in
+              check (kind ^ ": oblivious duplicate missed the cache") true
+                (job_int j "slices" >= 1);
+              check_str
+                (kind ^ ": digest = uncached oblivious run")
+                (snd (run_uncached (spec `Oblivious)))
+                (job_digest j))
+            [
+              ( "chase",
+                fun engine ->
+                  Job.Chase
+                    { views = divergent_views; q0 = divergent_q0;
+                      max_stages = 4; engine } );
+              ( "determinacy",
+                fun engine ->
+                  Job.Determinacy
+                    { views = divergent_views; q0 = divergent_q0;
+                      max_stages = 4; engine } );
+            ]))
 
 let test_mutate_read_invalidation () =
   (* pick a base edge of the canonical instance, exactly as the daemon
@@ -1159,6 +1256,8 @@ let () =
             test_drain_restart_recovery;
           Alcotest.test_case "mutate jobs on a held instance" `Quick
             test_mutate_jobs;
+          Alcotest.test_case "oblivious chase checkpoints" `Quick
+            test_oblivious_checkpoints;
         ] );
       ( "cache",
         [
@@ -1168,5 +1267,7 @@ let () =
             test_mutate_read_invalidation;
           Alcotest.test_case "persistence across restart" `Quick
             test_cache_persistence_restart;
+          Alcotest.test_case "lazy and oblivious key apart" `Quick
+            test_cache_engine_classes;
         ] );
     ]

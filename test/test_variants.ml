@@ -13,6 +13,12 @@ let e x y = Atom.app2 edge (v x) (v y)
 
 (* --- lazy vs semi-oblivious chase ---------------------------------------- *)
 
+(* The [`Oblivious] pipeline variant against the full-rescan spec. *)
+let agrees_with_spec ?tuning ?max_stages ?stop what deps build =
+  match Chase_spec.agree_oblivious ?tuning ?max_stages ?stop deps build with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s: %s" what msg
+
 let test_oblivious_ignores_satisfaction () =
   (* on a 2-cycle, the lazy chase of E(x,y) ⇒ ∃z E(y,z) is inert, the
      semi-oblivious one fires once per frontier tuple *)
@@ -28,20 +34,26 @@ let test_oblivious_ignores_satisfaction () =
   let st1 = Tgd.Chase.run [ dep ] lazy_s in
   check "lazy: fixpoint, inert" true (st1.Tgd.Chase.fixpoint && Structure.size lazy_s = 2);
   let obl_s = mk () in
-  let st2 = Tgd.Chase.run_oblivious ~max_stages:1 [ dep ] obl_s in
+  let st2 = Tgd.Chase.run ~engine:`Oblivious ~max_stages:1 [ dep ] obl_s in
   check_int "oblivious: two firings" 2 st2.Tgd.Chase.applications;
-  check_int "oblivious: grew" 4 (Structure.size obl_s)
+  check_int "oblivious: grew" 4 (Structure.size obl_s);
+  agrees_with_spec ~max_stages:3 "2-cycle" [ dep ] mk
 
 let test_oblivious_fires_once_per_trigger () =
   (* across stages a trigger never refires *)
   let dep = Tgd.Dep.make ~body:[ e "x" "y" ] ~head:[ e "y" "z" ] () in
-  let s = Structure.create () in
-  let a = Structure.fresh s and b = Structure.fresh s in
-  Structure.add2 s edge a b;
-  let st = Tgd.Chase.run_oblivious ~max_stages:4 [ dep ] s in
+  let mk () =
+    let s = Structure.create () in
+    let a = Structure.fresh s and b = Structure.fresh s in
+    Structure.add2 s edge a b;
+    s
+  in
+  let s = mk () in
+  let st = Tgd.Chase.run ~engine:`Oblivious ~max_stages:4 [ dep ] s in
   (* stage 1 fires y=b; stage 2 fires y=fresh1; ... one per stage *)
   check_int "one firing per stage" 4 st.Tgd.Chase.applications;
-  check_int "grew linearly" 5 (Structure.size s)
+  check_int "grew linearly" 5 (Structure.size s);
+  agrees_with_spec ~max_stages:4 "path" [ dep ] mk
 
 let test_oblivious_agrees_on_verdict () =
   (* determinacy verdicts agree when the lazy chase converges: the
@@ -56,8 +68,32 @@ let test_oblivious_agrees_on_verdict () =
   let d, tuple = Tgd.Greenred.green_canonical p5 in
   let red_p5 = Cq.Query.paint Symbol.Red p5 in
   let found d = Cq.Eval.holds_at red_p5 d tuple in
-  let _ = Tgd.Chase.run_oblivious ~max_stages:4 ~stop:found (Tgd.Dep.t_q queries) d in
-  check "oblivious chase also certifies determinacy" true (found d)
+  let deps = Tgd.Dep.t_q queries in
+  let _ = Tgd.Chase.run ~engine:`Oblivious ~max_stages:4 ~stop:found deps d in
+  check "oblivious chase also certifies determinacy" true (found d);
+  agrees_with_spec ~max_stages:4 ~stop:found "T_Q" deps (fun () ->
+      fst (Tgd.Greenred.green_canonical p5))
+
+(* Every generated instance of the oracle's seed 42, under its budget,
+   through both firing paths (sequential replay and staged). *)
+let test_oblivious_spec_seed42 () =
+  let budget = Oracle.Diff.default_budget in
+  let stop d =
+    Structure.card d > budget.Oracle.Diff.max_elems
+    || Structure.size d > budget.Oracle.Diff.max_facts
+  in
+  let staged = { Tgd.Chase.default_tuning with Tgd.Chase.par_fire = `Staged } in
+  for case = 0 to 599 do
+    let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:42 ~case) in
+    List.iter
+      (fun (tuning, path) ->
+        agrees_with_spec ?tuning ~max_stages:budget.Oracle.Diff.max_stages
+          ~stop
+          (Printf.sprintf "seed 42 case %d (%s)" case path)
+          inst.Oracle.Gen.deps
+          (fun () -> Oracle.Gen.build inst))
+      [ (None, "replay"); (Some staged, "staged") ]
+  done
 
 (* --- §IX.A: the one-atom difference --------------------------------------- *)
 
@@ -180,6 +216,8 @@ let () =
             test_oblivious_fires_once_per_trigger;
           Alcotest.test_case "agrees on determinacy" `Quick
             test_oblivious_agrees_on_verdict;
+          Alcotest.test_case "pipeline = spec, seed 42" `Slow
+            test_oblivious_spec_seed42;
         ] );
       ( "attempt1",
         [ Alcotest.test_case "views differ by one atom (§IX.A)" `Quick
