@@ -13,8 +13,6 @@ let l i : t = Some i
 
 let reserved = [ 3; 4 ]
 
-let is_reserved = function Some i -> List.mem i reserved | None -> false
-
 let check_user = function
   | Some i when List.mem i reserved ->
       invalid_arg (Printf.sprintf "green-graph label %d is reserved" i)

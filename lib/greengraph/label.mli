@@ -11,8 +11,6 @@ val l : int -> t
 (** The rule-forbidden labels [3; 4]. *)
 val reserved : int list
 
-val is_reserved : t -> bool
-
 (** @raise Invalid_argument on a reserved label. *)
 val check_user : t -> unit
 

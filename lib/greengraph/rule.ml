@@ -16,12 +16,10 @@ type t = {
   name : string;
 }
 
-let make ?(name = "") ?(check = true) conn (l1, l2) (r1, r2) =
-  if check then begin
-    List.iter Label.check_user [ l1; l2; r1; r2 ];
-    if Label.equal l1 r1 || Label.equal l2 r2 then
-      invalid_arg "Greengraph.Rule.make: requires I1 ≠ I3 and I2 ≠ I4"
-  end;
+let make ?(name = "") conn (l1, l2) (r1, r2) =
+  List.iter Label.check_user [ l1; l2; r1; r2 ];
+  if Label.equal l1 r1 || Label.equal l2 r2 then
+    invalid_arg "Greengraph.Rule.make: requires I1 ≠ I3 and I2 ≠ I4";
   { conn; l1; l2; r1; r2; name }
 
 let amp ?name (l1, l2) (r1, r2) = make ?name Amp (l1, l2) (r1, r2)
@@ -80,10 +78,11 @@ let h_delta = Obs.Metrics.histogram "graph.delta_size"
 (* A pair (x, x') matching labels (a, b) under [conn]: the two edges share
    their joint endpoint.  The partner edge is fully determined by e1's
    shared endpoint, so one set-membership test replaces a scan of every
-   edge at that (possibly high-degree) vertex. *)
-let pair_present g conn (a, b) (x, x') =
-  if !Obs.metrics_on then Obs.Metrics.incr c_pair_checks;
-  List.exists
+   edge at that (possibly high-degree) vertex.  [find_pair] returns the
+   witnessing pair and ticks nothing (maintenance keeps its probes out
+   of the effort counters); [pair_present] is the tallied test. *)
+let find_pair g conn (a, b) (x, x') =
+  List.find_map
     (fun (e1 : Graph.edge) ->
       let y = shared_of conn e1 in
       let e2 : Graph.edge =
@@ -91,8 +90,12 @@ let pair_present g conn (a, b) (x, x') =
         | Amp -> { label = b; src = x'; dst = y }
         | Slash -> { label = b; src = y; dst = x' }
       in
-      Graph.mem_edge g e2)
+      if Graph.mem_edge g e2 then Some (e1, e2) else None)
     (edges_at_free_with g conn x a)
+
+let pair_present g conn ab xx =
+  if !Obs.metrics_on then Obs.Metrics.incr c_pair_checks;
+  Option.is_some (find_pair g conn ab xx)
 
 (* Active triggers of one direction: lhs pair present at (x,x'), rhs pair
    absent.  Each rule is an equivalence, so [triggers] covers both
@@ -150,18 +153,59 @@ let pp_stats ppf s =
 (* Trigger-discovery engines, mirroring [Tgd.Chase]: [`Stage] rescans
    every label bucket each stage and re-checks each rhs pair against the
    graph at fire time — the reference; [`Par] only examines lhs pairs
-   using at least one edge added since the previous stage, with the delta
-   sharded over a domain pool and a canonical sorted merge, still
-   bit-identical; [`Seminaive] (default) is [`Par] at one worker.
+   using at least one edge added since the previous stage, one task per
+   rule direction on a work-stealing domain pool with a canonical
+   sequential merge, still bit-identical; [`Seminaive] (default) is
+   [`Par] at one worker.
    Both conditions of a trigger are monotone (lhs pairs and rhs pairs are
    never removed), so a pair wholly inside old edges was examined at an
    earlier stage and either fired (its rhs pair now exists) or was
    dropped because the rhs pair existed — inactive forever either way. *)
 type engine = [ `Stage | `Seminaive | `Par ]
 
-(* A stage's delta, indexed by label once, so the per-rule loops below
-   look their candidate edges up instead of rescanning the whole delta
-   for each of the 2·|rules| directions. *)
+(* The directions of a rule set in canonical order: (rule, lhs, rhs). *)
+let directions rules =
+  List.concat_map
+    (fun rule ->
+      [
+        (rule, (rule.l1, rule.l2), (rule.r1, rule.r2));
+        (rule, (rule.r1, rule.r2), (rule.l1, rule.l2));
+      ])
+    rules
+
+(* The reference collector: for each rule and direction, the
+   deduplicated (x, x') pairs with an lhs pair present and the rhs pair
+   absent, rescanning every edge with the lhs label, in the canonical
+   firing order (rule, direction, x, x') shared by every engine so their
+   fresh vertices coincide. *)
+let collect_stage ~considered rules g =
+  List.concat_map
+    (fun (rule, (a, b), (c, d)) ->
+      let seen = Hashtbl.create 32 in
+      let out = ref [] in
+      List.iter
+        (fun (e1 : Graph.edge) ->
+          List.iter
+            (fun (e2 : Graph.edge) ->
+              (* cooperative cancellation: the scan is read-only here *)
+              G.Cancel.poll ();
+              let x = free_of rule.conn e1 and x' = free_of rule.conn e2 in
+              if not (Hashtbl.mem seen (x, x')) then begin
+                Hashtbl.replace seen (x, x') ();
+                incr considered;
+                if !Obs.metrics_on then Obs.Metrics.incr c_considered;
+                if not (pair_present g rule.conn (c, d) (x, x')) then
+                  out := (x, x') :: !out
+              end)
+            (edges_at_shared_with g rule.conn (shared_of rule.conn e1) b))
+        (Graph.with_label g a);
+      List.sort compare !out
+      |> List.map (fun (x, x') -> (rule, ((c, x), (d, x')))))
+    (directions rules)
+
+(* A stage's delta, indexed by label once, so the per-direction scans
+   below look their candidate edges up instead of rescanning the whole
+   delta for each of the 2·|rules| directions. *)
 let index_delta delta_edges =
   let tbl = Graph.Label_tbl.create 16 in
   List.iter
@@ -181,95 +225,82 @@ let index_delta delta_edges =
 let delta_with tbl lab =
   match Graph.Label_tbl.find_opt tbl lab with Some r -> !r | None -> []
 
-(* Collect one stage's triggers: for each rule and direction, the
-   deduplicated (x, x') pairs with an lhs pair present (through at least
-   one delta edge in semi-naive mode) and the rhs pair absent, sorted into
-   the canonical firing order (rule, direction, x, x') shared by both
-   engines so their fresh vertices coincide. *)
-let collect_stage ?delta ~considered rules g =
-  let out = ref [] in
-  List.iteri
-    (fun ri rule ->
-      List.iteri
-        (fun dir ((a, b), (c, d)) ->
-          let seen = Hashtbl.create 32 in
-          let consider x x' =
-            (* cooperative cancellation: the scan is read-only here *)
-            G.Cancel.poll ();
-            if not (Hashtbl.mem seen (x, x')) then begin
-              Hashtbl.replace seen (x, x') ();
-              incr considered;
-              if !Obs.metrics_on then Obs.Metrics.incr c_considered;
-              if not (pair_present g rule.conn (c, d) (x, x')) then
-                out := (ri, dir, x, x', rule, (c, d)) :: !out
-            end
-          in
-          let join_from (e1 : Graph.edge) =
-            List.iter
-              (fun (e2 : Graph.edge) ->
-                consider (free_of rule.conn e1) (free_of rule.conn e2))
-              (edges_at_shared_with g rule.conn (shared_of rule.conn e1) b)
-          in
-          match delta with
-          | None -> List.iter join_from (Graph.with_label g a)
-          | Some dix ->
-              (* lhs pairs with the first edge in the delta … *)
-              List.iter join_from (delta_with dix a);
-              (* … and with the second edge in the delta *)
-              List.iter
-                (fun (e2 : Graph.edge) ->
-                  List.iter
-                    (fun (e1 : Graph.edge) ->
-                      consider (free_of rule.conn e1) (free_of rule.conn e2))
-                    (edges_at_shared_with g rule.conn (shared_of rule.conn e2)
-                       a))
-                (delta_with dix b))
-        [
-          ((rule.l1, rule.l2), (rule.r1, rule.r2));
-          ((rule.r1, rule.r2), (rule.l1, rule.l2));
-        ])
-    rules;
-  List.sort
-    (fun (r1, d1, x1, y1, _, _) (r2, d2, x2, y2, _, _) ->
-      compare (r1, d1, x1, y1) (r2, d2, x2, y2))
-    !out
-  |> List.map (fun (_, _, x, x', rule, (c, d)) -> (rule, ((c, x), (d, x'))))
-
-(* One direction's delta-restricted candidate pairs: lhs pairs using at
-   least one delta edge, in the same join order as [collect_stage]'s
-   [Some dix] branch.  Shared by the par engine's sequential and stolen
-   scans. *)
+(* One direction's delta-restricted lhs pairs (e1, e2): those using at
+   least one delta edge, first edge in the delta, then second.  Shared by
+   the chase's collector and maintenance's discovery. *)
 let iter_delta_pairs g conn ~dix (a, b) consider =
-  (* lhs pairs with the first edge in the delta … *)
   List.iter
     (fun (e1 : Graph.edge) ->
-      List.iter
-        (fun (e2 : Graph.edge) ->
-          consider (free_of conn e1) (free_of conn e2))
+      List.iter (fun e2 -> consider e1 e2)
         (edges_at_shared_with g conn (shared_of conn e1) b))
     (delta_with dix a);
-  (* … and with the second edge in the delta *)
   List.iter
     (fun (e2 : Graph.edge) ->
-      List.iter
-        (fun (e1 : Graph.edge) ->
-          consider (free_of conn e1) (free_of conn e2))
+      List.iter (fun e1 -> consider e1 e2)
         (edges_at_shared_with g conn (shared_of conn e2) a))
     (delta_with dix b)
 
-(* Packed integer keys for the par engine's hot tables.  A label's code
-   is [None -> 0 | Some i -> i + 1]; vertex ids are bounded by
+let c_merge_ms = Obs.Metrics.counter "par.merge_ms"
+
+(* The semi-naive collector, at every worker count.  Each (rule,
+   direction) is one task on a work-stealing pool (inline at one worker):
+   it reads the graph only and returns its sorted, deduplicated (x, x')
+   pairs.  A sequential merge then counts and rhs-checks them in (rule,
+   direction) order, which is the canonical firing order.  Under the
+   ["par.shard"] failpoint the degrade rung runs the same tasks inline,
+   so every rung yields the same triggers. *)
+let collect_delta ~jobs ~considered rules g delta_edges =
+  let dix = index_delta delta_edges in
+  let dirs = Array.of_list (directions rules) in
+  let n = Array.length dirs in
+  let task t =
+    let rule, ab, _ = dirs.(t) in
+    let acc = ref [] in
+    iter_delta_pairs g rule.conn ~dix ab (fun e1 e2 ->
+        G.Cancel.poll ();
+        acc := (free_of rule.conn e1, free_of rule.conn e2) :: !acc);
+    List.sort_uniq compare !acc
+  in
+  let pairs =
+    Resilience.Failpoint.ladder ~site:"par.shard" n
+      (fun guard ->
+        Relational.Pool.run_stealing ~jobs n (fun t ->
+            guard t;
+            task t))
+      ~degrade:(fun () -> Array.init n task)
+  in
+  let t0 = Obs.Clock.now_s () in
+  let out = ref [] in
+  Array.iteri
+    (fun t ps ->
+      let rule, _, (c, d) = dirs.(t) in
+      List.iter
+        (fun (x, x') ->
+          incr considered;
+          if !Obs.metrics_on then Obs.Metrics.incr c_considered;
+          if not (pair_present g rule.conn (c, d) (x, x')) then
+            out := (rule, ((c, x), (d, x'))) :: !out)
+        ps)
+    pairs;
+  if !Obs.metrics_on then
+    Obs.Metrics.add c_merge_ms
+      (int_of_float ((Obs.Clock.now_s () -. t0) *. 1000.));
+  List.rev !out
+
+(* Packed integer keys for the semi-naive fire table.  A label's code is
+   [None -> 0 | Some i -> i + 1]; vertex ids are bounded by
    [Graph.next_vertex] (every registered id is below it, and triggers
    only mention stage-start vertices).  Structural hashing of tuple keys
-   was measured to cost more than the work the tables save, so the par
-   paths pack their keys into one tagged int when the bounds fit and
-   fall back to the structural-key paths (identical results) when they
-   would overflow. *)
+   was measured to cost more than the work the table saves, so the keys
+   are packed into one tagged int when the bounds fit, with a
+   structural-key fallback (identical decisions) when they would
+   overflow. *)
 let lab_code : Label.t -> int = function None -> 0 | Some i -> i + 1
 
 (* [1 + max code] over the rule set's labels, or [0] when some code is
-   negative (user labels are nonnegative, but [make ~check:false] does
-   not enforce it) — [0] means "don't pack". *)
+   negative — [make] rejects only the reserved labels and the record is
+   public, so nothing keeps user labels nonnegative; [0] means "don't
+   pack". *)
 let lab_bound rules =
   List.fold_left
     (fun m r ->
@@ -281,136 +312,6 @@ let lab_bound rules =
         [ r.l1; r.l2; r.r1; r.r2 ])
     1 rules
   |> max 0
-
-(* As [collect_stage ~delta] but with the per-direction (x, x') dedup
-   key packed into one int.  Candidate order, counts, surviving triggers
-   and the canonical sort are unchanged, so the result is the
-   [collect_stage] one bit for bit. *)
-let collect_stage_packed ~dix ~considered rules g =
-  let n0 = Graph.next_vertex g in
-  if n0 <= 0 || n0 > 1 lsl 30 then collect_stage ~delta:dix ~considered rules g
-  else begin
-    let out = ref [] in
-    List.iteri
-      (fun ri rule ->
-        List.iteri
-          (fun dir ((a, b), (c, d)) ->
-            let seen = Hashtbl.create 32 in
-            let consider x x' =
-              G.Cancel.poll ();
-              let key = (x * n0) + x' in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.replace seen key ();
-                incr considered;
-                if !Obs.metrics_on then Obs.Metrics.incr c_considered;
-                if not (pair_present g rule.conn (c, d) (x, x')) then
-                  out := (ri, dir, x, x', rule, (c, d)) :: !out
-              end
-            in
-            iter_delta_pairs g rule.conn ~dix (a, b) consider)
-          [
-            ((rule.l1, rule.l2), (rule.r1, rule.r2));
-            ((rule.r1, rule.r2), (rule.l1, rule.l2));
-          ])
-      rules;
-    List.sort
-      (fun (r1, d1, x1, y1, _, _) (r2, d2, x2, y2, _, _) ->
-        compare (r1, d1, x1, y1) (r2, d2, x2, y2))
-      !out
-    |> List.map (fun (_, _, x, x', rule, (c, d)) -> (rule, ((c, x), (d, x'))))
-  end
-
-(* The parallel collector: the delta is indexed by label once (shared,
-   read-only), and each (rule, direction) scan becomes a task on a
-   work-stealing pool; workers enumerate raw lhs-pair candidates
-   (x, x') through the index without deduplication or rhs checks
-   (reading the graph only), and the merge sorts the candidates into
-   the canonical (rule, direction, x, x') order, deduplicates, counts
-   and rhs-checks sequentially.  The deduplicated candidate set equals
-   the sequential semi-naive one, so stats, surviving triggers and the
-   firing order are bit-identical at every worker count.  With one
-   worker and no active failpoints the pipeline collapses to the
-   sequential indexed scan — no pool, no merge. *)
-let c_merge_ms = Obs.Metrics.counter "par.merge_ms"
-let c_shards = Obs.Metrics.counter "par.shards"
-let c_par_retries = Obs.Metrics.counter "resilience.par_retries"
-let c_par_degraded = Obs.Metrics.counter "resilience.par_degraded"
-
-let collect_stage_par ~jobs ~considered rules g delta_edges =
-  if jobs <= 1 && not (Resilience.Failpoint.active ()) then begin
-    (* one worker: the stage is its own single shard *)
-    if !Obs.metrics_on then Obs.Metrics.incr c_shards;
-    collect_stage_packed ~dix:(index_delta delta_edges) ~considered rules g
-  end
-  else begin
-    let dix = index_delta delta_edges in
-    let dirs =
-      List.concat
-        (List.mapi
-           (fun ri rule ->
-             [
-               (ri, 0, rule, (rule.l1, rule.l2), (rule.r1, rule.r2));
-               (ri, 1, rule, (rule.r1, rule.r2), (rule.l1, rule.l2));
-             ])
-           rules)
-    in
-    let dira = Array.of_list dirs in
-    let ndirs = Array.length dira in
-    (* One direction's raw candidates off the delta index — the unit of
-       work-stealing. *)
-    let scan_dir (ri, dir, rule, (a, b), _) =
-      let acc = ref [] in
-      iter_delta_pairs g rule.conn ~dix (a, b) (fun x x' ->
-          acc := (ri, dir, x, x') :: !acc);
-      List.rev !acc
-    in
-    (* Per-task "par.shard" fault decisions are drawn before the workers
-       spawn (the decision stream must not be raced across domains); a
-       faulted scan is retried once, then degrades to the sequential
-       indexed collection.  Both rungs produce the semi-naive candidate
-       set, so the stage stays bit-identical to the un-faulted one. *)
-    let scan_stolen () =
-      let faults = Array.make ndirs false in
-      if Resilience.Failpoint.active () then
-        for w = 0 to ndirs - 1 do
-          faults.(w) <- Resilience.Failpoint.fire "par.shard"
-        done;
-      Relational.Pool.run_stealing ?steals:None ~jobs:(min jobs ndirs) ndirs
-        (fun w ->
-          if faults.(w) then raise (Resilience.Failpoint.Injected "par.shard");
-          scan_dir dira.(w))
-    in
-    match
-      (try Some (scan_stolen ()) with
-      | Resilience.Failpoint.Injected "par.shard" -> (
-          if !Obs.metrics_on then Obs.Metrics.incr c_par_retries;
-          try Some (scan_stolen ()) with
-          | Resilience.Failpoint.Injected "par.shard" ->
-              if !Obs.metrics_on then Obs.Metrics.incr c_par_degraded;
-              None))
-    with
-    | None -> collect_stage ~delta:dix ~considered rules g
-    | Some raw ->
-        let t0 = Obs.Clock.now_s () in
-        let all = List.sort compare (List.concat (Array.to_list raw)) in
-        let seen = Hashtbl.create 64 in
-        let out = ref [] in
-        List.iter
-          (fun ((ri, dir, x, x') as key) ->
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
-              incr considered;
-              if !Obs.metrics_on then Obs.Metrics.incr c_considered;
-              let _, _, rule, _, (c, d) = dira.((ri * 2) + dir) in
-              if not (pair_present g rule.conn (c, d) (x, x')) then
-                out := (rule, ((c, x), (d, x'))) :: !out
-            end)
-          all;
-        if !Obs.metrics_on then
-          Obs.Metrics.add c_merge_ms
-            (int_of_float ((Obs.Clock.now_s () -. t0) *. 1000.));
-        List.rev !out
-  end
 
 (* A resumable graph-chase snapshot.  The graph chase keeps no persistent
    dedup state across stages (its trigger dedup is per stage), so a
@@ -450,11 +351,9 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
   let applications = ref apps0 in
   let considered = ref considered0 in
   let wm = ref wm0 in
-  let last_snap = ref (-1) in
-  let emit_snapshot i =
+  let snapshot i =
     match on_snapshot with
-    | Some f when i > !last_snap ->
-        last_snap := i;
+    | Some f ->
         f
           {
             gsnap_engine = engine;
@@ -465,165 +364,127 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
             gsnap_rules = rules;
             gsnap_graph = Resilience.Checkpoint.clone g;
           }
-    | _ -> ()
+    | None -> ()
   in
-  let finish ?(snap = true) i outcome =
-    if snap then emit_snapshot i;
-    {
-      stages = i;
-      applications = !applications;
-      triggers_considered = !considered;
-      fixpoint = (outcome = G.Fixpoint);
-      outcome;
-    }
+  let collect () =
+    match engine with
+    | `Stage ->
+        if !Obs.metrics_on then Obs.Metrics.observe h_delta (Graph.size g);
+        collect_stage ~considered rules g
+    | `Seminaive | `Par ->
+        let d = Graph.delta_since g !wm in
+        if !Obs.metrics_on then Obs.Metrics.observe h_delta (List.length d);
+        let c = collect_delta ~jobs ~considered rules g d in
+        (* advance only after a completed scan: a cancelled scan must not
+           move the watermark past the last resumable boundary *)
+        wm := Graph.watermark g;
+        c
   in
-  let max_stages = min max_stages governor.G.max_stages in
-  let rec go i =
-    match G.interrupted governor with
-    | Some o -> finish (i - 1) o
-    | None ->
-        if i > max_stages then finish (i - 1) (G.Budget G.Stages)
-        else begin
-          (* collect the triggers against the stage-start graph, then fire
-             those still active (mirroring the chase of Section II.C) *)
-          let n_triggers = ref 0 and fired = ref 0 in
-          let step () =
-            let collected =
-              G.with_scope governor (fun () ->
-                  match engine with
-                  | `Stage ->
-                      if !Obs.metrics_on then
-                        Obs.Metrics.observe h_delta (Graph.size g);
-                      collect_stage ~considered rules g
-                  | `Seminaive | `Par ->
-                      let d = Graph.delta_since g !wm in
-                      if !Obs.metrics_on then
-                        Obs.Metrics.observe h_delta (List.length d);
-                      let c = collect_stage_par ~jobs ~considered rules g d in
-                      (* advance only after a completed scan: a cancelled
-                         scan must not move the watermark past the last
-                         resumable boundary *)
-                      wm := Graph.watermark g;
-                      c)
-            in
-            n_triggers := List.length collected;
-            match engine with
-            | `Stage ->
-                List.iter
-                  (fun (rule, ((c, x), (d, x'))) ->
-                    if not (pair_present g rule.conn (c, d) (x, x')) then begin
-                      fire rule g ((c, x), (d, x'));
-                      if !Obs.metrics_on then Obs.Metrics.incr c_firings;
-                      incr fired
-                    end)
-                  collected
-            | `Seminaive | `Par ->
-                (* The fire-time re-check, O(1) per trigger.  Every
-                   collected trigger's rhs pair was absent against the
-                   stage-start graph, and a [fire] only adds edges
-                   touching its own fresh vertex, which no older edge
-                   reaches — so a pair at fire time is either wholly old
-                   (absent: it was checked at collection) or wholly among
-                   the two edges of one single firing this stage.  A
-                   table of the pairs derivable from each firing's edge
-                   pair {c: x~v, d: x'~v} therefore decides the re-check
-                   exactly: present iff probed.  Bit-identical outcomes
-                   to the reference [pair_present] re-check. *)
-                (* Keys are packed ints when the label/vertex bounds fit
-                   in a tagged word (they do on every realistic rule
-                   set); otherwise structural 5-tuples — same decisions,
-                   only the hashing cost differs.  [n0] is taken before
-                   any firing, so every trigger vertex is below it. *)
-                let n0 = Graph.next_vertex g in
-                let lb = lab_bound rules in
-                let packed =
-                  lb > 0 && n0 > 0
-                  && float_of_int lb *. float_of_int lb *. float_of_int n0
-                     *. float_of_int n0 *. 2.
-                     < 4.0e18
-                in
-                if packed then begin
-                  let fired_pairs = Hashtbl.create 64 in
-                  let pk conn c x d x' =
-                    let cb = match conn with Amp -> 0 | Slash -> 1 in
-                    ((((((cb * lb) + lab_code c) * lb) + lab_code d) * n0 + x)
-                     * n0)
-                    + x'
-                  in
-                  List.iter
-                    (fun (rule, ((c, x), (d, x'))) ->
-                      if not (Hashtbl.mem fired_pairs (pk rule.conn c x d x'))
-                      then begin
-                        fire rule g ((c, x), (d, x'));
-                        Hashtbl.replace fired_pairs (pk rule.conn c x d x') ();
-                        Hashtbl.replace fired_pairs (pk rule.conn d x' c x) ();
-                        Hashtbl.replace fired_pairs (pk rule.conn c x c x) ();
-                        Hashtbl.replace fired_pairs (pk rule.conn d x' d x') ();
-                        if !Obs.metrics_on then Obs.Metrics.incr c_firings;
-                        incr fired
-                      end)
-                    collected
-                end
-                else begin
-                  let fired_pairs = Hashtbl.create 64 in
-                  List.iter
-                    (fun (rule, ((c, x), (d, x'))) ->
-                      if not (Hashtbl.mem fired_pairs (rule.conn, c, x, d, x'))
-                      then begin
-                        fire rule g ((c, x), (d, x'));
-                        List.iter
-                          (fun k -> Hashtbl.replace fired_pairs k ())
-                          [
-                            (rule.conn, c, x, d, x');
-                            (rule.conn, d, x', c, x);
-                            (rule.conn, c, x, c, x);
-                            (rule.conn, d, x', d, x');
-                          ];
-                        if !Obs.metrics_on then Obs.Metrics.incr c_firings;
-                        incr fired
-                      end)
-                    collected
-                end
-          in
-          match
-            Obs.Trace.with_span "graph.stage"
-              ~args:(fun () ->
-                [ ("stage", i); ("triggers", !n_triggers); ("fired", !fired) ])
-              (fun () ->
-                try Ok (step ()) with
-                | G.Cancel.Cancelled -> Error `Cancelled
-                | Resilience.Failpoint.Injected site -> Error (`Faulted site))
-          with
-          | Error `Cancelled -> finish ~snap:false (i - 1) G.Cancelled
-          | Error (`Faulted site) -> finish ~snap:false (i - 1) (G.Faulted site)
-          | Ok () ->
-              applications := !applications + !fired;
-              if !fired = 0 then finish i G.Fixpoint
-              else begin
-                if (i - start_stage) mod snapshot_every = 0 then
-                  emit_snapshot i;
-                match
-                  (* vertex/edge counts are O(n) on graphs: only pay for
-                     them under a real governor *)
-                  if G.is_unlimited governor || not (G.has_size_budget governor)
-                  then None
-                  else
-                    G.over_budget governor
-                      ~elems:(List.length (Graph.vertices g))
-                      ~facts:(Graph.size g)
-                with
-                | Some o -> finish i o
-                | None ->
-                    if stop g then finish i (G.Budget G.Stop) else go (i + 1)
-              end
-        end
+  let fire_one fired rule t =
+    fire rule g t;
+    if !Obs.metrics_on then Obs.Metrics.incr c_firings;
+    incr fired
   in
-  Obs.Trace.with_span
+  (* Fire the stage's triggers in order, each only if its rhs pair is
+     still absent (the chase of Section II.C); returns the firings. *)
+  let fire_stage collected =
+    let fired = ref 0 in
     (match engine with
-    | `Stage -> "graph.chase(stage)"
-    | `Seminaive -> "graph.chase(seminaive)"
-    | `Par -> "graph.chase(par)")
-    (fun () -> go (start_stage + 1))
+    | `Stage ->
+        List.iter
+          (fun (rule, ((c, x), (d, x'))) ->
+            if not (pair_present g rule.conn (c, d) (x, x')) then
+              fire_one fired rule ((c, x), (d, x')))
+          collected
+    | `Seminaive | `Par ->
+        (* The fire-time re-check, O(1) per trigger.  Every collected
+           trigger's rhs pair was absent against the stage-start graph,
+           and a [fire] only adds edges touching its own fresh vertex,
+           which no older edge reaches — so a pair at fire time is either
+           wholly old (absent: it was checked at collection) or wholly
+           among the two edges of one single firing this stage.  A table
+           of the pairs derivable from each firing's edge pair
+           {c: x~v, d: x'~v} therefore decides the re-check exactly:
+           present iff probed.  Bit-identical outcomes to the reference
+           [pair_present] re-check, and measured faster than it
+           (DESIGN.md, "The graph engine's fire table"). *)
+        (* Keys are packed ints when the label/vertex bounds fit in a
+           tagged word (they do on every realistic rule set); otherwise
+           structural 5-tuples — same decisions, only the hashing cost
+           differs.  [n0] is taken before any firing, so every trigger
+           vertex is below it. *)
+        let n0 = Graph.next_vertex g in
+        let lb = lab_bound rules in
+        let packed =
+          lb > 0 && n0 > 0
+          && float_of_int lb *. float_of_int lb *. float_of_int n0
+             *. float_of_int n0 *. 2.
+             < 4.0e18
+        in
+        if packed then begin
+          let fired_pairs = Hashtbl.create 64 in
+          let pk conn c x d x' =
+            let cb = match conn with Amp -> 0 | Slash -> 1 in
+            ((((((cb * lb) + lab_code c) * lb) + lab_code d) * n0 + x) * n0)
+            + x'
+          in
+          List.iter
+            (fun (rule, ((c, x), (d, x'))) ->
+              if not (Hashtbl.mem fired_pairs (pk rule.conn c x d x'))
+              then begin
+                fire_one fired rule ((c, x), (d, x'));
+                Hashtbl.replace fired_pairs (pk rule.conn c x d x') ();
+                Hashtbl.replace fired_pairs (pk rule.conn d x' c x) ();
+                Hashtbl.replace fired_pairs (pk rule.conn c x c x) ();
+                Hashtbl.replace fired_pairs (pk rule.conn d x' d x') ()
+              end)
+            collected
+        end
+        else begin
+          let fired_pairs = Hashtbl.create 64 in
+          List.iter
+            (fun (rule, ((c, x), (d, x'))) ->
+              if not (Hashtbl.mem fired_pairs (rule.conn, c, x, d, x'))
+              then begin
+                fire_one fired rule ((c, x), (d, x'));
+                List.iter
+                  (fun k -> Hashtbl.replace fired_pairs k ())
+                  [
+                    (rule.conn, c, x, d, x');
+                    (rule.conn, d, x', c, x);
+                    (rule.conn, c, x, c, x);
+                    (rule.conn, d, x', d, x');
+                  ]
+              end)
+            collected
+        end);
+    !fired
+  in
+  let step _ =
+    let collected = G.with_scope governor collect in
+    let fired = fire_stage collected in
+    applications := !applications + fired;
+    (List.length collected, fired)
+  in
+  let stages, outcome =
+    Obs.Trace.with_span
+      (match engine with
+      | `Stage -> "graph.chase(stage)"
+      | `Seminaive -> "graph.chase(seminaive)"
+      | `Par -> "graph.chase(par)")
+      (fun () ->
+        G.run_stages governor ~span:"graph.stage" ~start_stage ~max_stages
+          ~sizes:(fun () -> (List.length (Graph.vertices g), Graph.size g))
+          ~stop:(fun () -> stop g)
+          ~snapshot_every ~snapshot step)
+  in
+  {
+    stages;
+    applications = !applications;
+    triggers_considered = !considered;
+    fixpoint = outcome = G.Fixpoint;
+    outcome;
+  }
 
 (* Continue a checkpointed graph chase on the snapshot's own graph (clone
    the snapshot first to keep it reusable): prefix + resume is
@@ -706,19 +567,6 @@ module Maint = struct
   let sides (r : rule) dir =
     if dir = 0 then ((r.l1, r.l2), (r.r1, r.r2))
     else ((r.r1, r.r2), (r.l1, r.l2))
-
-  (* [pair_present], but returning the witnessing pair. *)
-  let find_pair g conn (a, b) (x, x') =
-    List.find_map
-      (fun (e1 : Graph.edge) ->
-        let y = shared_of conn e1 in
-        let e2 : Graph.edge =
-          match conn with
-          | Amp -> { label = b; src = x'; dst = y }
-          | Slash -> { label = b; src = y; dst = x' }
-        in
-        if Graph.mem_edge g e2 then Some (e1, e2) else None)
-      (edges_at_free_with g conn x a)
 
   let add_edge_rec tbl e r =
     match Graph.Edge_tbl.find_opt tbl e with
@@ -803,129 +651,83 @@ module Maint = struct
      settled — and every examination leaves a record behind. *)
   let run_loop ?(governor = G.unlimited) ?(max_stages = max_int) t =
     let g = t.m_g in
-    let finish i outcome =
-      t.m_stage <- max t.m_stage i;
-      t.m_pending <- outcome <> G.Fixpoint;
-      {
-        stages = i;
-        applications = t.m_applications;
-        triggers_considered = t.m_considered;
-        fixpoint = (outcome = G.Fixpoint);
-        outcome;
-      }
+    let step _ =
+      let out = ref [] in
+      G.with_scope governor (fun () ->
+          let dix = index_delta (Graph.delta_since g t.m_wm) in
+          Array.iteri
+            (fun ri rule ->
+              List.iter
+                (fun dir ->
+                  let ab, (c, d) = sides rule dir in
+                  let seen = Hashtbl.create 32 in
+                  iter_delta_pairs g rule.conn ~dix ab (fun e1 e2 ->
+                      G.Cancel.poll ();
+                      let x = free_of rule.conn e1
+                      and x' = free_of rule.conn e2 in
+                      let k = (ri, dir, x, x') in
+                      if not (Hashtbl.mem seen k) then begin
+                        Hashtbl.replace seen k ();
+                        match Hashtbl.find_opt t.m_recs k with
+                        | Some r when r.alive -> ()
+                        | _ -> (
+                            t.m_considered <- t.m_considered + 1;
+                            if !Obs.metrics_on then
+                              Obs.Metrics.incr c_considered;
+                            match find_pair g rule.conn (c, d) (x, x') with
+                            | Some w -> record_withheld t k w
+                            | None ->
+                                out := (k, rule, (c, d), (e1, e2)) :: !out)
+                      end))
+                [ 0; 1 ])
+            t.m_rules;
+          (* advance only after a completed scan *)
+          t.m_wm <- Graph.watermark g);
+      let triggers =
+        List.sort (fun (k1, _, _, _) (k2, _, _, _) -> compare k1 k2) !out
+      in
+      let fired = ref 0 in
+      List.iter
+        (fun (k, rule, (c, d), (e1, e2)) ->
+          let _, _, x, x' = k in
+          (* fire-time re-check: an earlier firing this stage may have
+             witnessed the rhs *)
+          match find_pair g rule.conn (c, d) (x, x') with
+          | Some w -> record_withheld t k w
+          | None ->
+              let v = Graph.fresh g in
+              let products = product_edges rule.conn (c, d) (x, x') v in
+              List.iter
+                (fun (e : Graph.edge) ->
+                  ignore (Graph.add_edge g e.label e.src e.dst))
+                products;
+              ignore
+                (record_fired t k ~witness:[ e1; e2 ] ~vertex:v ~products);
+              if !Obs.metrics_on then Obs.Metrics.incr c_firings;
+              incr fired)
+        triggers;
+      t.m_applications <- t.m_applications + !fired;
+      (List.length triggers, !fired)
     in
-    let abs_max =
+    let max_stages =
       if max_stages = max_int then max_int else t.m_stage + max_stages
     in
-    let abs_max = min abs_max governor.G.max_stages in
-    let rec go i =
-      match G.interrupted governor with
-      | Some o -> finish (i - 1) o
-      | None ->
-          if i > abs_max then finish (i - 1) (G.Budget G.Stages)
-          else begin
-            let fired = ref 0 in
-            let step () =
-              let out = ref [] in
-              G.with_scope governor (fun () ->
-                  let delta = Graph.delta_since g t.m_wm in
-                  let dix = index_delta delta in
-                  Array.iteri
-                    (fun ri rule ->
-                      List.iter
-                        (fun dir ->
-                          let (a, b), (c, d) = sides rule dir in
-                          let seen = Hashtbl.create 32 in
-                          let consider (e1 : Graph.edge) (e2 : Graph.edge) =
-                            G.Cancel.poll ();
-                            let x = free_of rule.conn e1
-                            and x' = free_of rule.conn e2 in
-                            let k = (ri, dir, x, x') in
-                            if not (Hashtbl.mem seen k) then begin
-                              Hashtbl.replace seen k ();
-                              match Hashtbl.find_opt t.m_recs k with
-                              | Some r when r.alive -> ()
-                              | _ -> (
-                                  t.m_considered <- t.m_considered + 1;
-                                  if !Obs.metrics_on then
-                                    Obs.Metrics.incr c_considered;
-                                  match find_pair g rule.conn (c, d) (x, x') with
-                                  | Some w -> record_withheld t k w
-                                  | None ->
-                                      out :=
-                                        (k, rule, (c, d), (e1, e2)) :: !out)
-                            end
-                          in
-                          List.iter
-                            (fun (e1 : Graph.edge) ->
-                              List.iter
-                                (fun e2 -> consider e1 e2)
-                                (edges_at_shared_with g rule.conn
-                                   (shared_of rule.conn e1) b))
-                            (delta_with dix a);
-                          List.iter
-                            (fun (e2 : Graph.edge) ->
-                              List.iter
-                                (fun e1 -> consider e1 e2)
-                                (edges_at_shared_with g rule.conn
-                                   (shared_of rule.conn e2) a))
-                            (delta_with dix b))
-                        [ 0; 1 ])
-                    t.m_rules;
-                  (* advance only after a completed scan *)
-                  t.m_wm <- Graph.watermark g);
-              let triggers =
-                List.sort (fun (k1, _, _, _) (k2, _, _, _) -> compare k1 k2)
-                  !out
-              in
-              List.iter
-                (fun (k, rule, (c, d), (e1, e2)) ->
-                  let _, _, x, x' = k in
-                  (* fire-time re-check: an earlier firing this stage may
-                     have witnessed the rhs *)
-                  match find_pair g rule.conn (c, d) (x, x') with
-                  | Some w -> record_withheld t k w
-                  | None ->
-                      let v = Graph.fresh g in
-                      let products = product_edges rule.conn (c, d) (x, x') v in
-                      List.iter
-                        (fun (e : Graph.edge) ->
-                          ignore (Graph.add_edge g e.label e.src e.dst))
-                        products;
-                      ignore
-                        (record_fired t k ~witness:[ e1; e2 ] ~vertex:v
-                           ~products);
-                      if !Obs.metrics_on then Obs.Metrics.incr c_firings;
-                      incr fired)
-                triggers
-            in
-            match
-              (try Ok (step ()) with
-              | G.Cancel.Cancelled -> Error `Cancelled
-              | Resilience.Failpoint.Injected site -> Error (`Faulted site))
-            with
-            | Error `Cancelled -> finish (i - 1) G.Cancelled
-            | Error (`Faulted site) -> finish (i - 1) (G.Faulted site)
-            | Ok () ->
-                t.m_applications <- t.m_applications + !fired;
-                if !fired = 0 then finish i G.Fixpoint
-                else begin
-                  match
-                    if
-                      G.is_unlimited governor
-                      || not (G.has_size_budget governor)
-                    then None
-                    else
-                      G.over_budget governor
-                        ~elems:(List.length (Graph.vertices g))
-                        ~facts:(Graph.size g)
-                  with
-                  | Some o -> finish i o
-                  | None -> go (i + 1)
-                end
-          end
+    let stage, outcome =
+      G.run_stages governor ~span:"graph.maint.stage" ~start_stage:t.m_stage
+        ~max_stages
+        ~sizes:(fun () -> (List.length (Graph.vertices g), Graph.size g))
+        ~stop:(fun () -> false)
+        ~snapshot_every:1 ~snapshot:ignore step
     in
-    go (t.m_stage + 1)
+    t.m_stage <- max t.m_stage stage;
+    t.m_pending <- outcome <> G.Fixpoint;
+    {
+      stages = stage;
+      applications = t.m_applications;
+      triggers_considered = t.m_considered;
+      fixpoint = outcome = G.Fixpoint;
+      outcome;
+    }
 
   let create ?governor ?max_stages rules g =
     let t =

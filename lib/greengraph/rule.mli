@@ -14,9 +14,8 @@ type t = {
   name : string;
 }
 
-(** @raise Invalid_argument on reserved labels or I1 = I3 / I2 = I4
-    (unless [check:false]). *)
-val make : ?name:string -> ?check:bool -> conn -> Label.t * Label.t -> Label.t * Label.t -> t
+(** @raise Invalid_argument on reserved labels or I1 = I3 / I2 = I4. *)
+val make : ?name:string -> conn -> Label.t * Label.t -> Label.t * Label.t -> t
 
 val amp : ?name:string -> Label.t * Label.t -> Label.t * Label.t -> t
 val slash : ?name:string -> Label.t * Label.t -> Label.t * Label.t -> t
@@ -62,24 +61,22 @@ val pp_stats : Format.formatter -> stats -> unit
     against the graph at fire time — the reference.  [`Par] only
     examines lhs pairs using at least one edge added since the previous
     stage — equivalent (both trigger conditions are monotone) and
-    asymptotically cheaper — cutting the delta into chunk tasks drained
-    by a work-stealing domain pool and merging candidates in canonical
-    sort order (at one worker with no armed failpoints it runs a
-    sequential fast path over a packed-int dedup table instead — same
-    output, no pool).  [`Seminaive] (the default) is [`Par] at one
-    worker.  All engines fire a stage's triggers in the same canonical
-    order, so they build identical graphs, fresh vertex ids included.
-    The semi-naive firing re-checks freshness against a table of the
-    stage's own fired pairs (every new edge touches its firing's fresh
-    vertex, so four packed keys per firing decide the re-check exactly)
-    rather than probing the graph per trigger; ["par.shards"] and
-    ["par.steals"] count the fan-out and stealing traffic.
+    asymptotically cheaper.  It runs one task per (rule, direction) on a
+    work-stealing domain pool, inline at one worker, and merges their
+    sorted pairs in canonical order; there is no separate one-worker
+    path.  [`Seminaive] (the default) is [`Par] at one worker.  All
+    engines fire a stage's triggers in the same canonical order, so they
+    build identical graphs, fresh vertex ids included.  The semi-naive
+    firing re-checks freshness against a table of the stage's own fired
+    pairs (every new edge touches its firing's fresh vertex, so four
+    packed keys per firing decide the re-check exactly) rather than
+    probing the graph per trigger; ["par.shards"] and ["par.steals"]
+    count the fan-out and stealing traffic.
 
-    Under the ["par.shard"] failpoint a marked worker dies before
-    scanning its shard; the scan is retried once, then degrades to one
-    sequential scan of the whole delta — both rungs feed the same
-    canonical merge, so the run stays bit-identical to an un-faulted
-    one. *)
+    Under the ["par.shard"] failpoint a marked task dies before scanning
+    its direction; the scan walks [Resilience.Failpoint.ladder] (retry
+    once, then run the same tasks inline), so the run stays
+    bit-identical to an un-faulted one. *)
 type engine = [ `Stage | `Seminaive | `Par ]
 
 (** A resumable graph-chase snapshot: the graph (a

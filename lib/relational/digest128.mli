@@ -17,7 +17,6 @@ val copy : t -> t
 val reset : t -> unit
 
 val feed_int : t -> int -> unit
-val feed_int64 : t -> int64 -> unit
 
 (** Length-prefixed, so consecutive string feeds are unambiguous. *)
 val feed_string : t -> string -> unit

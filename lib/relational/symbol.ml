@@ -7,11 +7,6 @@
 
 type color = Green | Red
 
-let color_equal a b =
-  match a, b with
-  | Green, Green | Red, Red -> true
-  | Green, Red | Red, Green -> false
-
 let color_compare a b =
   match a, b with
   | Green, Green | Red, Red -> 0
@@ -57,7 +52,6 @@ let dalt t = { t with color = None }
 
 let is_green t = match t.color with Some Green -> true | Some Red | None -> false
 let is_red t = match t.color with Some Red -> true | Some Green | None -> false
-let is_plain t = Option.is_none t.color
 
 let pp ppf t =
   match t.color with

@@ -7,14 +7,9 @@
 (** The two colors of Section IV. *)
 type color = Green | Red
 
-val color_equal : color -> color -> bool
-val color_compare : color -> color -> int
-
 (** [opposite c] flips the color — the chase of green-red TGDs alternates
     colors at every application. *)
 val opposite : color -> color
-
-val pp_color : Format.formatter -> color -> unit
 
 type t
 
@@ -44,7 +39,6 @@ val dalt : t -> t
 
 val is_green : t -> bool
 val is_red : t -> bool
-val is_plain : t -> bool
 
 (** Full rendering, e.g. [G:E/2]. *)
 val pp : Format.formatter -> t -> unit

@@ -11,9 +11,6 @@ type t =
 let var x = Var x
 let cst c = Cst c
 
-let is_var = function Var _ -> true | Cst _ -> false
-let is_cst = function Cst _ -> true | Var _ -> false
-
 let compare a b =
   match a, b with
   | Var x, Var y -> String.compare x y

@@ -10,9 +10,6 @@ type t =
 val var : string -> t
 val cst : string -> t
 
-val is_var : t -> bool
-val is_cst : t -> bool
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 

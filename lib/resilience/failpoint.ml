@@ -13,9 +13,9 @@
 
    The disabled fast path is a single ref read ([hit] on [None] state),
    matching the [Obs.metrics_on] overhead discipline.  Decisions are
-   always drawn on the domain that calls [fire]; the par engines draw
-   their per-shard decisions *before* spawning workers so the stream is
-   never raced from several domains. *)
+   always drawn on the domain that calls [fire]; [ladder] draws the par
+   engines' per-task decisions *before* spawning workers so the stream
+   is never raced from several domains. *)
 
 exception Injected of string
 
@@ -135,11 +135,29 @@ let summary () =
 let injected_total () =
   List.fold_left (fun n s -> n + s.injected) 0 (summary ())
 
-(* The RNG position, for checkpointing a fault schedule mid-run. *)
-let rng_state () = Option.map (fun cfg -> !(cfg.rng)) !state
+let c_retries = Obs.Metrics.counter "resilience.par_retries"
+let c_degraded = Obs.Metrics.counter "resilience.par_degraded"
 
-let set_rng_state v =
-  match !state with None -> () | Some cfg -> cfg.rng := v
+(* The par engines' fault ladder.  Each attempt draws one decision per
+   task on the calling domain before [run] spawns anyone, and hands [run]
+   the guard its tasks call first.  Every rung computes the same result,
+   so a faulted run stays bit-identical to an un-faulted one. *)
+let ladder ~site n run ~degrade =
+  let attempt () =
+    if not (active ()) then run ignore
+    else
+      let faults = Array.init n (fun _ -> fire site) in
+      run (fun t -> if faults.(t) then raise (Injected site))
+  in
+  match attempt () with
+  | v -> v
+  | exception Injected s when s = site -> (
+      if !Obs.metrics_on then Obs.Metrics.incr c_retries;
+      match attempt () with
+      | v -> v
+      | exception Injected s when s = site ->
+          if !Obs.metrics_on then Obs.Metrics.incr c_degraded;
+          degrade ())
 
 let pp_summary ppf s =
   Fmt.pf ppf "%s p=%g hits=%d injected=%d" s.name s.prob s.hits s.injected

@@ -6,8 +6,11 @@
 
     Sites currently wired in:
     - ["par.shard"]: a par discovery worker dies before scanning its
-      shard ([Tgd.Chase] and [Greengraph.Rule] retry once, then degrade
-      to sequential semi-naive discovery for that scan);
+      shard ([Tgd.Chase] and [Greengraph.Rule] walk {!ladder}: retry
+      once, then degrade to sequential discovery for that scan);
+    - ["par.fire"]: a staged parallel firing task dies before staging
+      its chunk ([Tgd.Chase] walks {!ladder}, degrading to the
+      sequential firing path);
     - ["arena.grow"]: the fact arena's growth path fails, surfacing as a
       [Faulted] outcome;
     - ["checkpoint.write"]: a checkpoint write dies mid-payload before
@@ -54,8 +57,16 @@ val summary : unit -> summary list
 
 val injected_total : unit -> int
 
-val rng_state : unit -> int64 option
-(** The decision stream's position, for checkpointing mid-campaign. *)
+val ladder :
+  site:string -> int -> ((int -> unit) -> 'a) -> degrade:(unit -> 'a) -> 'a
+(** [ladder ~site n run ~degrade] is the par engines' fault ladder over
+    [n] tasks.  Each attempt draws one [site] decision per task before
+    calling [run guard], where [run] spawns the tasks and each task [t]
+    calls [guard t] first; a task marked to fault raises {!Injected}
+    there.  A faulted attempt is retried once, then [degrade ()] runs
+    instead.  Ticks ["resilience.par_retries"] on each retry and
+    ["resilience.par_degraded"] on each degrade.  [run] and [degrade]
+    must compute the same result, so a faulted run is bit-identical to
+    an un-faulted one. *)
 
-val set_rng_state : int64 -> unit
 val pp_summary : Format.formatter -> summary -> unit

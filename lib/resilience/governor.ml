@@ -136,6 +136,60 @@ let over_budget g ~elems ~facts =
 let with_scope g f =
   if g.cancel == Cancel.never then f () else Cancel.with_polling g.cancel f
 
+(* The stage loop every chase shares.  A step that raises [Cancelled] or
+   [Injected] may have left per-run state (dedup keys, a partial stage)
+   ahead of the last boundary, so those endings report stage [i - 1] and
+   never snapshot: the last boundary snapshot is the resumable one.
+   Sizes are counted only under a size budget ([over_budget] reads
+   nothing else), since the graph chase counts them in O(n). *)
+let run_stages g ~span ~start_stage ~max_stages ~sizes ~stop ~snapshot_every
+    ~snapshot step =
+  let last_snap = ref (-1) in
+  let snap i =
+    if i > !last_snap then begin
+      last_snap := i;
+      snapshot i
+    end
+  in
+  let finish i outcome =
+    snap i;
+    (i, outcome)
+  in
+  let max_stages = min max_stages g.max_stages in
+  let rec go i =
+    match interrupted g with
+    | Some o -> finish (i - 1) o
+    | None when i > max_stages -> finish (i - 1) (Budget Stages)
+    | None -> (
+        let triggers = ref 0 and fired = ref 0 in
+        match
+          Obs.Trace.with_span span
+            ~args:(fun () ->
+              [ ("stage", i); ("triggers", !triggers); ("fired", !fired) ])
+            (fun () ->
+              let t, f = step i in
+              triggers := t;
+              fired := f)
+        with
+        | exception Cancel.Cancelled -> (i - 1, Cancelled)
+        | exception Failpoint.Injected site -> (i - 1, Faulted site)
+        | () -> (
+            if !fired = 0 then finish i Fixpoint
+            else begin
+              if (i - start_stage) mod snapshot_every = 0 then snap i;
+              let budget =
+                if has_size_budget g then
+                  let elems, facts = sizes () in
+                  over_budget g ~elems ~facts
+                else None
+              in
+              match budget with
+              | Some o -> finish i o
+              | None -> if stop () then finish i (Budget Stop) else go (i + 1)
+            end))
+  in
+  go (start_stage + 1)
+
 let budget_kind_to_string = function
   | Stages -> "stages"
   | Elems -> "elems"

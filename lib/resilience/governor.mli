@@ -100,6 +100,32 @@ val with_scope : t -> (unit -> 'a) -> 'a
 (** Arm hot-path cancellation polling for the callback iff the governor
     carries a real (non-{!Cancel.never}) token. *)
 
+val run_stages :
+  t ->
+  span:string ->
+  start_stage:int ->
+  max_stages:int ->
+  sizes:(unit -> int * int) ->
+  stop:(unit -> bool) ->
+  snapshot_every:int ->
+  snapshot:(int -> unit) ->
+  (int -> int * int) ->
+  int * outcome
+(** [run_stages g ~span ~start_stage … step] is the governed stage loop
+    every chase runs: [step i] runs stage [i] (collect, then fire) and
+    returns its trigger and firing counts, inside a [span] trace span.
+    Stages [start_stage + 1, …] run until the first of: a stage fires
+    nothing ([Fixpoint]); stage [min max_stages g.max_stages] is done
+    ([Budget Stages]); {!interrupted} at a stage boundary; a size budget,
+    checked on [sizes ()] (elements, facts) after each stage and only
+    when {!has_size_budget}; [stop ()] after a stage ([Budget Stop]).
+    A step raising {!Cancel.Cancelled} or [Failpoint.Injected] ends the
+    run at stage [i - 1] with [Cancelled] or [Faulted] and no snapshot,
+    since the step may have left state ahead of the last boundary.
+    [snapshot i] is called every [snapshot_every] stages counted from
+    [start_stage] and at every other ending, at most once per stage.
+    Returns the last completed stage and the outcome. *)
+
 val budget_kind_to_string : budget_kind -> string
 val pp_budget_kind : Format.formatter -> budget_kind -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -38,14 +38,6 @@ val shared_of : Spider.Query.conn -> Graph.edge -> int
 (** The free endpoint. *)
 val free_of : Spider.Query.conn -> Graph.edge -> int
 
-(** Is the demanded witness pair present? *)
-val witness_exists :
-  Graph.t ->
-  Spider.Query.conn ->
-  Spider.Ideal.t * int ->
-  Spider.Ideal.t * int ->
-  bool
-
 (** The active triggers: demanded-but-absent witness pairs. *)
 val triggers : t -> Graph.t -> ((Spider.Ideal.t * int) * (Spider.Ideal.t * int)) list
 

@@ -52,8 +52,6 @@ let c_fire_ms = Obs.Metrics.counter "par.fire_ms"
    pooled scans; the single-shard fast path ticks it here so "par.shards"
    reads as shards-per-run for every par chase, pooled or not. *)
 let c_shards = Obs.Metrics.counter "par.shards"
-let c_par_retries = Obs.Metrics.counter "resilience.par_retries"
-let c_par_degraded = Obs.Metrics.counter "resilience.par_degraded"
 let h_delta = Obs.Metrics.histogram "tgd.delta_size"
 
 module G = Resilience.Governor
@@ -367,12 +365,11 @@ let collect_triggers ~seen_of ~considered ~matches cdeps d =
    Hom-level effort counters tick inside the workers and are approximate
    when [jobs > 1].
 
-   The ["par.shard"] failpoint decisions are drawn sequentially *before*
-   the workers spawn, so the fault schedule never races the decision
-   stream across domains; a marked task dies before scanning, the pool
-   re-raises after joining everyone, the whole scan is retried once and
-   then degrades to the sequential fast path — whose results feed the
-   same dedup, keeping faulted runs bit-identical too. *)
+   Under the ["par.shard"] failpoint the scan walks
+   {!Resilience.Failpoint.ladder}: a marked task dies before scanning,
+   the pool re-raises after joining everyone, the whole scan is retried
+   once and then degrades to the sequential fast path, whose results
+   feed the same dedup, keeping faulted runs bit-identical too. *)
 let collect_triggers_idx ?(note = no_note) ~oblivious ~jobs ~stealing ~seen_of
     ~considered ~matches cdeps d ~lo ~hi =
   let dix = Hom.Plan.delta_index_of d ~lo ~hi in
@@ -407,33 +404,24 @@ let collect_triggers_idx ?(note = no_note) ~oblivious ~jobs ~stealing ~seen_of
        chunk [t mod m]. *)
     let csize = ((hi - lo) + m - 1) / m in
     let chunk c = (lo + (c * csize), min hi (lo + ((c + 1) * csize))) in
-    let scan_tasks () =
-      let faults = Array.make ntasks false in
-      if Resilience.Failpoint.active () then
-        for t = 0 to ntasks - 1 do
-          faults.(t) <- Resilience.Failpoint.fire "par.shard"
-        done;
+    let scan_tasks guard =
       let pool = if stealing then Pool.run_stealing ?steals:None else Pool.run in
-      pool ~jobs:m ntasks (fun t ->
-          if faults.(t) then raise (Resilience.Failpoint.Injected "par.shard");
-          let di = t / m in
-          let clo, chi = chunk (t mod m) in
-          let acc = ref [] in
-          if chi > clo then
-            Hom.Plan.iter_family_ids
-              (Lazy.force cds.(di).body_family)
-              d dix ~lo:clo ~hi:chi
-              (fun slots -> acc := Array.copy slots :: !acc);
-          List.rev !acc)
+      Some
+        (pool ~jobs:m ntasks (fun t ->
+             guard t;
+             let di = t / m in
+             let clo, chi = chunk (t mod m) in
+             let acc = ref [] in
+             if chi > clo then
+               Hom.Plan.iter_family_ids
+                 (Lazy.force cds.(di).body_family)
+                 d dix ~lo:clo ~hi:chi
+                 (fun slots -> acc := Array.copy slots :: !acc);
+             List.rev !acc))
     in
     match
-      (try Some (scan_tasks ()) with
-      | Resilience.Failpoint.Injected "par.shard" -> (
-          if !Obs.metrics_on then Obs.Metrics.incr c_par_retries;
-          try Some (scan_tasks ()) with
-          | Resilience.Failpoint.Injected "par.shard" ->
-              if !Obs.metrics_on then Obs.Metrics.incr c_par_degraded;
-              None))
+      Resilience.Failpoint.ladder ~site:"par.shard" ntasks scan_tasks
+        ~degrade:(fun () -> None)
     with
     | None -> sequential ()
     | Some raw ->
@@ -550,11 +538,11 @@ let apply_triggers_delta ?(on_fire = fun _ _ -> ()) ~oblivious triggers d =
    {!apply_triggers_delta}, so the structure, journal and firing sequence
    are bit-identical to every other engine's.
 
-   The ["par.fire"] failpoint kills a marked task before it stages
-   (decisions drawn pre-spawn, as with "par.shard"); staging is
-   side-effect-free, so the ladder — retry once, then degrade to
-   {!apply_triggers_delta} — never leaves partial state behind.  Under
-   [oblivious] the merge skips the re-check, as that path does. *)
+   The ["par.fire"] failpoint kills a marked task before it stages;
+   staging is side-effect-free, so {!Resilience.Failpoint.ladder} —
+   retry once, then degrade to {!apply_triggers_delta} — never leaves
+   partial state behind.  Under [oblivious] the merge skips the
+   re-check, as that path does. *)
 let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~oblivious ~jobs ~stealing
     triggers d =
   let tarr = Array.of_list triggers in
@@ -564,8 +552,7 @@ let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~oblivious ~jobs ~stealing
     let t0 = Obs.Clock.now_s () in
     let m = max 1 (min jobs nt) in
     let csize = (nt + m - 1) / m in
-    let stage_chunk faults c =
-      if faults.(c) then raise (Resilience.Failpoint.Injected "par.fire");
+    let stage_chunk c =
       let s = Fact_arena.Staging.create () in
       let hi = min nt ((c + 1) * csize) in
       for t = c * csize to hi - 1 do
@@ -581,23 +568,16 @@ let apply_triggers_par ?(on_fire = fun _ _ -> ()) ~oblivious ~jobs ~stealing
       s
     in
     Array.iter (fun (cd, _, _) -> ignore (Lazy.force cd.fire_plan)) tarr;
-    let run_stage_tasks () =
-      let faults = Array.make m false in
-      if Resilience.Failpoint.active () then
-        for c = 0 to m - 1 do
-          faults.(c) <- Resilience.Failpoint.fire "par.fire"
-        done;
+    let run_stage_tasks guard =
       let pool = if stealing then Pool.run_stealing ?steals:None else Pool.run in
-      pool ~jobs:m m (stage_chunk faults)
+      Some
+        (pool ~jobs:m m (fun c ->
+             guard c;
+             stage_chunk c))
     in
     match
-      (try Some (run_stage_tasks ()) with
-      | Resilience.Failpoint.Injected "par.fire" -> (
-          if !Obs.metrics_on then Obs.Metrics.incr c_par_retries;
-          try Some (run_stage_tasks ()) with
-          | Resilience.Failpoint.Injected "par.fire" ->
-              if !Obs.metrics_on then Obs.Metrics.incr c_par_degraded;
-              None))
+      Resilience.Failpoint.ladder ~site:"par.fire" m run_stage_tasks
+        ~degrade:(fun () -> None)
     with
     | None -> apply_triggers_delta ~on_fire ~oblivious triggers d
     | Some buffers ->
@@ -694,91 +674,48 @@ type snapshot = {
 }
 
 (* Run the chase in place for at most [max_stages] stages, or until the
-   fixpoint, until [stop] holds, or until the [governor] interrupts
-   (cancellation/deadline at stage boundaries and inside read-only
-   discovery scans; element/fact budgets at stage boundaries).  Stage
-   numbers stamp provenance into the structure: facts added at stage i
-   belong to chase_i.
+   fixpoint, until [stop] holds, or until the [governor] interrupts: the
+   stage loop is {!Resilience.Governor.run_stages}.  Stage numbers stamp
+   provenance into the structure: facts added at stage i belong to
+   chase_i.
 
    [collect] abstracts the engines' trigger discovery and [apply] their
    firing path (full-recheck sequential, delta-recheck replay, or staged
    parallel); [collect] is called once per stage, after the stage stamp,
    and shares the [considered]/[matches] refs with the final stats.
-   [make_snapshot] captures the engine's
-   resumable state; snapshots are built only when [on_snapshot] is given,
-   every [snapshot_every] completed stages and at the final stage of any
-   cleanly-ended run.  A scan aborted mid-stage (cancellation) or a fault
-   leaves per-run dedup state ahead of the last boundary, so those paths
-   deliberately skip the final snapshot — the last boundary snapshot is
-   the resumable one. *)
+   [make_snapshot] captures the engine's resumable state; snapshots are
+   built only when [on_snapshot] is given. *)
 let run_engine ~span ~governor ~max_stages ~stop ~on_fire ~considered ~matches
     ~collect ~apply ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
     ~start_applications d =
   let applications = ref start_applications in
-  let last_snap = ref (-1) in
-  let emit_snapshot i =
+  let snapshot i =
     match on_snapshot with
-    | Some f when i > !last_snap ->
-        last_snap := i;
-        f (make_snapshot ~stage:i ~applications:!applications)
-    | _ -> ()
+    | Some f -> f (make_snapshot ~stage:i ~applications:!applications)
+    | None -> ()
   in
-  let finish ?(snap = true) i outcome =
-    if snap then emit_snapshot i;
-    {
-      stages = i;
-      applications = !applications;
-      triggers_considered = !considered;
-      body_matches = !matches;
-      fixpoint = (outcome = G.Fixpoint);
-      outcome;
-    }
+  let step i =
+    Structure.set_stage d i;
+    let triggers = G.with_scope governor collect in
+    let fired = apply (on_fire ~stage:i) triggers in
+    applications := !applications + fired;
+    (List.length triggers, fired)
   in
-  let max_stages = min max_stages governor.G.max_stages in
-  let rec go i =
-    match G.interrupted governor with
-    | Some o -> finish (i - 1) o
-    | None ->
-        if i > max_stages then finish (i - 1) (G.Budget G.Stages)
-        else begin
-          Structure.set_stage d i;
-          let n_triggers = ref 0 and n_fired = ref 0 in
-          let step () =
-            let triggers = G.with_scope governor collect in
-            n_triggers := List.length triggers;
-            n_fired := apply (on_fire ~stage:i) triggers
-          in
-          match
-            Obs.Trace.with_span "tgd.stage"
-              ~args:(fun () ->
-                [ ("stage", i); ("triggers", !n_triggers); ("fired", !n_fired) ])
-              (fun () ->
-                try Ok (step ()) with
-                | G.Cancel.Cancelled -> Error `Cancelled
-                | Resilience.Failpoint.Injected site -> Error (`Faulted site))
-          with
-          | Error `Cancelled -> finish ~snap:false (i - 1) G.Cancelled
-          | Error (`Faulted site) ->
-              (* a fault during apply may leave a partial stage in the
-                 structure: report cleanly, never snapshot the state *)
-              finish ~snap:false (i - 1) (G.Faulted site)
-          | Ok () ->
-              applications := !applications + !n_fired;
-              if !n_fired = 0 then finish i G.Fixpoint
-              else begin
-                if (i - start_stage) mod snapshot_every = 0 then
-                  emit_snapshot i;
-                match
-                  G.over_budget governor ~elems:(Structure.card d)
-                    ~facts:(Structure.size d)
-                with
-                | Some o -> finish i o
-                | None ->
-                    if stop d then finish i (G.Budget G.Stop) else go (i + 1)
-              end
-        end
+  let stages, outcome =
+    Obs.Trace.with_span span (fun () ->
+        G.run_stages governor ~span:"tgd.stage" ~start_stage ~max_stages
+          ~sizes:(fun () -> (Structure.card d, Structure.size d))
+          ~stop:(fun () -> stop d)
+          ~snapshot_every ~snapshot step)
   in
-  Obs.Trace.with_span span (fun () -> go (start_stage + 1))
+  {
+    stages;
+    applications = !applications;
+    triggers_considered = !considered;
+    body_matches = !matches;
+    fixpoint = outcome = G.Fixpoint;
+    outcome;
+  }
 
 let no_fire ~stage:_ _ _ = ()
 let deps_signature deps = List.map Dep.name deps

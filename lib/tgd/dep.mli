@@ -20,7 +20,6 @@ val body : t -> Atom.t list
 val head : t -> Atom.t list
 
 val body_vars : t -> Term.Var_set.t
-val head_vars : t -> Term.Var_set.t
 
 (** The shared (universally quantified, exported) variables ȳ. *)
 val frontier : t -> Term.Var_set.t

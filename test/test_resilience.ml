@@ -86,6 +86,77 @@ let test_cancel_polling () =
       check "other domain unaffected by this domain's armed token" true
         (Domain.join other))
 
+(* The shared stage loop on a scripted step.  [script i] says what stage
+   [i] does: fire that many triggers, or raise mid-stage.  Snapshots are
+   taken every two stages; the result is (last stage, outcome, snapshot
+   stages). *)
+type scripted = Fires of int | Cancel_mid | Fault_mid
+
+let run_scripted ?(governor = G.unlimited) ?(start_stage = 0)
+    ?(max_stages = max_int) ?(stop_after = max_int) script =
+  let snaps = ref [] and ran = ref 0 in
+  let step i =
+    match script i with
+    | Fires n ->
+        ran := i;
+        (n, n)
+    | Cancel_mid -> raise G.Cancel.Cancelled
+    | Fault_mid -> raise (FP.Injected "scripted")
+  in
+  let stage, outcome =
+    G.run_stages governor ~span:"test.stage" ~start_stage ~max_stages
+      ~sizes:(fun () -> (0, 10 * !ran))
+      ~stop:(fun () -> !ran >= stop_after)
+      ~snapshot_every:2
+      ~snapshot:(fun i -> snaps := i :: !snaps)
+      step
+  in
+  (stage, outcome, List.rev !snaps)
+
+let test_run_stages () =
+  let expect what (stage, outcome, snaps) got =
+    let g_stage, g_outcome, g_snaps = got in
+    check_int (what ^ ": stage") stage g_stage;
+    check (what ^ ": outcome") true (outcome = g_outcome);
+    Alcotest.(check (list int)) (what ^ ": snapshots") snaps g_snaps
+  in
+  let fires_until k i = Fires (if i < k then 1 else 0) in
+  expect "fixpoint" (4, G.Fixpoint, [ 2; 4 ])
+    (run_scripted (fires_until 4));
+  expect "stage fuel" (3, G.Budget G.Stages, [ 2; 3 ])
+    (run_scripted ~max_stages:3 (fun _ -> Fires 1));
+  expect "governor fuel wins when lower" (2, G.Budget G.Stages, [ 2 ])
+    (run_scripted ~governor:(G.make ~max_stages:2 ()) ~max_stages:9
+       (fun _ -> Fires 1));
+  expect "resumed cadence counts from the start stage"
+    (8, G.Budget G.Stages, [ 7; 8 ])
+    (run_scripted ~start_stage:5 ~max_stages:8 (fun _ -> Fires 1));
+  expect "stop" (3, G.Budget G.Stop, [ 2; 3 ])
+    (run_scripted ~stop_after:3 (fun _ -> Fires 1));
+  expect "one snapshot per stage" (2, G.Budget G.Stop, [ 2 ])
+    (run_scripted ~stop_after:2 (fun _ -> Fires 1));
+  expect "fact budget" (3, G.Budget G.Facts, [ 2; 3 ])
+    (run_scripted ~governor:(G.make ~max_facts:25 ()) (fun _ -> Fires 1));
+  expect "cancel mid-stage: no snapshot" (3, G.Cancelled, [ 2 ])
+    (run_scripted (fun i -> if i = 4 then Cancel_mid else Fires 1));
+  expect "fault mid-stage: no snapshot" (2, G.Faulted "scripted", [ 2 ])
+    (run_scripted (fun i -> if i = 3 then Fault_mid else Fires 1));
+  let c = G.Cancel.create () in
+  G.Cancel.trip c;
+  expect "cancelled at the first boundary" (0, G.Cancelled, [ 0 ])
+    (run_scripted ~governor:(G.make ~cancel:c ()) (fun _ -> Fires 1));
+  (* sizes are read only under a size budget *)
+  let sized = ref false in
+  ignore
+    (G.run_stages G.unlimited ~span:"test.stage" ~start_stage:0 ~max_stages:3
+       ~sizes:(fun () ->
+         sized := true;
+         (0, 0))
+       ~stop:(fun () -> false)
+       ~snapshot_every:1 ~snapshot:ignore
+       (fun _ -> (1, 1)));
+  check "no size budget, no size count" false !sized
+
 (* --- failpoints --------------------------------------------------------- *)
 
 let schedule spec seed n =
@@ -307,6 +378,74 @@ let test_par_fault_bit_identical () =
        = par_stats.Tgd.Chase.triggers_considered
     && baseline_stats.Tgd.Chase.outcome = par_stats.Tgd.Chase.outcome)
 
+(* The graph chase and its maintenance on the shared stage loop: rows
+   (stages, applications, triggers considered, outcome, edges, snapshot
+   stages) on the grid(4,4) collision, recorded before the three loops
+   became one. *)
+let test_graph_stage_loop_rows () =
+  let module R = Greengraph.Rule in
+  let module GG = Greengraph.Graph in
+  let grid () =
+    let g, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
+    g
+  in
+  let row (s : R.stats) =
+    (s.R.stages, s.R.applications, s.R.triggers_considered, s.R.outcome)
+  in
+  let c = G.Cancel.create () in
+  G.Cancel.trip c;
+  let stop g = GG.size g > 250 in
+  let chase ?jobs ?(stop = fun _ -> false) engine governor =
+    let g = grid () in
+    let snaps = ref [] in
+    let s =
+      R.chase ~engine ?jobs ~governor ~stop ~snapshot_every:2
+        ~on_snapshot:(fun sn -> snaps := sn.R.gsnap_stage :: !snaps)
+        Separating.Tbox.rules g
+    in
+    (row s, GG.size g, List.rev !snaps)
+  in
+  let same what expected got =
+    check what true (expected = got)
+  in
+  List.iter
+    (fun (name, engine, jobs, considered) ->
+      let what w = Printf.sprintf "%s %s" name w in
+      same (what "max_facts")
+        ((6, 182, considered.(0), G.Budget G.Facts), 382, [ 2; 4; 6 ])
+        (chase ?jobs engine (G.make ~max_facts:300 ()));
+      same (what "max_elems")
+        ((7, 230, considered.(1), G.Budget G.Elems), 478, [ 2; 4; 6; 7 ])
+        (chase ?jobs engine (G.make ~max_elems:200 ()));
+      same (what "pre-tripped cancel")
+        ((0, 0, 0, G.Cancelled), 18, [ 0 ])
+        (chase ?jobs engine (G.make ~cancel:c ()));
+      same (what "stop")
+        ((5, 138, considered.(2), G.Budget G.Stop), 294, [ 2; 4; 5 ])
+        (chase ?jobs ~stop engine G.unlimited);
+      same (what "stop under stage fuel")
+        ((4, 96, considered.(3), G.Budget G.Stages), 210, [ 2; 4 ])
+        (chase ?jobs ~stop engine (G.make ~max_stages:4 ())))
+    [
+      ("stage", `Stage, None, [| 850; 1262; 530; 296 |]);
+      ("seminaive", `Seminaive, None, [| 320; 412; 234; 156 |]);
+      ("par", `Par, Some 2, [| 320; 412; 234; 156 |]);
+    ];
+  List.iter
+    (fun (name, governor, first) ->
+      let t, s = R.Maint.create ~governor Separating.Tbox.rules (grid ()) in
+      same ("maint " ^ name) first (row s);
+      check ("maint " ^ name ^ " pending") true (R.Maint.pending t);
+      let s = R.Maint.continue_ t in
+      same ("maint " ^ name ^ " continued") (18, 490, 980, G.Fixpoint) (row s);
+      check ("maint " ^ name ^ " settled") false (R.Maint.pending t);
+      check_int ("maint " ^ name ^ " edges") 998 (GG.size (R.Maint.graph t)))
+    [
+      ("max_facts", G.make ~max_facts:300 (), (6, 182, 320, G.Budget G.Facts));
+      ("pre-tripped cancel", G.make ~cancel:c (), (0, 0, 0, G.Cancelled));
+      ("stage fuel", G.make ~max_stages:4 (), (4, 96, 156, G.Budget G.Stages));
+    ]
+
 (* --- run-until-k + resume ≡ uninterrupted ------------------------------- *)
 
 let record () =
@@ -439,6 +578,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_governor_basics;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "cancel polling" `Quick test_cancel_polling;
+          Alcotest.test_case "run_stages" `Quick test_run_stages;
         ] );
       ( "failpoints",
         [
@@ -465,6 +605,8 @@ let () =
             test_arena_fault_reported;
           Alcotest.test_case "par fault bit-identical" `Quick
             test_par_fault_bit_identical;
+          Alcotest.test_case "graph stage loop rows" `Quick
+            test_graph_stage_loop_rows;
         ] );
       ( "resume",
         [

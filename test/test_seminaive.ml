@@ -320,6 +320,48 @@ let test_graph_engines_worm () =
   check_int "equal applications" s1.Greengraph.Rule.applications
     s2.Greengraph.Rule.applications
 
+(* The graph effort counters, pinned: [`Stage] rescans and re-checks
+   every lhs pair each stage, the delta engines count each new pair
+   once, at every worker count.  [par.shards] ticks the worker count
+   once per stage.  Rows: (considered, pair checks, firings, shards). *)
+let graph_effort_counters =
+  [
+    "graph.triggers_considered"; "graph.pair_checks"; "graph.firings";
+    "par.shards";
+  ]
+
+let test_graph_effort_pinned () =
+  let tally run =
+    let value n = Obs.Metrics.value (Obs.Metrics.counter n) in
+    let before = List.map value graph_effort_counters in
+    run ();
+    List.map2 (fun n b -> value n - b) graph_effort_counters before
+  in
+  let e1 engine jobs () =
+    ignore (Separating.Tinf.chase ~engine ?jobs ~stages:20 ())
+  in
+  let e2 engine jobs () =
+    ignore
+      (Separating.Theorem14.collision_outcome ~engine ?jobs ~t:4 ~t':4 ())
+  in
+  Obs.set_metrics true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics false)
+    (fun () ->
+      List.iter
+        (fun (what, run, expected) ->
+          Alcotest.(check (list int)) what expected (tally run))
+        [
+          ("E1 T∞ stage", e1 `Stage None, [ 400; 420; 20; 0 ]);
+          ("E1 T∞ seminaive", e1 `Seminaive None, [ 39; 39; 20; 20 ]);
+          ("E1 T∞ par jobs 1", e1 `Par (Some 1), [ 39; 39; 20; 20 ]);
+          ("E1 T∞ par jobs 3", e1 `Par (Some 3), [ 39; 39; 20; 60 ]);
+          ("E2 grid(4,4) stage", e2 `Stage None, [ 10318; 10808; 490; 0 ]);
+          ("E2 grid(4,4) seminaive", e2 `Seminaive None, [ 980; 980; 490; 18 ]);
+          ("E2 grid(4,4) par jobs 1", e2 `Par (Some 1), [ 980; 980; 490; 18 ]);
+          ("E2 grid(4,4) par jobs 3", e2 `Par (Some 3), [ 980; 980; 490; 54 ]);
+        ])
+
 let () =
   Alcotest.run "seminaive"
     [
@@ -341,6 +383,8 @@ let () =
           Alcotest.test_case "T∞" `Quick test_graph_engines_tinf;
           Alcotest.test_case "collision grid" `Quick test_graph_engines_collision;
           Alcotest.test_case "worm rules" `Quick test_graph_engines_worm;
+          Alcotest.test_case "effort counters pinned" `Quick
+            test_graph_effort_pinned;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
