@@ -301,6 +301,24 @@ module Make (Label : LABEL) = struct
 
   let iter_edges t f = Edge_set.iter f t.edges
 
+  (* Read-only views of the label and (vertex, label) indices as they
+     stand, including the buckets a removal emptied, which stay in the
+     index: their bucket counts in O(1), and folds over their buckets in
+     no particular order.  They let an audit find buckets no live edge
+     accounts for. *)
+  let bucket_counts t =
+    (Label_tbl.length t.by_label, Vlab_tbl.length t.by_src_lab,
+     Vlab_tbl.length t.by_dst_lab)
+
+  let fold_label_buckets t f acc =
+    Label_tbl.fold (fun lab r acc -> f lab !r acc) t.by_label acc
+
+  let fold_out_pins t f acc =
+    Vlab_tbl.fold (fun (v, lab) r acc -> f v lab !r acc) t.by_src_lab acc
+
+  let fold_in_pins t f acc =
+    Vlab_tbl.fold (fun (v, lab) r acc -> f v lab !r acc) t.by_dst_lab acc
+
   let copy t =
     let u = create () in
     u.next <- t.next;

@@ -11,17 +11,25 @@
     against, in the same spirit as the paper's hand proofs being
     re-checked mechanically on bounded instances.
 
-    Cost: each ground truth is derived once per audit, by one pass that
-    groups the facts (edges) by every bucket key, so a structure audit
-    is O(N·a·log N) for N facts of arity at most a, and a graph audit
-    O(E·log E + L·V) for E edges, V vertices and L distinct labels (the
-    L·V term visits every (vertex, label) pin bucket, most of them
-    empty). *)
+    Cost: an audit numbers its enumeration once — facts (edges) as
+    local ints, symbols (labels) and elements (vertices) as local ids —
+    and derives each ground-truth grouping with one counting sort per
+    key digit.  Every bucket is read once and held against its group,
+    and the buckets an index holds under keys no fact (edge) has are
+    found by a key-set check: an O(1) bucket count, and a fold over the
+    index only when that count exceeds the truth keys.  A structure
+    audit is O(N·a + V + S·a) for N facts of arity at most a, V
+    elements and S symbols; a graph audit O(E + V + L) for E edges, V
+    vertices and L labels, since no (vertex, label) pair without an
+    edge is visited.  Element (vertex) ids far sparser than their count
+    are numbered by a sort instead, adding a log factor. *)
 
 open Relational
 
 (** Audit a structure's indices: facts/size coherence, the
-    (symbol, position, element) pin index and its O(1) counts, the
+    (symbol, position, element) pin index and its O(1) counts (every
+    non-empty pin bucket must be a truth key, including the buckets a
+    retraction emptied and left in the index), the
     per-symbol and per-element buckets, the dense-id arena view
     ([id_fact]/[id_sym]/[id_arg] must mirror the boxed facts, the
     [ids_with_sym]/[ids_with_pin] vectors must be the live-id images of
@@ -36,7 +44,8 @@ val structure : ?provenance:bool -> Structure.t -> string list
 
 (** Audit a green graph's indices: edge/vertex coherence, the out/in
     adjacency buckets, the label buckets, the (vertex, label) pin
-    buckets, the edge journal and the watermark. *)
+    buckets (every non-empty label or pin bucket must be a truth key),
+    the edge journal and the watermark. *)
 val graph : Greengraph.Graph.t -> string list
 
 (** An independent minimality witness: a proper endomorphism of A[q]

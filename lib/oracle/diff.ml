@@ -209,7 +209,10 @@ let diff_tgd budget inst =
     && Structure.card r.result <= 4 * budget.max_elems
   in
   (* one model-checking compile for the case, shared by every result *)
-  let chk = Tgd.Chase.Check.make inst.Gen.deps in
+  let chk =
+    Obs.Trace.with_span "oracle.rescans" (fun () ->
+        Tgd.Chase.Check.make inst.Gen.deps)
+  in
   List.iter
     (fun r ->
       let name = Format.asprintf "%a" Tgd.Chase.pp_engine r.engine in
@@ -222,9 +225,12 @@ let diff_tgd budget inst =
           (Audit.structure ~provenance:true r.result);
         (* a fixpoint is a model; and the global trigger scan must agree
            with [models]/[find_violation] either way *)
-        let m = Tgd.Chase.Check.models chk r.result in
-        let viol = Tgd.Chase.Check.find_violation chk r.result in
-        let active = Tgd.Chase.Check.active_triggers chk r.result in
+        let m, viol, active =
+          Obs.Trace.with_span "oracle.rescans" (fun () ->
+              let m = Tgd.Chase.Check.models chk r.result in
+              let viol = Tgd.Chase.Check.find_violation chk r.result in
+              (m, viol, Tgd.Chase.Check.active_triggers chk r.result))
+        in
         if r.outcome = Fixpoint && not m then
           fail violations "[%s] reached a fixpoint that is not a model" name;
         if m <> (active = []) then
@@ -312,9 +318,8 @@ let diff_graph budget gc =
   end;
   List.iter
     (fun (g, which) ->
-      (* same overshoot guard as diff_tgd: the audit visits every
-         label × vertex pair, so skip it on runs that blew far past the
-         budget *)
+      (* same overshoot guard as diff_tgd: a run that blew far past the
+         budget is not audited *)
       if G.size g <= 4 * budget.max_facts && G.order g <= 4 * budget.max_elems
       then
         List.iter

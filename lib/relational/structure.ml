@@ -299,6 +299,15 @@ let ids_with_pin t sid pos e =
 
 let pin_count_id t sid pos e = Intvec.length (ids_with_pin t sid pos e)
 
+(* The pin index as it stands, buckets a retraction emptied included:
+   what an audit holds against its recomputed truth. *)
+let pin_buckets t = Pin_tbl.length t.by_pin
+
+let fold_pin_buckets t f acc =
+  Pin_tbl.fold
+    (fun (sid, pos, e) ids acc -> f (Fact_arena.sym_obj t.arena sid) pos e ids acc)
+    t.by_pin acc
+
 (* {2 The boxed list view, derived from the id view} *)
 
 (* Newest-first, the order the cons-built buckets used to present. *)

@@ -155,6 +155,17 @@ val ids_with_pin : t -> int -> int -> int -> Intvec.t
 (** Bucket size of [ids_with_pin], in O(1). *)
 val pin_count_id : t -> int -> int -> int -> int
 
+(** The number of buckets the pin index holds, including the buckets a
+    retraction emptied, which stay in the index; O(1). *)
+val pin_buckets : t -> int
+
+(** [fold_pin_buckets t f acc] folds [f sym pos e ids] over every
+    bucket the pin index holds, emptied ones included, in no particular
+    order.  Read-only, like {!pin_buckets}: together they let an audit
+    find buckets no live fact accounts for. *)
+val fold_pin_buckets :
+  t -> (Symbol.t -> int -> int -> Intvec.t -> 'a -> 'a) -> 'a -> 'a
+
 (** [delta_ids t wm] — the delta since watermark [wm] as the id interval
     [\[wm, nfacts)], ready for sharding. *)
 val delta_ids : t -> int -> int * int

@@ -299,6 +299,24 @@ let test_traced_e1_run () =
   Alcotest.(check string) "export writes to_json" json contents;
   Obs.Trace.clear ()
 
+(* One oracle case under tracing splits into the audit layers: the
+   structure audits, the graph audits and the model-checking rescans. *)
+let test_traced_oracle_case () =
+  Obs.Trace.clear ();
+  let report =
+    with_obs ~metrics:false ~tracing:true (fun () ->
+        Oracle.Diff.run_cases ~seed:42 ~cases:1 ())
+  in
+  check_int "clean case" 0 (List.length report.Oracle.Diff.violations);
+  let json = Obs.Trace.to_json () in
+  check "trace JSON is well-formed" true (json_well_formed json);
+  List.iter
+    (fun span ->
+      check (span ^ " span recorded") true
+        (contains ~sub:(Printf.sprintf "%S" span) json))
+    [ "oracle.audit"; "oracle.audit_graph"; "oracle.rescans" ];
+  Obs.Trace.clear ()
+
 let () =
   Alcotest.run "obs"
     [
@@ -332,5 +350,7 @@ let () =
         [
           Alcotest.test_case "traced E1 emits valid JSON" `Quick
             test_traced_e1_run;
+          Alcotest.test_case "traced oracle case splits the audit" `Quick
+            test_traced_oracle_case;
         ] );
     ]

@@ -391,6 +391,21 @@ let edited_graph seed case =
   | _ -> ());
   g
 
+(* The same instances over element (vertex) ids a million apart: the
+   audits number sparse ids by sorting instead of a direct table. *)
+let spread e = e * 1_000_003
+
+let sparse_structure seed case =
+  let d = generated_structure seed case in
+  let s = Structure.create () in
+  Structure.iter_elems d (fun e -> Structure.reserve s (spread e));
+  Structure.iter_facts d (fun f ->
+      ignore (Structure.add_fact s (Fact.map_elements spread f)));
+  s
+
+let sparse_graph seed case =
+  Greengraph.Graph.map_vertices spread (generated_graph seed case)
+
 let test_audit_clean_structure () =
   for case = 0 to 24 do
     let d = generated_structure 11 case in
@@ -409,15 +424,23 @@ let test_audit_clean_graph () =
       (List.length (Oracle.Audit.graph g))
   done
 
+(* Both specifications: the quadratic one, and the verbatim copy of the
+   audits before they moved to local ids ([Audit_spec]), which must
+   agree message for message, in order. *)
 let check_structure_spec what ?provenance d =
-  check_violations what
-    (Spec.structure ?provenance d)
-    (Oracle.Audit.structure ?provenance d)
+  let got = Oracle.Audit.structure ?provenance d in
+  check_violations what (Spec.structure ?provenance d) got;
+  check_violations (what ^ ", verbatim copy")
+    (Audit_spec.structure ?provenance d)
+    got
 
 let check_graph_spec what g =
-  check_violations what (Spec.graph g) (Oracle.Audit.graph g)
+  let got = Oracle.Audit.graph g in
+  check_violations what (Spec.graph g) got;
+  check_violations (what ^ ", verbatim copy") (Audit_spec.graph g) got
 
 let test_structure_spec () =
+  check_structure_spec "empty structure" (Structure.create ());
   let edited = ref 0 in
   for case = 0 to 24 do
     check_structure_spec
@@ -425,7 +448,10 @@ let test_structure_spec () =
       (generated_structure 11 case);
     let d = edited_structure 13 case in
     if Structure.retraction_count d > 0 then incr edited;
-    check_structure_spec (Printf.sprintf "edited structure %d" case) d
+    check_structure_spec (Printf.sprintf "edited structure %d" case) d;
+    check_structure_spec
+      (Printf.sprintf "sparse structure %d" case)
+      (sparse_structure 11 case)
   done;
   check "some structures carry retractions" true (!edited > 0);
   (* every engine's chase output, under the oracle's own overshoot guard *)
@@ -449,6 +475,7 @@ let test_structure_spec () =
   done
 
 let test_graph_spec () =
+  check_graph_spec "empty graph" (Greengraph.Graph.create ());
   for case = 0 to 24 do
     check_graph_spec
       (Printf.sprintf "generated graph %d" case)
@@ -456,6 +483,9 @@ let test_graph_spec () =
     check_graph_spec
       (Printf.sprintf "edited graph %d" case)
       (edited_graph 14 case);
+    check_graph_spec
+      (Printf.sprintf "sparse graph %d" case)
+      (sparse_graph 12 case);
     let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:12 ~case) in
     List.iter
       (fun (engine, name) ->
@@ -478,9 +508,13 @@ type corruption =
   | Sym_drop  (** the oldest fact leaves its symbol bucket *)
   | Sym_foreign  (** a fact of another symbol joins that bucket *)
   | Sym_dead  (** a retracted id rejoins its symbol's bucket *)
+  | Pin_phantom
+      (** a live fact joins a pin bucket a retraction emptied: the bucket
+          stays in the index under a key no fact has, so a probe that
+          picks it gets a fact without the pin that chose it *)
 
 let corruptions =
-  [ Pin_drop; Pin_dup; Pin_foreign; Sym_drop; Sym_foreign; Sym_dead ]
+  [ Pin_drop; Pin_dup; Pin_foreign; Sym_drop; Sym_foreign; Sym_dead; Pin_phantom ]
 
 let corruption_name = function
   | Pin_drop -> "pin drop"
@@ -489,6 +523,7 @@ let corruption_name = function
   | Sym_drop -> "symbol drop"
   | Sym_foreign -> "symbol foreign"
   | Sym_dead -> "symbol dead id"
+  | Pin_phantom -> "pin phantom"
 
 (* Apply the corruption to the oldest live fact's buckets; [false] when
    the structure offers nothing to corrupt that way. *)
@@ -528,6 +563,27 @@ let corrupt d c =
               Intvec.push
                 (Structure.ids_with_sym d (Structure.id_sym d dead))
                 dead;
+              true)
+      | Pin_phantom -> (
+          (* a pin bucket of a retracted fact that no live fact refills:
+             [retract_fact] emptied it and left it in the index *)
+          let emptied (dead, f) =
+            let dsid = Structure.id_sym d dead in
+            List.find_map
+              (fun pos ->
+                let e = Fact.arg f pos in
+                if Structure.pin_count_id d dsid pos e = 0 then
+                  Some (dsid, Structure.ids_with_pin d dsid pos e)
+                else None)
+              (List.init (Array.length (Fact.args f)) Fun.id)
+          in
+          match List.find_map emptied (Structure.retractions d) with
+          | None -> false
+          | Some (dsid, bucket) ->
+              (* a fact of the bucket's own symbol when there is one *)
+              Intvec.push bucket
+                (Option.value ~default:id
+                   (List.find_opt (fun i -> Structure.id_sym d i = dsid) live));
               true))
 
 let test_corrupted_structures () =
@@ -544,6 +600,14 @@ let test_corrupted_structures () =
                 Printf.sprintf "%s, %s %d" (corruption_name c) what case
               in
               check (name ^ ": flagged") true (got <> []);
+              (* the one deliberate difference from the verbatim copy:
+                 it visits truth keys only and misses the phantom *)
+              if c = Pin_phantom then
+                check (name ^ ": the verbatim copy misses it") true
+                  (Audit_spec.structure d = [])
+              else
+                check_violations (name ^ ": as the verbatim copy reports")
+                  (Audit_spec.structure d) got;
               List.iter
                 (fun v ->
                   check
@@ -560,6 +624,137 @@ let test_corrupted_structures () =
         (corruption_name c ^ " was injected at least once")
         true (!applied > 0))
     corruptions
+
+(* The graph analog of [Pin_phantom]: a live edge put into a label,
+   out-pin or in-pin bucket that a removal emptied.  The graph hands out
+   its buckets as immutable lists, so the fault is written into the
+   index tables themselves.  [phantom g kind] corrupts the buckets of the
+   first journal edge that is no longer live and returns the violation
+   the audit must report, or [None] when that bucket is not empty. *)
+type graph_phantom = Label_phantom | Out_phantom | In_phantom
+
+let phantom g kind =
+  let module G = Greengraph.Graph in
+  let dead =
+    List.find_opt
+      (fun e -> not (G.mem_edge g e))
+      (List.init g.G.journal_len (fun i -> g.G.journal.(i).G.je))
+  in
+  match (dead, G.edges g) with
+  | None, _ | _, [] -> None
+  | Some e, live :: _ -> (
+      let refill r = if !r = [] then (r := [ live ]; true) else false in
+      let pp = Greengraph.Label.pp in
+      match kind with
+      | Label_phantom -> (
+          match G.Label_tbl.find_opt g.G.by_label e.G.label with
+          | Some r when refill r ->
+              Some
+                (Format.asprintf "label bucket %a: 1 edges indexed, 0 expected"
+                   pp e.G.label)
+          | _ -> None)
+      | Out_phantom -> (
+          match G.Vlab_tbl.find_opt g.G.by_src_lab (e.G.src, e.G.label) with
+          | Some r when refill r ->
+              Some
+                (Format.asprintf "(%d, %a) out-pin: 1 edges indexed, 0 expected"
+                   e.G.src pp e.G.label)
+          | _ -> None)
+      | In_phantom -> (
+          match G.Vlab_tbl.find_opt g.G.by_dst_lab (e.G.dst, e.G.label) with
+          | Some r when refill r ->
+              Some
+                (Format.asprintf "(%d, %a) in-pin: 1 edges indexed, 0 expected"
+                   e.G.dst pp e.G.label)
+          | _ -> None))
+
+let test_phantom_graph_buckets () =
+  let module G = Greengraph.Graph in
+  (* a -1-> b, b -2-> c, then a -1-> b removed: its label, out-pin and
+     in-pin buckets are all left empty *)
+  let handmade () =
+    let g = G.create () in
+    let a = G.fresh g and b = G.fresh g and c = G.fresh g in
+    ignore (G.add_edge g (Greengraph.Label.l 1) a b);
+    ignore (G.add_edge g (Greengraph.Label.l 2) b c);
+    ignore (G.remove_edge g (Greengraph.Label.l 1) a b);
+    g
+  in
+  List.iter
+    (fun (kind, name) ->
+      let applied = ref 0 in
+      let try_one what g =
+        match phantom g kind with
+        | None -> ()
+        | Some expected ->
+            incr applied;
+            let got = Oracle.Audit.graph g in
+            check
+              (Printf.sprintf "%s, %s: reports %S" name what expected)
+              true (List.mem expected got)
+      in
+      try_one "hand-made graph" (handmade ());
+      for case = 0 to 24 do
+        try_one (Printf.sprintf "edited graph %d" case) (edited_graph 14 case)
+      done;
+      check (name ^ " was injected at least once") true (!applied > 0))
+    [ (Label_phantom, "label phantom"); (Out_phantom, "out-pin phantom");
+      (In_phantom, "in-pin phantom") ]
+
+(* The audits against the verbatim copy on the audit workload's case
+   universe: every in-slack result of seed 42 cases 0..599 under the
+   five TGD runs, and every in-slack output of the three graph runs
+   (the CQ checks run in between, as in [run_cases], so each graph case
+   is drawn from the same stream). *)
+let test_spec_seed42 () =
+  let budget = Oracle.Diff.default_budget in
+  let slack size card =
+    size <= 4 * budget.Oracle.Diff.max_facts
+    && card <= 4 * budget.Oracle.Diff.max_elems
+  in
+  let results = ref 0 and graphs = ref 0 in
+  let agree what spec got =
+    if spec <> got then
+      Alcotest.failf "%s: verbatim copy [%s], audit [%s]" what
+        (String.concat "; " spec) (String.concat "; " got)
+  in
+  let staged = { Tgd.Chase.default_tuning with Tgd.Chase.par_fire = `Staged } in
+  for case = 0 to 599 do
+    let r = Oracle.Gen.case_rng ~seed:42 ~case in
+    let inst = Oracle.Gen.instance r in
+    List.iter
+      (fun (engine, tuning) ->
+        let d = (Oracle.Diff.run_tgd ?tuning budget engine inst).Oracle.Diff.result in
+        if slack (Structure.size d) (Structure.card d) then begin
+          incr results;
+          agree
+            (Format.asprintf "case %d, %a" case Tgd.Chase.pp_engine engine)
+            (Audit_spec.structure ~provenance:true d)
+            (Oracle.Audit.structure ~provenance:true d)
+        end)
+      [ (`Stage, None); (`Seminaive, None); (`Oblivious, None); (`Par, None);
+        (`Par, Some staged) ];
+    ignore (Oracle.Diff.cq_checks r inst.Oracle.Gen.signature (Oracle.Gen.build inst));
+    let gc = Oracle.Gen.graph_case r in
+    List.iter
+      (fun engine ->
+        let module G = Greengraph.Graph in
+        let g = Oracle.Gen.build_graph gc in
+        ignore
+          (Greengraph.Rule.chase ~engine ~max_stages:budget.Oracle.Diff.max_stages
+             ~stop:(fun g ->
+               G.size g > budget.Oracle.Diff.max_facts
+               || G.order g > budget.Oracle.Diff.max_elems)
+             gc.Oracle.Gen.rules g);
+        if slack (G.size g) (G.order g) then begin
+          incr graphs;
+          agree (Printf.sprintf "graph case %d" case) (Audit_spec.graph g)
+            (Oracle.Audit.graph g)
+        end)
+      [ `Stage; `Seminaive; `Par ]
+  done;
+  check_int "results within the slack" 2989 !results;
+  check_int "graphs within the slack" 1791 !graphs
 
 (* [facts_with_sym] is the image of [ids_with_sym], so an id dropped from
    a symbol bucket vanishes from both: the old check compared the bucket
@@ -805,6 +1000,10 @@ let () =
             test_corrupted_structures;
           Alcotest.test_case "ids_with_sym check is not circular" `Quick
             test_ids_with_sym_not_circular;
+          Alcotest.test_case "verbatim copy, seed 42, 600 cases" `Slow
+            test_spec_seed42;
+          Alcotest.test_case "phantom graph buckets flagged" `Quick
+            test_phantom_graph_buckets;
         ] );
       ( "cores",
         [
