@@ -788,7 +788,8 @@ let par_gate () =
    E10 runs the terminating {p2} restriction of its view set (the full
    {p2,p3} pair diverges — see test_incr.ml) over a scaled green path;
    the grid extends the tail of the second αβ-path of the Theorem 14
-   (4,4) collision under the T-box rules. *)
+   (4,4) collision under the T-box rules, maintained and re-chased as
+   TGDs over [Greengraph.Bridge]. *)
 let incr_e10_pair ~engine =
   let deps = Tgd.Dep.t_q [ ("p2", path_query 2) ] in
   (* the canonical E10 seed is a 5-edge path — small enough that the
@@ -825,33 +826,28 @@ let incr_e10_pair ~engine =
 
 let incr_grid_pair ~(engine : [ `Par | `Seminaive ]) =
   let module G = Greengraph.Graph in
-  let module R = Greengraph.Rule in
+  let module B = Greengraph.Bridge in
   let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
-  let rules = Separating.Tbox.rules in
+  let deps = B.tgds_of_rules Separating.Tbox.rules in
   (* extend the tail of the second αβ-path by a fresh vertex under the
      same label — the derived cone stays local to the new tail *)
   let edges = G.edges base in
   let e = List.nth edges (List.length edges - 1) in
-  let lab =
-    match e.G.label with
-    | Some i -> Greengraph.Label.l i
-    | None -> Greengraph.Label.empty
-  in
-  let held = G.copy base in
-  let w = G.fresh held in
-  let m, _ = R.Maint.create rules held in
+  let held = B.to_structure base in
+  let w = Relational.Structure.fresh held in
+  let tail = Relational.Fact.make (B.symbol_of e.G.label) [| e.G.dst; w |] in
+  let m, _ = Tgd.Chase.Maint.create ~engine deps held in
   let incremental () =
-    ignore (R.Maint.apply_edit m [ R.Maint.Insert (lab, e.G.dst, w) ]);
-    ignore (R.Maint.apply_edit m [ R.Maint.Retract (lab, e.G.dst, w) ])
+    ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Insert tail ]);
+    ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Retract tail ])
   in
   let scratch () =
-    let engine = (engine :> R.engine) in
-    let g = G.copy base in
-    let w' = G.fresh g in
-    ignore (G.add_edge g lab e.G.dst w');
-    ignore (R.chase ~engine rules g);
-    let g' = G.copy base in
-    ignore (R.chase ~engine rules g')
+    let engine = (engine :> Tgd.Chase.engine) in
+    let d = B.to_structure base in
+    let w' = Relational.Structure.fresh d in
+    Relational.Structure.add2 d (B.symbol_of e.G.label) e.G.dst w';
+    ignore (Tgd.Chase.run ~engine deps d);
+    ignore (Tgd.Chase.run ~engine deps (B.to_structure base))
   in
   (incremental, scratch)
 
@@ -977,28 +973,26 @@ let incr_smoke baseline_path =
    check "E10 audit clean after regrow" (Tgd.Chase.Maint.check m = []);
    check "E10 regrow restored the pre-edit size"
      (Relational.Structure.size (Tgd.Chase.Maint.structure m) = size0));
-  (* grid (4,4) graph cycle *)
+  (* grid (4,4) cycle: T□ maintained as TGDs over the bridge *)
   (let module G = Greengraph.Graph in
-   let module R = Greengraph.Rule in
+   let module B = Greengraph.Bridge in
+   let module M = Tgd.Chase.Maint in
    let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
    let rules = Separating.Tbox.rules in
    let e = List.hd (G.edges base) in
-   let lab =
-     match e.G.label with
-     | Some i -> Greengraph.Label.l i
-     | None -> Greengraph.Label.empty
-   in
-   let m, s0 = R.Maint.create rules (G.copy base) in
-   check "grid initial chase reached fixpoint" s0.R.fixpoint;
-   let size0 = G.size (R.Maint.graph m) in
-   let st = R.Maint.apply_edit m [ R.Maint.Retract (lab, e.G.src, e.G.dst) ] in
-   check "grid cut tore the grid off the fold edge" (st.R.Maint.e_killed >= 50);
-   check "grid audit clean after cut" (R.Maint.check m = []);
-   ignore (R.Maint.apply_edit m [ R.Maint.Insert (lab, e.G.src, e.G.dst) ]);
-   check "grid audit clean after regrow" (R.Maint.check m = []);
-   check "grid regrow restored the pre-edit size"
-     (G.size (R.Maint.graph m) = size0);
-   check "grid models the T-box at fixpoint" (R.models rules (R.Maint.graph m)));
+   let cut = Relational.Fact.make (B.symbol_of e.G.label) [| e.G.src; e.G.dst |] in
+   let m, s0 = M.create (B.tgds_of_rules rules) (B.to_structure base) in
+   check "grid initial chase reached fixpoint" s0.Tgd.Chase.fixpoint;
+   let size () = Relational.Structure.size (M.structure m) in
+   let size0 = size () in
+   let st = M.apply_edit m [ M.Retract cut ] in
+   check "grid cut tore the grid off the fold edge" (st.M.e_killed >= 50);
+   check "grid audit clean after cut" (M.check m = []);
+   ignore (M.apply_edit m [ M.Insert cut ]);
+   check "grid audit clean after regrow" (M.check m = []);
+   check "grid regrow restored the pre-edit size" (size () = size0);
+   check "grid models the T-box at fixpoint"
+     (Greengraph.Rule.models rules (B.of_structure (M.structure m))));
   (* shape of the checked-in baseline *)
   (let ic = open_in baseline_path in
    let rows = ref [] in

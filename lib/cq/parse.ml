@@ -132,6 +132,3 @@ let program s =
           | Error m -> Error (Printf.sprintf "%s (in %S)" m line))
   in
   go [] lines
-
-let query_exn s =
-  match query s with Ok q -> q | Error m -> invalid_arg ("Cq.Parse: " ^ m)

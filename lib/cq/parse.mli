@@ -16,6 +16,3 @@ val named_query : string -> (string * Query.t, string) result
 
 (** Parse one rule per line; blank lines and ['%'] comments are skipped. *)
 val program : string -> ((string * Query.t) list, string) result
-
-(** @raise Invalid_argument on parse errors. *)
-val query_exn : string -> Query.t

@@ -25,9 +25,6 @@ val unrestricted :
     Q0-answer is not red. *)
 val certify_counterexample : Instance.t -> Structure.t -> bool
 
-(** The colored signature symbols of the instance. *)
-val signature_symbols : Instance.t -> Symbol.t list
-
 (** Exhaustive counterexample search over all two-colored structures with
     at most [max_elems] elements (slot count capped by [max_slots]). *)
 val exhaustive : ?max_slots:int -> Instance.t -> max_elems:int -> Structure.t option

@@ -75,27 +75,20 @@ let c_firings = Obs.Metrics.counter "graph.firings"
 let c_pair_checks = Obs.Metrics.counter "graph.pair_checks"
 let h_delta = Obs.Metrics.histogram "graph.delta_size"
 
-(* A pair (x, x') matching labels (a, b) under [conn]: the two edges share
-   their joint endpoint.  The partner edge is fully determined by e1's
-   shared endpoint, so one set-membership test replaces a scan of every
-   edge at that (possibly high-degree) vertex.  [find_pair] returns the
-   witnessing pair and ticks nothing (maintenance keeps its probes out
-   of the effort counters); [pair_present] is the tallied test. *)
-let find_pair g conn (a, b) (x, x') =
-  List.find_map
+(* Is a pair (x, x') matching labels (a, b) under [conn] present?  The two
+   edges share their joint endpoint, so the partner edge is fully
+   determined by e1's shared endpoint: one set-membership test replaces a
+   scan of every edge at that (possibly high-degree) vertex. *)
+let pair_present g conn (a, b) (x, x') =
+  if !Obs.metrics_on then Obs.Metrics.incr c_pair_checks;
+  List.exists
     (fun (e1 : Graph.edge) ->
       let y = shared_of conn e1 in
-      let e2 : Graph.edge =
-        match conn with
+      Graph.mem_edge g
+        (match conn with
         | Amp -> { label = b; src = x'; dst = y }
-        | Slash -> { label = b; src = y; dst = x' }
-      in
-      if Graph.mem_edge g e2 then Some (e1, e2) else None)
+        | Slash -> { label = b; src = y; dst = x' }))
     (edges_at_free_with g conn x a)
-
-let pair_present g conn ab xx =
-  if !Obs.metrics_on then Obs.Metrics.incr c_pair_checks;
-  Option.is_some (find_pair g conn ab xx)
 
 (* Active triggers of one direction: lhs pair present at (x,x'), rhs pair
    absent.  Each rule is an equivalence, so [triggers] covers both
@@ -226,8 +219,7 @@ let delta_with tbl lab =
   match Graph.Label_tbl.find_opt tbl lab with Some r -> !r | None -> []
 
 (* One direction's delta-restricted lhs pairs (e1, e2): those using at
-   least one delta edge, first edge in the delta, then second.  Shared by
-   the chase's collector and maintenance's discovery. *)
+   least one delta edge, first edge in the delta, then second. *)
 let iter_delta_pairs g conn ~dix (a, b) consider =
   List.iter
     (fun (e1 : Graph.edge) ->
@@ -506,421 +498,3 @@ let leads_to_red_spider ?(max_stages = 16) rules =
   if Graph.has_12_pattern g then `Leads (stats, g)
   else if stats.fixpoint then `Does_not_lead (stats, g)
   else `Unknown (stats, g)
-
-(* Incremental maintenance of a chased green graph under base-edge edits,
-   mirroring [Tgd.Chase.Maint]: counting support tracking for the common
-   case, DRed-style over-delete / re-derive through the chase's fresh
-   vertices (the graph analog of existential nulls) for retractions.
-
-   A trigger key is (rule index, direction, x, x').  A FIRED record keeps
-   one lhs witness pair, its fresh vertex and the two edges it added; a
-   WITHHELD record keeps the rhs pair that witnessed the key.  Both
-   trigger conditions are monotone while no edge is removed, so a key
-   with an alive record is settled and discovery skips it; retraction
-   kills records through the [uses] index, over-deletes unsupported
-   product edges, re-examines the killed keys in canonical order —
-   re-adding the recorded product edges so surviving fresh vertices keep
-   their identity — and one semi-naive continuation restores the
-   fixpoint.  The result is a universal model of the edited base:
-   hom-equivalent to the from-scratch chase, with [models] true. *)
-module Maint = struct
-  type rule = t
-  type key = int * int * int * int
-
-  type record = {
-    k : key;
-    mutable witness : Graph.edge list; (* lhs pair of a fired record *)
-    mutable products : Graph.edge list; (* the two edges the firing added *)
-    mutable vertex : int; (* its fresh vertex, -1 for withheld *)
-    mutable rhs_wit : Graph.edge list; (* rhs pair of a withheld record *)
-    mutable fired : bool;
-    mutable alive : bool;
-  }
-
-  type t = {
-    m_rules : rule array;
-    m_g : Graph.t;
-    m_recs : (key, record) Hashtbl.t;
-    m_supports : record list ref Graph.Edge_tbl.t;
-    m_uses : record list ref Graph.Edge_tbl.t;
-    m_base : unit Graph.Edge_tbl.t;
-    mutable m_stage : int;
-    mutable m_wm : int;
-    mutable m_considered : int;
-    mutable m_applications : int;
-    mutable m_pending : bool;
-    mutable m_grave : int; (* records evicted from [m_recs], not yet swept *)
-  }
-
-  type edit_stats = {
-    e_retracted : int;
-    e_inserted : int;
-    e_killed : int;
-    e_refired : int;
-    e_rewithheld : int;
-    e_run : stats;
-  }
-
-  let graph t = t.m_g
-  let pending t = t.m_pending
-
-  let sides (r : rule) dir =
-    if dir = 0 then ((r.l1, r.l2), (r.r1, r.r2))
-    else ((r.r1, r.r2), (r.l1, r.l2))
-
-  let add_edge_rec tbl e r =
-    match Graph.Edge_tbl.find_opt tbl e with
-    | Some rs -> if not (List.memq r !rs) then rs := r :: !rs
-    | None -> Graph.Edge_tbl.replace tbl e (ref [ r ])
-
-  let supported t e =
-    match Graph.Edge_tbl.find_opt t.m_supports e with
-    | Some rs -> List.exists (fun r -> r.alive && r.fired) !rs
-    | None -> false
-
-  (* Same amortized graveyard sweep as [Tgd.Chase.Maint.compact]: a
-     record evicted from [m_recs] by a newer firing of its key is
-     unrevivable, but it lingers in the per-edge support/use lists and
-     makes every cascade walk pay for the whole edit history.  Once the
-     graveyard outgrows the live population, rebuild both tables keeping
-     only records still current for their key. *)
-  let current t r =
-    match Hashtbl.find_opt t.m_recs r.k with
-    | Some r' -> r' == r
-    | None -> false
-
-  let compact t =
-    if t.m_grave > 64 + Hashtbl.length t.m_recs then begin
-      let sweep tbl =
-        let empty = ref [] in
-        Graph.Edge_tbl.iter
-          (fun e rs ->
-            let rs' = List.filter (current t) !rs in
-            if rs' = [] then empty := e :: !empty else rs := rs')
-          tbl;
-        List.iter (Graph.Edge_tbl.remove tbl) !empty
-      in
-      sweep t.m_supports;
-      sweep t.m_uses;
-      t.m_grave <- 0
-    end
-
-  let record_withheld t k (w1, w2) =
-    let r =
-      {
-        k;
-        witness = [];
-        products = [];
-        vertex = -1;
-        rhs_wit = [ w1; w2 ];
-        fired = false;
-        alive = true;
-      }
-    in
-    if Hashtbl.mem t.m_recs k then t.m_grave <- t.m_grave + 1;
-    Hashtbl.replace t.m_recs k r;
-    add_edge_rec t.m_uses w1 r;
-    add_edge_rec t.m_uses w2 r
-
-  let record_fired t k ~witness ~vertex ~products =
-    let r =
-      {
-        k;
-        witness;
-        products;
-        vertex;
-        rhs_wit = [];
-        fired = true;
-        alive = true;
-      }
-    in
-    if Hashtbl.mem t.m_recs k then t.m_grave <- t.m_grave + 1;
-    Hashtbl.replace t.m_recs k r;
-    List.iter (fun e -> add_edge_rec t.m_uses e r) witness;
-    List.iter (fun e -> add_edge_rec t.m_supports e r) products;
-    r
-
-  let product_edges conn (c, d) (x, x') v : Graph.edge list =
-    match conn with
-    | Amp -> [ { label = c; src = x; dst = v }; { label = d; src = x'; dst = v } ]
-    | Slash -> [ { label = c; src = v; dst = x }; { label = d; src = v; dst = x' } ]
-
-  (* One semi-naive maintenance run to the fixpoint (or the governor's
-     cut): delta discovery skips keys with an alive record — both
-     trigger conditions are monotone during a run, so settled keys stay
-     settled — and every examination leaves a record behind. *)
-  let run_loop ?(governor = G.unlimited) ?(max_stages = max_int) t =
-    let g = t.m_g in
-    let step _ =
-      let out = ref [] in
-      G.with_scope governor (fun () ->
-          let dix = index_delta (Graph.delta_since g t.m_wm) in
-          Array.iteri
-            (fun ri rule ->
-              List.iter
-                (fun dir ->
-                  let ab, (c, d) = sides rule dir in
-                  let seen = Hashtbl.create 32 in
-                  iter_delta_pairs g rule.conn ~dix ab (fun e1 e2 ->
-                      G.Cancel.poll ();
-                      let x = free_of rule.conn e1
-                      and x' = free_of rule.conn e2 in
-                      let k = (ri, dir, x, x') in
-                      if not (Hashtbl.mem seen k) then begin
-                        Hashtbl.replace seen k ();
-                        match Hashtbl.find_opt t.m_recs k with
-                        | Some r when r.alive -> ()
-                        | _ -> (
-                            t.m_considered <- t.m_considered + 1;
-                            if !Obs.metrics_on then
-                              Obs.Metrics.incr c_considered;
-                            match find_pair g rule.conn (c, d) (x, x') with
-                            | Some w -> record_withheld t k w
-                            | None ->
-                                out := (k, rule, (c, d), (e1, e2)) :: !out)
-                      end))
-                [ 0; 1 ])
-            t.m_rules;
-          (* advance only after a completed scan *)
-          t.m_wm <- Graph.watermark g);
-      let triggers =
-        List.sort (fun (k1, _, _, _) (k2, _, _, _) -> compare k1 k2) !out
-      in
-      let fired = ref 0 in
-      List.iter
-        (fun (k, rule, (c, d), (e1, e2)) ->
-          let _, _, x, x' = k in
-          (* fire-time re-check: an earlier firing this stage may have
-             witnessed the rhs *)
-          match find_pair g rule.conn (c, d) (x, x') with
-          | Some w -> record_withheld t k w
-          | None ->
-              let v = Graph.fresh g in
-              let products = product_edges rule.conn (c, d) (x, x') v in
-              List.iter
-                (fun (e : Graph.edge) ->
-                  ignore (Graph.add_edge g e.label e.src e.dst))
-                products;
-              ignore
-                (record_fired t k ~witness:[ e1; e2 ] ~vertex:v ~products);
-              if !Obs.metrics_on then Obs.Metrics.incr c_firings;
-              incr fired)
-        triggers;
-      t.m_applications <- t.m_applications + !fired;
-      (List.length triggers, !fired)
-    in
-    let max_stages =
-      if max_stages = max_int then max_int else t.m_stage + max_stages
-    in
-    let stage, outcome =
-      G.run_stages governor ~span:"graph.maint.stage" ~start_stage:t.m_stage
-        ~max_stages
-        ~sizes:(fun () -> (List.length (Graph.vertices g), Graph.size g))
-        ~stop:(fun () -> false)
-        ~snapshot_every:1 ~snapshot:ignore step
-    in
-    t.m_stage <- max t.m_stage stage;
-    t.m_pending <- outcome <> G.Fixpoint;
-    {
-      stages = stage;
-      applications = t.m_applications;
-      triggers_considered = t.m_considered;
-      fixpoint = outcome = G.Fixpoint;
-      outcome;
-    }
-
-  let create ?governor ?max_stages rules g =
-    let t =
-      {
-        m_rules = Array.of_list rules;
-        m_g = g;
-        m_recs = Hashtbl.create 256;
-        m_supports = Graph.Edge_tbl.create 256;
-        m_uses = Graph.Edge_tbl.create 256;
-        m_base = Graph.Edge_tbl.create 64;
-        m_stage = 0;
-        m_wm = 0;
-        m_considered = 0;
-        m_applications = 0;
-        m_pending = false;
-        m_grave = 0;
-      }
-    in
-    Graph.iter_edges g (fun e -> Graph.Edge_tbl.replace t.m_base e ());
-    let stats = run_loop ?governor ?max_stages t in
-    (t, stats)
-
-  let continue_ ?governor ?max_stages t = run_loop ?governor ?max_stages t
-
-  type op = Insert of Label.t * int * int | Retract of Label.t * int * int
-
-  let apply_edit ?governor ?max_stages t ops =
-    if t.m_pending then
-      invalid_arg "Rule.Maint.apply_edit: continuation pending (continue_)";
-    compact t;
-    let g = t.m_g in
-    let net = Graph.Edge_tbl.create 16 in
-    List.iter
-      (fun op ->
-        let e, v =
-          match op with
-          | Insert (l, s, d) -> (({ label = l; src = s; dst = d } : Graph.edge), true)
-          | Retract (l, s, d) -> ({ label = l; src = s; dst = d }, false)
-        in
-        Graph.Edge_tbl.replace net e v)
-      ops;
-    let part want =
-      Graph.Edge_tbl.fold
-        (fun e v acc -> if v = want then e :: acc else acc)
-        net []
-      |> List.sort Graph.edge_compare
-    in
-    let retracts = part false and inserts = part true in
-    (* counting cascade *)
-    let killq = Queue.create () in
-    let n_retracted = ref 0 and n_killed = ref 0 in
-    let reexam = ref [] in
-    List.iter
-      (fun (e : Graph.edge) ->
-        if Graph.Edge_tbl.mem t.m_base e then begin
-          Graph.Edge_tbl.remove t.m_base e;
-          incr n_retracted
-        end;
-        if Graph.mem_edge g e && not (supported t e) then Queue.add e killq)
-      retracts;
-    while not (Queue.is_empty killq) do
-      let e = Queue.pop killq in
-      if
-        Graph.mem_edge g e
-        && (not (Graph.Edge_tbl.mem t.m_base e))
-        && not (supported t e)
-      then begin
-        ignore (Graph.remove_edge g e.label e.src e.dst);
-        incr n_killed;
-        match Graph.Edge_tbl.find_opt t.m_uses e with
-        | None -> ()
-        | Some rs ->
-            List.iter
-              (fun r ->
-                if r.alive then begin
-                  r.alive <- false;
-                  reexam := r :: !reexam;
-                  if r.fired then
-                    List.iter
-                      (fun (p : Graph.edge) ->
-                        if
-                          Graph.mem_edge g p
-                          && (not (Graph.Edge_tbl.mem t.m_base p))
-                          && not (supported t p)
-                        then Queue.add p killq)
-                      r.products
-                end)
-              !rs
-      end
-    done;
-    (* DRed re-exam in canonical key order: re-withhold, re-fire (the
-       recorded fresh vertex keeps its identity), or leave dead. *)
-    let reexam =
-      List.sort (fun r1 r2 -> compare r1.k r2.k) !reexam
-    in
-    let n_refired = ref 0 and n_rewithheld = ref 0 in
-    List.iter
-      (fun r ->
-        if Hashtbl.find_opt t.m_recs r.k = Some r && not r.alive then begin
-          let ri, dir, x, x' = r.k in
-          let rule = t.m_rules.(ri) in
-          let (a, b), (c, d) = sides rule dir in
-          match find_pair g rule.conn (a, b) (x, x') with
-          | None -> () (* inactive: stays dead *)
-          | Some (w1, w2) -> (
-              match find_pair g rule.conn (c, d) (x, x') with
-              | Some (h1, h2) ->
-                  r.fired <- false;
-                  r.rhs_wit <- [ h1; h2 ];
-                  r.alive <- true;
-                  incr n_rewithheld;
-                  add_edge_rec t.m_uses h1 r;
-                  add_edge_rec t.m_uses h2 r
-              | None ->
-                  (if r.vertex < 0 then begin
-                     let v = Graph.fresh g in
-                     r.vertex <- v;
-                     r.products <- product_edges rule.conn (c, d) (x, x') v
-                   end);
-                  List.iter
-                    (fun (p : Graph.edge) ->
-                      ignore (Graph.add_edge g p.label p.src p.dst))
-                    r.products;
-                  r.fired <- true;
-                  r.alive <- true;
-                  r.witness <- [ w1; w2 ];
-                  incr n_refired;
-                  List.iter (fun p -> add_edge_rec t.m_supports p r) r.products;
-                  add_edge_rec t.m_uses w1 r;
-                  add_edge_rec t.m_uses w2 r)
-        end)
-      reexam;
-    (* fresh vertices of records that stayed dead leave the graph once
-       isolated *)
-    List.iter
-      (fun r ->
-        if (not r.alive) && r.vertex >= 0 then
-          ignore (Graph.remove_vertex g r.vertex))
-      reexam;
-    (* A record still dead after re-exam has no lhs pair left — its key
-       can never fire again as recorded (a later re-fire goes through
-       the engine and builds a fresh record anyway).  Drop it from
-       [m_recs] so the key table tracks the live instance, not the
-       whole edit history, and count it into the graveyard so the
-       support lists get swept too. *)
-    List.iter
-      (fun r ->
-        if not r.alive then begin
-          (match Hashtbl.find_opt t.m_recs r.k with
-          | Some r' when r' == r -> Hashtbl.remove t.m_recs r.k
-          | _ -> ());
-          t.m_grave <- t.m_grave + 1
-        end)
-      reexam;
-    (* insertions land past the pre-edit watermark *)
-    let n_inserted = ref 0 in
-    List.iter
-      (fun (e : Graph.edge) ->
-        Graph.Edge_tbl.replace t.m_base e ();
-        if Graph.add_edge g e.label e.src e.dst then incr n_inserted)
-      inserts;
-    let run = run_loop ?governor ?max_stages t in
-    {
-      e_retracted = !n_retracted;
-      e_inserted = !n_inserted;
-      e_killed = !n_killed;
-      e_refired = !n_refired;
-      e_rewithheld = !n_rewithheld;
-      e_run = run;
-    }
-
-  (* Internal-consistency audit for the tests. *)
-  let check t =
-    let g = t.m_g in
-    let bad = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> bad := s :: !bad) fmt in
-    Graph.iter_edges g (fun e ->
-        if (not (Graph.Edge_tbl.mem t.m_base e)) && not (supported t e) then
-          fail "unsupported live edge %a(%d->%d)" Label.pp e.label e.src e.dst);
-    Graph.Edge_tbl.iter
-      (fun (e : Graph.edge) () ->
-        if not (Graph.mem_edge g e) then
-          fail "base edge not live %a(%d->%d)" Label.pp e.label e.src e.dst)
-      t.m_base;
-    Hashtbl.iter
-      (fun _ r ->
-        if r.alive then
-          List.iter
-            (fun (e : Graph.edge) ->
-              if not (Graph.mem_edge g e) then
-                fail "dead recorded edge of alive record %a(%d->%d)" Label.pp
-                  e.label e.src e.dst)
-            (if r.fired then r.witness @ r.products else r.rhs_wit))
-      t.m_recs;
-    List.rev !bad
-end

@@ -144,66 +144,3 @@ val leads_to_red_spider :
   [ `Leads of stats * Graph.t
   | `Does_not_lead of stats * Graph.t
   | `Unknown of stats * Graph.t ]
-
-(** {1 Incremental maintenance}
-
-    The graph mirror of [Tgd.Chase.Maint]: a chased green graph kept as a
-    universal model of its base edges under edit scripts.  Counting
-    support tracking handles the common case; retractions that cut a
-    firing's lhs witness run DRed-style over-delete / re-derive through
-    the chase's fresh vertices (the graph analog of existential nulls),
-    re-adding recorded product edges so surviving fresh vertices keep
-    their identity, then one semi-naive continuation restores the
-    fixpoint.  The maintained graph is hom-equivalent to the from-scratch
-    chase of the edited base, and [models] holds at fixpoint. *)
-module Maint : sig
-  type rule := t
-
-  (** Maintenance state owning its graph. *)
-  type t
-
-  type op =
-    | Insert of Label.t * int * int  (** base edge (label, src, dst) *)
-    | Retract of Label.t * int * int
-
-  type edit_stats = {
-    e_retracted : int;  (** base edges removed *)
-    e_inserted : int;  (** base edges added (and not already present) *)
-    e_killed : int;  (** edges over-deleted by the cascade *)
-    e_refired : int;  (** killed records re-derived with their vertex *)
-    e_rewithheld : int;  (** killed records that re-withheld instead *)
-    e_run : stats;  (** the semi-naive continuation *)
-  }
-
-  (** Chase [g] to the fixpoint (or the governor's cut), tracking
-      derivation support.  Current edges of [g] become the base. *)
-  val create :
-    ?governor:Resilience.Governor.t ->
-    ?max_stages:int ->
-    rule list ->
-    Graph.t ->
-    t * stats
-
-  val graph : t -> Graph.t
-
-  (** [true] after a governor-cut run; finish with {!continue_} before
-      the next {!apply_edit}. *)
-  val pending : t -> bool
-
-  val continue_ :
-    ?governor:Resilience.Governor.t -> ?max_stages:int -> t -> stats
-
-  (** Apply a batch of base-edge edits and restore the fixpoint.  Within
-      a batch the last op on an edge wins.  Raises [Invalid_argument] if
-      a continuation is pending. *)
-  val apply_edit :
-    ?governor:Resilience.Governor.t ->
-    ?max_stages:int ->
-    t ->
-    op list ->
-    edit_stats
-
-  (** Internal-consistency audit: support of live edges, liveness of
-      base and recorded edges.  Empty = consistent. *)
-  val check : t -> string list
-end

@@ -175,7 +175,7 @@ module Make (Label : LABEL) = struct
   (* Remove a live edge from the edge set and every index bucket; its
      journal cell becomes a tombstone, so watermarks taken before the
      removal stay valid.  Returns [false] if the edge was not present.
-     Endpoints stay registered — see {!remove_vertex}. *)
+     Endpoints stay registered. *)
   let remove_edge t label src dst =
     let e = { label; src; dst } in
     if not (Edge_set.mem e t.edges) then false
@@ -208,25 +208,6 @@ module Make (Label : LABEL) = struct
       | None -> ());
       true
     end
-
-  (* Unregister an isolated vertex (no incident live edges).  The id is
-     never reallocated — [next] does not move back — so a later re-added
-     edge may re-register the same id.  Returns [false] if the vertex is
-     unknown or still has incident edges. *)
-  let remove_vertex t v =
-    if not (Hashtbl.mem t.vertices v) then false
-    else
-      let busy tbl =
-        match Hashtbl.find_opt tbl v with
-        | Some r -> !r <> []
-        | None -> false
-      in
-      if busy t.by_src || busy t.by_dst then false
-      else begin
-        Hashtbl.remove t.vertices v;
-        Hashtbl.remove t.names v;
-        true
-      end
 
   (* Every registered vertex id is [< next_vertex t] ([register] bumps
      [next] past any id it sees), so [next_vertex] bounds vertex ids for

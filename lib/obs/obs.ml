@@ -18,8 +18,6 @@ module Clock = struct
      never see time move backwards. *)
   external monotonic_s : unit -> float = "redspider_clock_monotonic_s"
 
-  let raw_s = monotonic_s
-
   (* The wall clock.  Kept only for epoch stamps in exported artifacts
      (trace files, job manifests); never used for durations or
      deadlines. *)
@@ -27,7 +25,7 @@ module Clock = struct
 
   (* Clamp a possibly non-monotonic sampler to its running maximum: a
      backwards clock step reads as a 0-length interval instead of a
-     negative one.  With [raw_s] on CLOCK_MONOTONIC this is belt and
+     negative one.  With [monotonic_s] on CLOCK_MONOTONIC this is belt and
      braces (the stub's wall-clock fallback is the one path that could
      still step). *)
   let monotonize sample =
@@ -40,7 +38,7 @@ module Clock = struct
         t
       end
 
-  let now_s = monotonize raw_s
+  let now_s = monotonize monotonic_s
 end
 
 (* --- JSON rendering helpers ------------------------------------------- *)

@@ -29,12 +29,6 @@ val disable_all : unit -> unit
 (** {1 Clock} *)
 
 module Clock : sig
-  (** The raw monotonic clock (CLOCK_MONOTONIC via a C stub, seconds
-      from an arbitrary epoch).  Immune to NTP steps: deadlines compared
-      against it cannot fire early and span durations cannot go
-      negative. *)
-  val raw_s : unit -> float
-
   (** The wall clock ([Unix.gettimeofday]).  Non-monotonic — NTP steps
       can move it backwards — so it is used only for epoch fields of
       exported artifacts (trace files, job manifests), never for
@@ -47,10 +41,11 @@ module Clock : sig
       reading 0 across a backwards step). *)
   val monotonize : (unit -> float) -> unit -> float
 
-  (** The process-wide monotonic clock, in seconds (monotonized as belt
-      and braces around the stub's wall-clock fallback).  All obs
-      timestamps, governor deadlines and bench timings go through
-      this. *)
+  (** The process-wide monotonic clock, in seconds from an arbitrary
+      epoch: CLOCK_MONOTONIC via a C stub, immune to NTP steps, and
+      monotonized as belt and braces around the stub's wall-clock
+      fallback.  All obs timestamps, governor deadlines and bench
+      timings go through this. *)
   val now_s : unit -> float
 end
 

@@ -8,7 +8,8 @@
    support audit, (b) model the dependencies, and (c) be hom-equivalent
    — with the generated base elements pinned — to a from-scratch chase
    of the edited base with the same engine.  A graph twin does the same
-   for [Greengraph.Rule.Maint] over random rule sets.
+   for random green-graph rule sets, maintained as TGDs over the bridge
+   and diffed against the dedicated graph engine.
 
    Random dependency sets routinely diverge; runs cut by the stage
    budget are counted [incomparable] and skipped, not diffed — a capped
@@ -139,27 +140,22 @@ let tgd_case r ~engine violations counters =
 
 (* --- one graph case ----------------------------------------------------- *)
 
+(* The graph twin maintains the bridged rules ([Greengraph.Bridge]) with
+   [Tgd.Chase.Maint] and diffs against the dedicated graph engine
+   ([Greengraph.Rule.chase]), so the maintained result is checked by an
+   engine it shares no discovery code with. *)
+
 module GG = Greengraph.Graph
 module GR = Greengraph.Rule
+module B = Greengraph.Bridge
 
-let graph_equiv ~base a b =
-  let sa = Greengraph.Bridge.to_structure a
-  and sb = Greengraph.Bridge.to_structure b in
-  let init =
-    List.filter_map
-      (fun v ->
-        if
-          Structure.elem_stage sa v <> None && Structure.elem_stage sb v <> None
-        then Some (v, v)
-        else None)
-      (GG.vertices base)
-  in
-  Hom.exists_between ~init sa sb && Hom.exists_between ~init sb sa
+let edge_fact (l, s, d) = Fact.make (B.symbol_of l) [| s; d |]
 
 (* Inserted endpoints come from the pristine base's own vertices — a
    raw id range could collide with a chase-invented vertex on the
    maintained side while naming a plain new vertex on the scratch side,
-   making the "same" edit mean two different things. *)
+   making the "same" edit mean two different things.  An op is
+   [(insert?, (label, src, dst))]. *)
 let random_graph_op r (case : Gen.graph_case) base_vertices pool =
   let labels =
     List.concat_map
@@ -169,11 +165,11 @@ let random_graph_op r (case : Gen.graph_case) base_vertices pool =
   in
   if Gen.bool r && pool <> [] then
     let (e : GG.edge) = Gen.pick r pool in
-    GR.Maint.Retract (e.GG.label, e.GG.src, e.GG.dst)
+    (false, (e.GG.label, e.GG.src, e.GG.dst))
   else
     let l = Gen.pick r labels in
     let s = Gen.pick r base_vertices and d = Gen.pick r base_vertices in
-    if Gen.bool r then GR.Maint.Insert (l, s, d) else GR.Maint.Retract (l, s, d)
+    (Gen.bool r, (l, s, d))
 
 let graph_case r violations counters =
   let scripts, edits, incomparable = counters in
@@ -181,23 +177,38 @@ let graph_case r violations counters =
   let base = Gen.build_graph case in
   let base_vertices = List.sort compare (GG.vertices base) in
   let engine = if Gen.bool r then `Seminaive else `Par in
-  let m, s0 = GR.Maint.create ~governor:(gov ()) case.Gen.rules (GG.copy base) in
-  if not s0.GR.fixpoint then incr incomparable
+  let deps = B.tgds_of_rules case.Gen.rules in
+  let sbase = B.to_structure base in
+  let m, s0 =
+    Tgd.Chase.Maint.create ~governor:(gov ()) deps (B.to_structure base)
+  in
+  if not s0.Tgd.Chase.fixpoint then incr incomparable
   else begin
     let n_scripts = Gen.range r 1 3 in
     let applied = ref [] in
     (try
        for si = 0 to n_scripts - 1 do
+         let d = Tgd.Chase.Maint.structure m in
          let pool =
-           List.filter (GG.mem_edge (GR.Maint.graph m)) (GG.edges base)
+           List.filter
+             (fun (e : GG.edge) ->
+               Structure.mem d (edge_fact (e.GG.label, e.GG.src, e.GG.dst)))
+             (GG.edges base)
          in
          let script =
            List.init (Gen.range r 1 4) (fun _ ->
                random_graph_op r case base_vertices pool)
          in
-         let st = GR.Maint.apply_edit ~governor:(gov ()) m script in
+         let st =
+           Tgd.Chase.Maint.apply_edit ~governor:(gov ()) m
+             (List.map
+                (fun (ins, e) ->
+                  if ins then Tgd.Chase.Maint.Insert (edge_fact e)
+                  else Tgd.Chase.Maint.Retract (edge_fact e))
+                script)
+         in
          applied := !applied @ script;
-         if not st.GR.Maint.e_run.GR.fixpoint then begin
+         if not st.Tgd.Chase.Maint.e_run.Tgd.Chase.fixpoint then begin
            incr incomparable;
            raise Exit
          end;
@@ -205,26 +216,26 @@ let graph_case r violations counters =
          edits := !edits + List.length script;
          List.iter
            (fun v -> fail violations "[graph %d] audit: %s" si v)
-           (GR.Maint.check m);
-         let g = GR.Maint.graph m in
-         if not (GR.models case.Gen.rules g) then
+           (Tgd.Chase.Maint.check m);
+         if not (GR.models case.Gen.rules (B.of_structure d)) then
            fail violations "[graph %d] maintained graph violates rules" si;
          let scr = GG.copy base in
          List.iter
-           (function
-             | GR.Maint.Insert (l, s, d) -> ignore (GG.add_edge scr l s d)
-             | GR.Maint.Retract (l, s, d) -> ignore (GG.remove_edge scr l s d))
+           (fun (ins, (l, s, d)) ->
+             ignore
+               (if ins then GG.add_edge scr l s d else GG.remove_edge scr l s d))
            !applied;
          let ss = GR.chase ~engine ~governor:(gov ()) case.Gen.rules scr in
          if not ss.GR.fixpoint then begin
            incr incomparable;
            raise Exit
          end;
-         if not (graph_equiv ~base g scr) then
+         let scr = B.to_structure scr in
+         if not (equiv ~base:sbase d scr) then
            fail violations
              "[graph %d] maintained graph not hom-equivalent to scratch \
               (%d edges vs %d)"
-             si (GG.size g) (GG.size scr)
+             si (Structure.size d) (Structure.size scr)
        done
      with Exit -> ())
   end

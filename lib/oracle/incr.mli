@@ -4,8 +4,10 @@
     from-scratch chase after every script.  Cases whose runs exhaust the
     stage budget are counted incomparable and skipped — capped runs need
     not align — so a clean report means: every comparable script
-    preserved universal-model equivalence, on both the TGD and the
-    green-graph maintenance layers, across both delta engines. *)
+    preserved universal-model equivalence, on random TGD sets and on
+    random green-graph rule sets (maintained as TGDs over the bridge and
+    diffed against the dedicated graph engine), across both delta
+    engines. *)
 
 type report = {
   seed : int;

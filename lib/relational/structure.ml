@@ -128,13 +128,15 @@ let mem t f = Fact.Tbl.mem t.facts f
 let add_fact t f =
   if Fact.Tbl.mem t.facts f then false
   else begin
-    Fact.Tbl.replace t.facts f t.stage;
-    t.nfacts <- t.nfacts + 1;
     (* the arena assigns the dense id; its id order IS the journal.  A
        re-added fact (inserted after a retraction) gets a *new* id: the
        journal is append-only, so the resurrection lands in the current
-       delta and semi-naive discovery sees it like any other new fact. *)
+       delta and semi-naive discovery sees it like any other new fact.
+       The append comes first: an ["arena.grow"] fault raises from it,
+       and must leave no trace of the fact behind. *)
     let id = Fact_arena.append t.arena f in
+    Fact.Tbl.replace t.facts f t.stage;
+    t.nfacts <- t.nfacts + 1;
     Fact.Tbl.replace t.ids f id;
     let sid = Fact_arena.sym t.arena id in
     if sid >= Array.length t.by_sym then begin

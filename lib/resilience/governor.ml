@@ -190,14 +190,14 @@ let run_stages g ~span ~start_stage ~max_stages ~sizes ~stop ~snapshot_every
   in
   go (start_stage + 1)
 
-let budget_kind_to_string = function
-  | Stages -> "stages"
-  | Elems -> "elems"
-  | Facts -> "facts"
-  | Steps -> "steps"
-  | Stop -> "stop"
-
-let pp_budget_kind ppf k = Fmt.string ppf (budget_kind_to_string k)
+let pp_budget_kind ppf k =
+  Fmt.string ppf
+    (match k with
+    | Stages -> "stages"
+    | Elems -> "elems"
+    | Facts -> "facts"
+    | Steps -> "steps"
+    | Stop -> "stop")
 
 let pp_outcome ppf = function
   | Fixpoint -> Fmt.string ppf "fixpoint"

@@ -126,8 +126,6 @@ val run_stages :
     [start_stage] and at every other ending, at most once per stage.
     Returns the last completed stage and the outcome. *)
 
-val budget_kind_to_string : budget_kind -> string
-val pp_budget_kind : Format.formatter -> budget_kind -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val exit_code : outcome -> int

@@ -761,6 +761,10 @@ let run_stage ?(governor = G.unlimited) ?(max_stages = max_int)
     ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
     ~start_applications:apps0 d
 
+(* A dedup table's keys in canonical sorted order, as snapshots hold
+   them. *)
+let sorted_keys t = List.sort compare (Hashtbl.fold (fun k () l -> k :: l) t [])
+
 (* The per-run persistent dedup tables of the semi-naive engines, with a
    sorted dump / reload pair for snapshots. *)
 let persistent_seen ?(from = []) () =
@@ -780,11 +784,7 @@ let persistent_seen ?(from = []) () =
         t
   in
   let dump () =
-    Hashtbl.fold
-      (fun di t acc ->
-        (di, List.sort compare (Hashtbl.fold (fun k () l -> k :: l) t []))
-        :: acc)
-      tables []
+    Hashtbl.fold (fun di t acc -> (di, sorted_keys t) :: acc) tables []
     |> List.sort compare
   in
   (get, dump)
@@ -793,12 +793,16 @@ let persistent_seen ?(from = []) () =
    worker with the default tuning, [`Par] takes [jobs] (default
    [Pool.default_jobs ()]) and [tuning], [`Oblivious] is [`Seminaive]
    without condition ­.  It also labels the run (snapshot stamp, trace
-   span). *)
+   span).  [Maint] hands in its own compiled [cdeps] and live per-TGD
+   [seen] tables, which the run then updates in place; otherwise both
+   are built here, the tables from [from]'s dump. *)
 let run_delta ~(engine : [ `Seminaive | `Oblivious | `Par ]) ?jobs
-    ?(tuning = default_tuning) ?(note = no_note) ~governor ~max_stages ~stop
-    ~on_fire ~snapshot_every ~on_snapshot ~from deps d =
+    ?(tuning = default_tuning) ?(note = no_note) ?cdeps ?seen ~governor
+    ~max_stages ~stop ~on_fire ~snapshot_every ~on_snapshot ~from deps d =
   (match from with Some s -> check_resume_deps deps s | None -> ());
-  let cdeps = List.map compile_dep deps in
+  let cdeps =
+    match cdeps with Some c -> c | None -> List.map compile_dep deps
+  in
   let start_stage, wm0, seen0, considered0, matches0, apps0 =
     match from with
     | Some s ->
@@ -810,7 +814,15 @@ let run_delta ~(engine : [ `Seminaive | `Oblivious | `Par ]) ?jobs
           s.snap_applications )
     | None -> (0, 0, [], 0, 0, 0)
   in
-  let seen_of, dump_seen = persistent_seen ~from:seen0 () in
+  let seen_of, dump_seen =
+    match seen with
+    | Some tables ->
+        ( (fun di _ -> tables.(di)),
+          fun () ->
+            Array.to_list (Array.mapi (fun di t -> (di, sorted_keys t)) tables)
+        )
+    | None -> persistent_seen ~from:seen0 ()
+  in
   let considered = ref considered0 and matches = ref matches0 in
   (* Watermark of the previous stage's start; the first delta is the whole
      initial structure. *)
@@ -1185,8 +1197,12 @@ let active_triggers deps d = Check.active_triggers (Check.make deps) d
    surviving nulls keep their identity), or leaving it dead.  Insertions
    and re-fired products land past the pre-edit watermark, so one
    semi-naive continuation — an ordinary [run_delta] resumed from a
-   synthetic snapshot whose seen-keys are the live records — runs the
-   structure back to a fixpoint.  Preemption comes for free: the
+   synthetic snapshot, over Maint's own compiled plans and its live
+   key tables — runs the structure back to a fixpoint.  The key tables
+   hold exactly the keys of the alive records: they gain a key wherever
+   a record is born or revived and lose it wherever one is killed, and
+   the engine dedups against them directly, so no edit pays to dump and
+   reload every live key.  Preemption comes for free: the
    continuation takes any governor, and a cut run leaves the records
    conservative (unconsumed delta is rescanned on the next slice). *)
 module Maint = struct
@@ -1218,6 +1234,8 @@ module Maint = struct
     m_jobs : int option;
     m_d : Structure.t;
     m_recs : (int array, record) Hashtbl.t array; (* per dep: key -> record *)
+    m_seen : (int array, unit) Hashtbl.t array;
+        (* per dep: the keys of the alive records — the engine's dedup *)
     m_supports : record list ref Fact.Tbl.t; (* product -> producing records *)
     m_uses : record list ref Fact.Tbl.t; (* witness fact -> records *)
     m_base : unit Fact.Tbl.t;
@@ -1431,22 +1449,15 @@ module Maint = struct
         else add_edge t.m_uses g r)
       r.r_products
 
-  (* The engine's persistent seen-keys, reconstructed from the live
-     records: this is what a continuation must skip. *)
-  let seen_dump t =
-    let acc = ref [] in
-    Array.iteri
-      (fun di tbl ->
-        let keys =
-          Hashtbl.fold (fun k r l -> if r.r_alive then k :: l else l) tbl []
-        in
-        if keys <> [] then acc := (di, List.sort compare keys) :: !acc)
-      t.m_recs;
-    List.sort compare !acc
+  (* Key-table upkeep: a key is seen exactly while its record is alive. *)
+  let set_seen t r = Hashtbl.replace t.m_seen.(r.r_di) r.r_key ()
+  let unset_seen t r = Hashtbl.remove t.m_seen.(r.r_di) r.r_key
 
-  (* Run the engine from the current watermark with the live records as
-     seen state, observing every firing and first consideration, then
-     fold the run's journals back into records. *)
+  (* Run the engine from the current watermark with the live key tables
+     as seen state, observing every firing and first consideration, then
+     fold the run's journals back into records.  The engine adds every
+     key it considers to the tables; a considered key that ends without
+     an alive record is taken out again below. *)
   let tracked_run ?(governor = G.unlimited) ?(max_stages = max_int) t =
     let d = t.m_d in
     let fire_log = ref [] in
@@ -1471,7 +1482,7 @@ module Maint = struct
         snap_engine = (t.m_engine :> engine);
         snap_stage = t.m_stage;
         snap_wm = t.m_wm;
-        snap_seen = seen_dump t;
+        snap_seen = [] (* the live tables go in as [seen] *);
         snap_considered = t.m_considered;
         snap_matches = t.m_matches;
         snap_applications = t.m_applications;
@@ -1485,8 +1496,8 @@ module Maint = struct
     let stats =
       run_delta
         ~engine:(t.m_engine :> [ `Seminaive | `Oblivious | `Par ])
-        ?jobs:t.m_jobs ~note ~governor
-        ~max_stages:abs_max
+        ?jobs:t.m_jobs ~note ~cdeps:(Array.to_list t.m_cdeps) ~seen:t.m_seen
+        ~governor ~max_stages:abs_max
         ~stop:(fun _ -> false)
         ~on_fire ~snapshot_every:1 ~on_snapshot:None ~from:(Some snap) t.m_deps
         d
@@ -1506,6 +1517,19 @@ module Maint = struct
     | G.Fixpoint -> t.m_wm <- Structure.watermark d
     | G.Budget _ | G.Deadline -> if !fired_any then t.m_wm <- !stage_wm
     | G.Cancelled | G.Faulted _ -> ());
+    (* A fault strikes inside a firing (the arena fails to grow while a
+       head atom is added), so the last firing of a faulted stage may be
+       partial and cannot be replayed into a record.  Roll it back — its
+       journal segment holds only facts it added, and nothing newer
+       used them — and leave its key to the continuation's rescan. *)
+    (match (stats.outcome, !fire_log) with
+    | G.Faulted _, (_, _, wm) :: rest when !cur_stage > stats.stages ->
+        for id = wm to Structure.watermark d - 1 do
+          if Structure.live_id d id then
+            ignore (Structure.retract_fact d (Structure.id_fact d id))
+        done;
+        fire_log := rest
+    | _ -> ());
     (* Fold the firing journal into FIRED records: products are the
        journal segment between consecutive firings, completed to the full
        head instance by the fire-plan replay. *)
@@ -1538,6 +1562,7 @@ module Maint = struct
         in
         if Hashtbl.mem t.m_recs.(di) key then t.m_grave <- t.m_grave + 1;
         Hashtbl.replace t.m_recs.(di) key r;
+        set_seen t r;
         register_products t r)
       fires;
     (* Witness pass, after the structure settled: nothing is deleted
@@ -1587,7 +1612,7 @@ module Maint = struct
                   t.m_grave <- t.m_grave + 1;
                 Hashtbl.replace t.m_recs.(di) key r;
                 Array.iter (fun f -> add_edge t.m_uses f r) hw
-            | None -> ()))
+            | None -> Hashtbl.remove t.m_seen.(di) key))
       (List.rev !consider_log);
     stats
 
@@ -1609,6 +1634,7 @@ module Maint = struct
         m_jobs = jobs;
         m_d = d;
         m_recs = Array.map (fun _ -> Hashtbl.create 64) dep_arr;
+        m_seen = Array.map (fun _ -> Hashtbl.create 64) dep_arr;
         m_supports = Fact.Tbl.create 256;
         m_uses = Fact.Tbl.create 256;
         m_base = Fact.Tbl.create 64;
@@ -1675,6 +1701,7 @@ module Maint = struct
               (fun r ->
                 if r.r_alive then begin
                   r.r_alive <- false;
+                  unset_seen t r;
                   reexam := r :: !reexam;
                   if r.r_fired then
                     (* only born products drew support from this record;
@@ -1719,6 +1746,7 @@ module Maint = struct
                   r.r_fired <- false;
                   r.r_head_wit <- hw;
                   r.r_alive <- true;
+                  set_seen t r;
                   incr n_rewithheld;
                   Array.iter (fun f -> add_edge t.m_uses f r) hw
               | None ->
@@ -1748,6 +1776,7 @@ module Maint = struct
                      r.r_fired <- true
                    end);
                   r.r_alive <- true;
+                  set_seen t r;
                   incr n_refired;
                   register_products t r;
                   r.r_witness <- w;
@@ -1756,9 +1785,9 @@ module Maint = struct
     (* A record still dead after re-exam has no body match left — its
        key can never fire again as recorded (a later re-fire goes
        through the engine and builds a fresh record anyway).  Drop it
-       from [m_recs] so the key table and [seen_dump] track the live
-       instance, not the whole edit history, and count it into the
-       graveyard so the support lists get swept too. *)
+       from [m_recs] so the key tables track the live instance, not the
+       whole edit history, and count it into the graveyard so the
+       support lists get swept too. *)
     List.iter
       (fun r ->
         if not r.r_alive then begin
@@ -1790,7 +1819,8 @@ module Maint = struct
 
   (* Internal-consistency audit for the tests: every live fact is base or
      supported by an alive firing, every alive record's recorded facts
-     are live.  Returns human-readable violations. *)
+     are live, and the key tables hold exactly the alive records' keys.
+     Returns human-readable violations. *)
   let check t =
     let d = t.m_d in
     let bad = ref [] in
@@ -1824,6 +1854,20 @@ module Maint = struct
             end)
           tbl)
       t.m_recs;
+    Array.iteri
+      (fun di seen ->
+        Hashtbl.iter
+          (fun key () ->
+            match Hashtbl.find_opt t.m_recs.(di) key with
+            | Some r when r.r_alive -> ()
+            | _ -> fail "seen key without an alive record (dep %d)" di)
+          seen;
+        Hashtbl.iter
+          (fun key r ->
+            if r.r_alive && not (Hashtbl.mem seen key) then
+              fail "alive record's key not seen (dep %d)" di)
+          t.m_recs.(di))
+      t.m_seen;
     List.rev !bad
 end
 

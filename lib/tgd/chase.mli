@@ -330,7 +330,8 @@ module Maint : sig
 
   (** Internal-consistency audit (for tests): every live fact is base or
       supported by an alive firing; every alive record's recorded
-      witness/product facts are live.  Returns violations, empty when
+      witness/product facts are live; the continuation's dedup keys are
+      exactly the alive records' keys.  Returns violations, empty when
       consistent. *)
   val check : t -> string list
 end

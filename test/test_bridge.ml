@@ -1,5 +1,6 @@
 (* Cross-validation: the dedicated swarm and green-graph engines agree
-   with the generic TGD machinery run over the bridge encodings. *)
+   with the generic TGD machinery run over the bridge encodings — on
+   verdicts, and for green graphs on whole chase runs. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -71,6 +72,50 @@ let test_violations_agree () =
        (Greengraph.Bridge.tgds_of_rules Separating.Tbox.rules)
        (Greengraph.Bridge.to_structure g))
 
+(* The TGD pipeline over the bridged rules reproduces the graph engine
+   run for run: the same edges with the same vertex ids (both engines
+   fire in the canonical order, so fresh vertices coincide), the same
+   stage count and the same number of firings.  Both run [`Seminaive];
+   [stop] is the size budget in each engine's own terms. *)
+let same_seminaive_chase ?(stop = fun _ _ -> false) ~max_stages what rules g =
+  let module G = Greengraph.Graph in
+  let module B = Greengraph.Bridge in
+  let d = B.to_structure g in
+  let gs =
+    Greengraph.Rule.chase ~engine:`Seminaive ~max_stages
+      ~stop:(fun g -> stop (G.size g) (G.order g))
+      rules g
+  in
+  let ts =
+    Tgd.Chase.run ~engine:`Seminaive ~max_stages
+      ~stop:(fun d ->
+        stop (Relational.Structure.size d) (Relational.Structure.card d))
+      (B.tgds_of_rules rules) d
+  in
+  check (what ^ ": same edges and vertex ids") true
+    (G.edges g = G.edges (B.of_structure d));
+  check_int (what ^ ": same stages") gs.Greengraph.Rule.stages
+    ts.Tgd.Chase.stages;
+  check_int (what ^ ": same applications") gs.Greengraph.Rule.applications
+    ts.Tgd.Chase.applications
+
+let test_tgd_chase_reproduces_graph_cases () =
+  let b = Oracle.Diff.default_budget in
+  for case = 0 to 599 do
+    let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:42 ~case) in
+    same_seminaive_chase
+      ~stop:(fun size order ->
+        size > b.Oracle.Diff.max_facts || order > b.Oracle.Diff.max_elems)
+      ~max_stages:b.Oracle.Diff.max_stages
+      (Printf.sprintf "seed 42 case %d" case)
+      gc.Oracle.Gen.rules
+      (Oracle.Gen.build_graph gc)
+  done
+
+let test_tgd_chase_reproduces_tinf () =
+  let g, _, _ = Greengraph.Graph.d_i () in
+  same_seminaive_chase ~max_stages:20 "T∞, 20 stages" Separating.Tinf.rules g
+
 (* --- swarms: dedicated vs generic ------------------------------------------ *)
 
 let test_swarm_bootstrap_generic () =
@@ -133,6 +178,10 @@ let () =
             test_generic_chase_agrees_equal;
           Alcotest.test_case "model checks agree" `Quick test_models_agree;
           Alcotest.test_case "violations agree" `Quick test_violations_agree;
+          Alcotest.test_case "TGD chase = graph chase, seed 42 cases" `Quick
+            test_tgd_chase_reproduces_graph_cases;
+          Alcotest.test_case "TGD chase = graph chase, T∞" `Quick
+            test_tgd_chase_reproduces_tinf;
         ] );
       ( "swarm",
         [

@@ -42,13 +42,17 @@ let equiv ~base a b =
 
 (* From-scratch baseline: the ops applied directly to a copy of the
    pristine base, then chased with the same engine. *)
-let scratch ~engine deps base ops =
+let scratch_base base ops =
   let d = Structure.copy base in
   List.iter
     (function
       | Tgd.Chase.Maint.Insert f -> ignore (Structure.add_fact d f)
       | Tgd.Chase.Maint.Retract f -> ignore (Structure.retract_fact d f))
     ops;
+  d
+
+let scratch ~engine deps base ops =
+  let d = scratch_base base ops in
   ignore (Tgd.Chase.run ~engine:(engine :> Tgd.Chase.engine) deps d);
   d
 
@@ -192,49 +196,45 @@ let test_mview engine () =
   let final = Determinacy.Mview.certain_answers_q0 mv in
   check_int "expected answer count" 3 (Cq.Eval.Tuple_set.cardinal final)
 
-(* --- graph mirror ------------------------------------------------------- *)
+(* --- green graphs --------------------------------------------------------- *)
+
+(* L₂ rules are maintained as TGDs over the bridge ([Greengraph.Bridge])
+   and judged by the dedicated graph engine: [Rule.chase] builds the
+   scratch side and [Rule.models] checks the maintained one. *)
 
 module G = Greengraph.Graph
 module R = Greengraph.Rule
 module L = Greengraph.Label
+module B = Greengraph.Bridge
+module M = Tgd.Chase.Maint
 
-let graph_equiv ~base a b =
-  let init = List.map (fun v -> (v, v)) (G.vertices base) in
-  let sa = Greengraph.Bridge.to_structure a
-  and sb = Greengraph.Bridge.to_structure b in
-  let init =
-    List.filter
-      (fun (v, _) ->
-        Structure.elem_stage sa v <> None && Structure.elem_stage sb v <> None)
-      init
-  in
-  Hom.exists_between ~init sa sb && Hom.exists_between ~init sb sa
+let gfact l s d = Fact.make (B.symbol_of l) [| s; d |]
+
+let graph_maint ?max_stages ?(engine = `Seminaive) rules g =
+  M.create ~engine ?max_stages (B.tgds_of_rules rules) (B.to_structure g)
+
+let maint_graph m = B.of_structure (M.structure m)
 
 let graph_scratch ~engine rules base ops =
-  let g = G.copy base in
-  List.iter
-    (function
-      | R.Maint.Insert (l, s, d) -> ignore (G.add_edge g l s d)
-      | R.Maint.Retract (l, s, d) -> ignore (G.remove_edge g l s d))
-    ops;
-  ignore (R.chase ~engine rules g);
-  g
+  let g = B.of_structure (scratch_base (B.to_structure base) ops) in
+  ignore (R.chase ~engine:(engine :> R.engine) rules g);
+  B.to_structure g
 
 let check_graph_edit ?(msg = "gedit") ~engine rules base scripts =
-  let m, _ = R.Maint.create rules (G.copy base) in
+  let m, _ = graph_maint ~engine rules base in
+  let sbase = B.to_structure base in
   List.iteri
     (fun i ops ->
-      let _ = R.Maint.apply_edit m ops in
-      let g = R.Maint.graph m in
+      let _ = M.apply_edit m ops in
       let s =
         graph_scratch ~engine rules base
           (List.concat (List.filteri (fun j _ -> j <= i) scripts))
       in
       let tag = Printf.sprintf "%s #%d" msg i in
-      Alcotest.(check (list string)) (tag ^ ": audit") [] (R.Maint.check m);
-      check (tag ^ ": models") true (R.models rules g);
+      Alcotest.(check (list string)) (tag ^ ": audit") [] (M.check m);
+      check (tag ^ ": models") true (R.models rules (maint_graph m));
       check (tag ^ ": hom-equivalent to scratch") true
-        (graph_equiv ~base g s))
+        (equiv ~base:sbase (M.structure m) s))
     scripts
 
 let test_graph_edits engine () =
@@ -246,22 +246,24 @@ let test_graph_edits engine () =
   in
   check_graph_edit ~msg:"graph edits" ~engine rules base
     [
-      [ R.Maint.Insert (L.l 1, b, x) ];
-      [ R.Maint.Retract (L.empty, a, b) ];
-      [ R.Maint.Insert (L.empty, a, b) ];
+      [ M.Insert (gfact (L.l 1) b x) ];
+      [ M.Retract (gfact L.empty a b) ];
+      [ M.Insert (gfact L.empty a b) ];
     ]
 
 let test_graph_retract_through_fresh engine () =
   let base, a, b = G.d_i () in
   let rules = [ R.amp (L.empty, L.empty) (L.l 1, L.l 2) ] in
-  let m, s0 = R.Maint.create rules (G.copy base) in
-  check "initial chase fired" true (s0.R.applications >= 1);
-  let st = R.Maint.apply_edit m [ R.Maint.Retract (L.empty, a, b) ] in
-  check "cascade killed product edges" true (st.R.Maint.e_killed >= 2);
-  check_int "graph back to empty base" 0 (G.size (R.Maint.graph m));
-  Alcotest.(check (list string)) "audit clean" [] (R.Maint.check m);
-  let s = graph_scratch ~engine rules base [ R.Maint.Retract (L.empty, a, b) ] in
-  check "equivalent to scratch" true (graph_equiv ~base (R.Maint.graph m) s)
+  let m, s0 = graph_maint ~engine rules base in
+  check "initial chase fired" true (s0.Tgd.Chase.applications >= 1);
+  let cut = [ M.Retract (gfact L.empty a b) ] in
+  let st = M.apply_edit m cut in
+  check "cascade killed product edges" true (st.M.e_killed >= 2);
+  check_int "graph back to empty base" 0 (Structure.size (M.structure m));
+  Alcotest.(check (list string)) "audit clean" [] (M.check m);
+  let s = graph_scratch ~engine rules base cut in
+  check "equivalent to scratch" true
+    (equiv ~base:(B.to_structure base) (M.structure m) s)
 
 (* --- the standing workloads --------------------------------------------- *)
 
@@ -295,59 +297,87 @@ let test_e10_workload engine () =
    checks on the regrow. *)
 let first_edge g =
   let e = List.hd (G.edges g) in
-  let lab = match e.G.label with Some i -> L.l i | None -> L.empty in
-  (lab, e.G.src, e.G.dst)
+  gfact e.G.label e.G.src e.G.dst
 
 let test_grid33_workload engine () =
   let base, _, _ = Separating.Paths.collision ~t:3 ~t':3 in
-  let l, s, d = first_edge base in
+  let cut = first_edge base in
   check_graph_edit ~msg:"grid(3,3)" ~engine Separating.Tbox.rules base
-    [ [ R.Maint.Retract (l, s, d) ]; [ R.Maint.Insert (l, s, d) ] ]
+    [ [ M.Retract cut ]; [ M.Insert cut ] ]
 
 let test_grid44_workload engine () =
   let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
   let rules = Separating.Tbox.rules in
-  let l, s, d = first_edge base in
-  let m, s0 = R.Maint.create rules (G.copy base) in
-  check "initial chase reached fixpoint" true s0.R.fixpoint;
+  let cut = first_edge base in
+  let m, s0 = graph_maint ~engine rules base in
+  check "initial chase reached fixpoint" true s0.Tgd.Chase.fixpoint;
   (* the cut, fully checked *)
-  let st = R.Maint.apply_edit m [ R.Maint.Retract (l, s, d) ] in
-  check "cut tore grid off the fold edge" true (st.R.Maint.e_killed >= 50);
-  Alcotest.(check (list string)) "audit after cut" [] (R.Maint.check m);
-  let scr = graph_scratch ~engine rules base [ R.Maint.Retract (l, s, d) ] in
-  check "cut models" true (R.models rules (R.Maint.graph m));
+  let st = M.apply_edit m [ M.Retract cut ] in
+  check "cut tore grid off the fold edge" true (st.M.e_killed >= 50);
+  Alcotest.(check (list string)) "audit after cut" [] (M.check m);
+  let scr = graph_scratch ~engine rules base [ M.Retract cut ] in
+  check "cut models" true (R.models rules (maint_graph m));
   check "cut equivalent to scratch" true
-    (graph_equiv ~base (R.Maint.graph m) scr);
+    (equiv ~base:(B.to_structure base) (M.structure m) scr);
   (* the regrow: size, pattern and audit against a fresh chase *)
-  let st2 = R.Maint.apply_edit m [ R.Maint.Insert (l, s, d) ] in
-  check "regrow reached fixpoint" true st2.R.Maint.e_run.R.fixpoint;
-  Alcotest.(check (list string)) "audit after regrow" [] (R.Maint.check m);
-  let g = R.Maint.graph m in
-  let scr2 = graph_scratch ~engine rules base [] in
+  let st2 = M.apply_edit m [ M.Insert cut ] in
+  check "regrow reached fixpoint" true st2.M.e_run.Tgd.Chase.fixpoint;
+  Alcotest.(check (list string)) "audit after regrow" [] (M.check m);
+  let g = maint_graph m in
+  let scr2 = B.of_structure (graph_scratch ~engine rules base []) in
   check "regrow models" true (R.models rules g);
   check_int "regrown grid size" (G.size scr2) (G.size g);
   check "regrown 1-2 pattern agrees" (G.has_12_pattern scr2)
     (G.has_12_pattern g)
 
+(* Maint compiles each dependency's plans once, at [create], and its
+   continuations reuse them: an insert+retract pair at the grid(4,4)
+   tail (T□ is 82 TGDs) compiles only the plans of its own witness
+   searches — 4, against 496 when every continuation recompiled every
+   dependency. *)
+let test_grid44_plan_reuse () =
+  let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
+  let edges = G.edges base in
+  let e = List.nth edges (List.length edges - 1) in
+  let held = B.to_structure base in
+  let tail = gfact e.G.label e.G.dst (Structure.fresh held) in
+  let m, _ = M.create (B.tgds_of_rules Separating.Tbox.rules) held in
+  let compilations () =
+    Obs.set_metrics true;
+    Fun.protect
+      ~finally:(fun () -> Obs.set_metrics false)
+      (fun () ->
+        let before = Obs.Metrics.snapshot () in
+        ignore (M.apply_edit m [ M.Insert tail ]);
+        ignore (M.apply_edit m [ M.Retract tail ]);
+        Obs.Metrics.diff before (Obs.Metrics.snapshot ())
+        |> List.assoc_opt "plan.compilations"
+        |> Option.value ~default:0)
+  in
+  List.iter
+    (fun pair -> check_int (Printf.sprintf "pair %d" pair) 4 (compilations ()))
+    [ 1; 2; 3 ]
+
 (* E1: chase(T∞, D_I) has no fixpoint — Figure 1's point — so its
    incremental property is the continuation: a capped maintained run
    resumed with [continue_] must be bit-identical (same edges, same
-   ids) to a single longer capped run, stage for stage. *)
+   ids) to a single longer capped run of the graph engine, stage for
+   stage. *)
 let test_e1_continuation () =
   let g, _, _ = G.d_i () in
-  let m, s0 = R.Maint.create ~max_stages:6 Separating.Tinf.rules g in
+  let m, s0 = graph_maint ~max_stages:6 Separating.Tinf.rules g in
   check "capped run is pending" true
-    ((not s0.R.fixpoint) && R.Maint.pending m);
-  let s1 = R.Maint.continue_ ~max_stages:6 m in
-  check "still short of fixpoint" false s1.R.fixpoint;
+    ((not s0.Tgd.Chase.fixpoint) && M.pending m);
+  let s1 = M.continue_ ~max_stages:6 m in
+  check "still short of fixpoint" false s1.Tgd.Chase.fixpoint;
   let scratch, _, _, s2 = Separating.Tinf.chase ~stages:12 () in
-  check_int "same stage count" s2.R.stages s1.R.stages;
+  check_int "same stage count" s2.R.stages s1.Tgd.Chase.stages;
   let edges g =
     List.sort compare
       (List.map (fun (e : G.edge) -> (e.G.label, e.G.src, e.G.dst)) (G.edges g))
   in
   check "bit-identical to the 12-stage run" true
-    (edges (R.Maint.graph m) = edges scratch)
+    (edges (maint_graph m) = edges scratch)
 
 (* --- the oracle campaign ------------------------------------------------- *)
 
@@ -390,7 +420,11 @@ let () =
         cases "E10" test_e10_workload
         @ cases "grid(3,3)" test_grid33_workload
         @ cases "grid(4,4)" test_grid44_workload
-        @ [ Alcotest.test_case "E1 continuation" `Quick test_e1_continuation ] );
+        @ [
+            Alcotest.test_case "E1 continuation" `Quick test_e1_continuation;
+            Alcotest.test_case "grid(4,4) edits reuse compiled plans" `Quick
+              test_grid44_plan_reuse;
+          ] );
       ( "oracle",
         [ Alcotest.test_case "campaign: 200 scripts, 0 violations" `Quick
             test_oracle_campaign ] );

@@ -378,10 +378,34 @@ let test_par_fault_bit_identical () =
        = par_stats.Tgd.Chase.triggers_considered
     && baseline_stats.Tgd.Chase.outcome = par_stats.Tgd.Chase.outcome)
 
-(* The graph chase and its maintenance on the shared stage loop: rows
-   (stages, applications, triggers considered, outcome, edges, snapshot
-   stages) on the grid(4,4) collision, recorded before the three loops
-   became one. *)
+(* A maintenance run faulted mid-stage leaves triggers it considered but
+   never fired; their keys must stay unseen, so that [continue_] fires
+   them and still reaches the model the uninterrupted run builds.  The
+   arena fault strikes inside a stage's firing pass on the bridged
+   grid(4,4). *)
+let test_maint_continues_faulted_run () =
+  let g, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
+  let deps = Greengraph.Bridge.tgds_of_rules Separating.Tbox.rules in
+  let d = Greengraph.Bridge.to_structure g in
+  FP.configure_exn "arena.grow";
+  let t, s =
+    Fun.protect ~finally:FP.clear (fun () -> Tgd.Chase.Maint.create deps d)
+  in
+  check "faulted mid-run" true
+    (s.Tgd.Chase.outcome = G.Faulted "arena.grow"
+    && Tgd.Chase.Maint.pending t);
+  let s = Tgd.Chase.Maint.continue_ t in
+  check "continued to the fixpoint" true s.Tgd.Chase.fixpoint;
+  Alcotest.(check (list string)) "audit clean" [] (Tgd.Chase.Maint.check t);
+  check "models T□" true (Tgd.Chase.models deps d);
+  check_int "the uninterrupted run's 998 edges" 998 (Structure.size d)
+
+(* The graph chase and the maintenance of its rules on the shared stage
+   loop: rows (stages, applications, triggers considered, outcome, edges,
+   snapshot stages) on the grid(4,4) collision, recorded before the three
+   loops became one.  Maintenance runs the bridged rules through
+   [Tgd.Chase.Maint]; its rows are the ones recorded when green graphs
+   had a maintainer of their own. *)
 let test_graph_stage_loop_rows () =
   let module R = Greengraph.Rule in
   let module GG = Greengraph.Graph in
@@ -431,15 +455,23 @@ let test_graph_stage_loop_rows () =
       ("seminaive", `Seminaive, None, [| 320; 412; 234; 156 |]);
       ("par", `Par, Some 2, [| 320; 412; 234; 156 |]);
     ];
+  let deps = Greengraph.Bridge.tgds_of_rules Separating.Tbox.rules in
+  let trow (s : Tgd.Chase.stats) =
+    Tgd.Chase.(s.stages, s.applications, s.triggers_considered, s.outcome)
+  in
   List.iter
     (fun (name, governor, first) ->
-      let t, s = R.Maint.create ~governor Separating.Tbox.rules (grid ()) in
-      same ("maint " ^ name) first (row s);
-      check ("maint " ^ name ^ " pending") true (R.Maint.pending t);
-      let s = R.Maint.continue_ t in
-      same ("maint " ^ name ^ " continued") (18, 490, 980, G.Fixpoint) (row s);
-      check ("maint " ^ name ^ " settled") false (R.Maint.pending t);
-      check_int ("maint " ^ name ^ " edges") 998 (GG.size (R.Maint.graph t)))
+      let t, s =
+        Tgd.Chase.Maint.create ~governor deps
+          (Greengraph.Bridge.to_structure (grid ()))
+      in
+      same ("maint " ^ name) first (trow s);
+      check ("maint " ^ name ^ " pending") true (Tgd.Chase.Maint.pending t);
+      let s = Tgd.Chase.Maint.continue_ t in
+      same ("maint " ^ name ^ " continued") (18, 490, 980, G.Fixpoint) (trow s);
+      check ("maint " ^ name ^ " settled") false (Tgd.Chase.Maint.pending t);
+      check_int ("maint " ^ name ^ " edges") 998
+        (Structure.size (Tgd.Chase.Maint.structure t)))
     [
       ("max_facts", G.make ~max_facts:300 (), (6, 182, 320, G.Budget G.Facts));
       ("pre-tripped cancel", G.make ~cancel:c (), (0, 0, 0, G.Cancelled));
@@ -607,6 +639,8 @@ let () =
             test_par_fault_bit_identical;
           Alcotest.test_case "graph stage loop rows" `Quick
             test_graph_stage_loop_rows;
+          Alcotest.test_case "maint continues a faulted run" `Quick
+            test_maint_continues_faulted_run;
         ] );
       ( "resume",
         [
