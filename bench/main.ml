@@ -232,6 +232,14 @@ let table_attempt1 () =
 
 (* --- E13: ablations ------------------------------------------------------------ *)
 
+let d_i () =
+  let g, _, _ = Greengraph.Graph.d_i () in
+  g
+
+let grid t t' =
+  let g, _, _ = Separating.Paths.collision ~t ~t' in
+  g
+
 let table_ablations () =
   section "E13: design ablations (chase engines, hom ordering)";
   (* lazy vs semi-oblivious on T_Q of the composition instance *)
@@ -256,14 +264,17 @@ let table_ablations () =
     s2.Tgd.Chase.applications
     (Relational.Structure.size d2)
     s2.Tgd.Chase.fixpoint;
-  (* stage vs semi-naive on the graph-rule chase of E1 *)
-  let _, _, _, st1 = Separating.Tinf.chase ~engine:`Stage ~stages:16 () in
-  let _, _, _, st2 = Separating.Tinf.chase ~engine:`Seminaive ~stages:16 () in
+  (* the graph-rule chase of E1 against its bridged stage reference *)
+  let _, st1 =
+    Greengraph.Bridge.reference_chase ~max_stages:16 Separating.Tinf.rules
+      (d_i ())
+  in
+  let _, _, _, st2 = Separating.Tinf.chase ~stages:16 () in
   Format.printf
-    "T∞ 16 stages, stage engine:     %d triggers considered, %d firings@."
-    st1.Greengraph.Rule.triggers_considered st1.Greengraph.Rule.applications;
+    "T∞ 16 stages, bridged stage reference: %d triggers considered, %d firings@."
+    st1.Tgd.Chase.triggers_considered st1.Tgd.Chase.applications;
   Format.printf
-    "T∞ 16 stages, seminaive engine: %d triggers considered, %d firings@."
+    "T∞ 16 stages, graph engine:            %d triggers considered, %d firings@."
     st2.Greengraph.Rule.triggers_considered st2.Greengraph.Rule.applications
 
 (* --- bechamel timing benches -------------------------------------------------- *)
@@ -358,17 +369,18 @@ let benches =
      Test.make ~name:"E13d hom search: scrambled P7, no ordering"
        (Staged.stage (fun () ->
             Relational.Hom.count ~ordered:false target scrambled_p7)));
-    Test.make ~name:"E13e chase(T∞) 16 stages: stage engine"
-      (Staged.stage (fun () -> Separating.Tinf.chase ~engine:`Stage ~stages:16 ()));
-    Test.make ~name:"E13f chase(T∞) 16 stages: seminaive engine"
+    Test.make ~name:"E13e chase(T∞) 16 stages: bridged stage reference"
       (Staged.stage (fun () ->
-           Separating.Tinf.chase ~engine:`Seminaive ~stages:16 ()));
-    Test.make ~name:"E13g grid (3,3): stage engine"
+           Greengraph.Bridge.reference_chase ~max_stages:16 Separating.Tinf.rules
+             (d_i ())));
+    Test.make ~name:"E13f chase(T∞) 16 stages: graph engine"
+      (Staged.stage (fun () -> Separating.Tinf.chase ~stages:16 ()));
+    Test.make ~name:"E13g grid (3,3): bridged stage reference"
       (Staged.stage (fun () ->
-           Separating.Theorem14.collision_outcome ~engine:`Stage ~t:3 ~t':3 ()));
-    Test.make ~name:"E13h grid (3,3): seminaive engine"
+           Greengraph.Bridge.reference_chase Separating.Tbox.rules (grid 3 3)));
+    Test.make ~name:"E13h grid (3,3): graph engine"
       (Staged.stage (fun () ->
-           Separating.Theorem14.collision_outcome ~engine:`Seminaive ~t:3 ~t':3 ()));
+           Separating.Theorem14.collision_outcome ~t:3 ~t':3 ()));
   ]
 
 let run_benches () =
@@ -452,67 +464,53 @@ let counted f =
   Obs.set_metrics false;
   (delta, r)
 
-let graph_engine_name = function
-  | `Stage -> "stage"
-  | `Seminaive -> "seminaive"
-  | `Par -> "par"
-
+(* The graph rows run the one graph engine, under the "seminaive" name
+   they were recorded with; the E10 rows run every TGD engine. *)
 let chase_rows ~tinf_stages ~grid:(t, t') ~tgd_stages =
-  let graph_row experiment engine run =
-    let wall_s, (_ : Greengraph.Rule.stats) = wall_clock run in
-    let counters, (s : Greengraph.Rule.stats) = counted run in
+  let row experiment engine_name run stats =
+    let wall_s, _ = wall_clock run in
+    let counters, s = counted run in
+    let b_stages, b_applications, b_considered = stats s in
     {
       experiment;
-      engine_name = graph_engine_name engine;
+      engine_name;
       wall_s;
-      b_stages = s.Greengraph.Rule.stages;
-      b_applications = s.Greengraph.Rule.applications;
-      b_considered = s.Greengraph.Rule.triggers_considered;
+      b_stages;
+      b_applications;
+      b_considered;
       counters;
     }
   in
-  let tgd_row experiment engine run =
-    let wall_s, (_ : Tgd.Chase.stats) = wall_clock run in
-    let counters, (s : Tgd.Chase.stats) = counted run in
-    {
-      experiment;
-      engine_name = graph_engine_name engine;
-      wall_s;
-      b_stages = s.Tgd.Chase.stages;
-      b_applications = s.Tgd.Chase.applications;
-      b_considered = s.Tgd.Chase.triggers_considered;
-      counters;
-    }
+  let graph_row experiment run =
+    row experiment "seminaive" run (fun (s : Greengraph.Rule.stats) ->
+        Greengraph.Rule.(s.stages, s.applications, s.triggers_considered))
   in
   List.concat_map
-    (fun (engine : Greengraph.Rule.engine) ->
-      [
-        graph_row
-          (Printf.sprintf "E1 tinf stages=%d" tinf_stages)
-          engine
-          (fun () ->
-            let _, _, _, s = Separating.Tinf.chase ~engine ~stages:tinf_stages () in
-            s);
-        graph_row
-          (Printf.sprintf "E2 grid (%d,%d)" t t')
-          engine
-          (fun () ->
-            let _, s, _ =
-              Separating.Theorem14.collision_outcome ~engine ~t ~t' ()
-            in
-            s);
-        tgd_row
-          (Printf.sprintf "E10 tgd {P2,P3}->P5 stages=%d" tgd_stages)
-          engine
-          (fun () ->
-            let deps =
-              Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ]
-            in
-            let d = fst (Tgd.Greenred.green_canonical (path_query 5)) in
-            Tgd.Chase.run
-              ~engine:(engine :> Tgd.Chase.engine)
-              ~max_stages:tgd_stages deps d);
-      ])
+    (fun (engine : Tgd.Chase.engine) ->
+      (if engine = `Seminaive then
+         [
+           graph_row (Printf.sprintf "E1 tinf stages=%d" tinf_stages)
+             (fun () ->
+               let _, _, _, s = Separating.Tinf.chase ~stages:tinf_stages () in
+               s);
+           graph_row (Printf.sprintf "E2 grid (%d,%d)" t t') (fun () ->
+               let _, s, _ = Separating.Theorem14.collision_outcome ~t ~t' () in
+               s);
+         ]
+       else [])
+      @ [
+          row
+            (Printf.sprintf "E10 tgd {P2,P3}->P5 stages=%d" tgd_stages)
+            (Format.asprintf "%a" Tgd.Chase.pp_engine engine)
+            (fun () ->
+              let deps =
+                Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ]
+              in
+              let d = fst (Tgd.Greenred.green_canonical (path_query 5)) in
+              Tgd.Chase.run ~engine ~max_stages:tgd_stages deps d)
+            (fun (s : Tgd.Chase.stats) ->
+              Tgd.Chase.(s.stages, s.applications, s.triggers_considered));
+        ])
     [ `Stage; `Seminaive; `Par ]
 
 let counters_json cs =
@@ -691,9 +689,11 @@ let scan_baseline path =
    with End_of_file -> close_in ic);
   List.rev !rows
 
-(* Re-run the BENCH_chase.json workloads and fail (exit 1) if any row
-   got more than [threshold]x slower than the checked-in baseline.  Rows
-   without a baseline (new engines) are reported but not gated. *)
+(* Re-run the BENCH_chase.json workloads and count the rows more than
+   [threshold]x slower than the checked-in baseline.  Rows without a
+   baseline (new engines) are reported but not gated.  Like every gate
+   below, it returns its failure count; the driver exits once, after
+   every requested gate has run. *)
 let regress baseline_path =
   let threshold = 2.0 in
   let baseline = scan_baseline baseline_path in
@@ -713,26 +713,22 @@ let regress baseline_path =
           Format.printf "%-34s %-10s %10.4fs %10.4fs %7.2fx %s@." r.experiment
             r.engine_name base r.wall_s ratio verdict)
     rows;
-  if !failures > 0 then begin
+  if !failures > 0 then
     Format.printf "bench-smoke: %d row(s) regressed beyond %.1fx@." !failures
-      threshold;
-    exit 1
-  end
-  else Format.printf "bench-smoke: no wall-clock regression beyond %.1fx@." threshold
+      threshold
+  else Format.printf "bench-smoke: no wall-clock regression beyond %.1fx@." threshold;
+  !failures
 
 (* The par gate (`regress --engine par`): the parallel engine at its
    default worker count must be no slower than semi-naive — the same
-   pipeline at one worker — on the grid(4,4) and E10 workloads, so the
-   gate measures what the pool's fan-out, merge and staging cost against
-   the single-worker path.  Noise-damped twice over: five alternating
+   pipeline at one worker — on the E10 workload, so the gate measures
+   what the pool's fan-out, merge and staging cost against the
+   single-worker path.  Noise-damped twice over: five alternating
    measurements per engine (each a ~250ms [wall_clock] average),
    compared on the minima — a scheduler hiccup inflates one sample, not
-   the minimum of five — and a 10% grace band on top, because the E2
-   margin (~10%) is about one noise quantum on a loaded box. *)
+   the minimum of five — and a 10% grace band on top, about one noise
+   quantum on a loaded box. *)
 let par_gate () =
-  let grid engine () =
-    ignore (Separating.Theorem14.collision_outcome ~engine ~t:4 ~t':4 ())
-  in
   let e10 engine () =
     let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
     let d = fst (Tgd.Greenred.green_canonical (path_query 5)) in
@@ -760,14 +756,12 @@ let par_gate () =
     Format.printf "par-gate %-24s seminaive %.4fs  par %.4fs  %s@." name semi
       par verdict
   in
-  gate "E2 grid (4,4)" (min5 (grid `Seminaive) (grid `Par));
   gate "E10 tgd stages=6" (min5 (e10 `Seminaive) (e10 `Par));
-  if !failures > 0 then begin
+  if !failures > 0 then
     Format.printf "bench-smoke: par engine slower than seminaive on %d row(s)@."
-      !failures;
-    exit 1
-  end
-  else Format.printf "bench-smoke: par <= seminaive on every gated row@."
+      !failures
+  else Format.printf "bench-smoke: par <= seminaive on every gated row@.";
+  !failures
 
 (* --- E21: incremental maintenance vs from-scratch re-chase --------------- *)
 
@@ -930,13 +924,12 @@ let incr_gate () =
     (fun (name, (incremental, scratch)) ->
       gate name (min5 scratch incremental))
     (incr_workloads ~engine:`Seminaive);
-  if !failures > 0 then begin
+  if !failures > 0 then
     Format.printf
       "bench-smoke: incremental edit not 5x faster than scratch on %d row(s)@."
-      !failures;
-    exit 1
-  end
-  else Format.printf "bench-smoke: incremental edit >= 5x on every gated row@."
+      !failures
+  else Format.printf "bench-smoke: incremental edit >= 5x on every gated row@.";
+  !failures
 
 (* E21 smoke (dune runtest via @incr-smoke): a deterministic
    correctness pass, no timing.  On each standing workload, run the
@@ -1521,9 +1514,12 @@ let serve_gate () =
   if !best_cached *. 1.10 < 3. *. !best_uncached then begin
     Format.printf
       "bench-smoke: result cache below the 3x duplicate-traffic floor@.";
-    exit 1
+    1
   end
-  else Format.printf "bench-smoke: cache >= 3x on duplicate-heavy traffic@."
+  else begin
+    Format.printf "bench-smoke: cache >= 3x on duplicate-heavy traffic@.";
+    0
+  end
 
 (* The @cache-smoke gate: deterministic result-cache semantics against a
    live daemon — no timing, so it can ride `dune runtest`.  Checks the
@@ -1724,10 +1720,14 @@ let campaign_smoke () =
 (* Quick equivalence + JSON sanity pass, wired into `dune runtest` (prints
    to stdout only, so the test stays hermetic). *)
 let smoke () =
-  let g1, _, _, s1 = Separating.Tinf.chase ~engine:`Stage ~stages:8 () in
-  let g2, _, _, s2 = Separating.Tinf.chase ~engine:`Seminaive ~stages:8 () in
-  assert (Greengraph.Graph.equal g1 g2);
-  assert (s1.Greengraph.Rule.applications = s2.Greengraph.Rule.applications);
+  let d1, s1 =
+    Greengraph.Bridge.reference_chase ~max_stages:8 Separating.Tinf.rules
+      (d_i ())
+  in
+  let g2, _, _, s2 = Separating.Tinf.chase ~stages:8 () in
+  assert (
+    Greengraph.Graph.delta_since g2 0 = Greengraph.Bridge.edge_journal d1);
+  assert (s1.Tgd.Chase.applications = s2.Greengraph.Rule.applications);
   let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
   let d1 = fst (Tgd.Greenred.green_canonical (path_query 5)) in
   let d2 = fst (Tgd.Greenred.green_canonical (path_query 5)) in
@@ -1768,10 +1768,22 @@ let () =
         | b :: _ -> b
         | [] -> "BENCH_chase.json"
       in
-      regress baseline;
-      if gate_par then par_gate ();
-      if gate_incr then incr_gate ();
-      if gate_serve then serve_gate ()
+      let failed =
+        List.filter_map
+          (fun (name, requested, gate) ->
+            if requested && gate () > 0 then Some name else None)
+          [
+            ("baseline", true, fun () -> regress baseline);
+            ("par", gate_par, par_gate);
+            ("incr", gate_incr, incr_gate);
+            ("serve", gate_serve, serve_gate);
+          ]
+      in
+      if failed <> [] then begin
+        Format.printf "bench-smoke: failed gates: %s@."
+          (String.concat ", " failed);
+        exit 1
+      end
   | "ablation" -> emit_ablation ()
   | "overhead" -> emit_overhead ()
   | "incr" -> emit_incr_json ()

@@ -184,7 +184,7 @@ let engine_arg =
            (the same pipeline spread over $(b,--jobs) workers) or \
            $(b,oblivious) (the semi-oblivious chase on the same \
            one-worker pipeline, every trigger fired once without a \
-           head check; TGD chase only)." )
+           head check)." )
 
 let jobs_arg =
   Arg.(
@@ -195,22 +195,14 @@ let jobs_arg =
           "Worker domains for $(b,--engine par) (default: the runtime's \
            recommended domain count); $(b,seminaive) always runs one.")
 
-(* The graph-rule chase has no oblivious variant. *)
-let graph_engine = function
-  | `Oblivious ->
-      Format.eprintf "error: --engine oblivious applies only to the TGD chase@.";
-      exit 2
-  | (`Stage | `Seminaive | `Par) as e -> e
-
 let oracle = function
   | `M m -> Rainworm.Machine.oracle m
   | `Tm tm -> Rainworm.Tm_compiler.oracle tm
 
 (* --- tinf -------------------------------------------------------------- *)
 
-let tinf () governor stages engine jobs =
-  let engine = graph_engine engine in
-  let g, a, b, stats = Separating.Tinf.chase ~engine ?jobs ~governor ~stages () in
+let tinf () governor stages =
+  let g, a, b, stats = Separating.Tinf.chase ~governor ~stages () in
   Format.printf "chase(T∞, D_I): %d edges, %d vertices (%a)@."
     (Greengraph.Graph.size g)
     (Greengraph.Graph.order g)
@@ -228,14 +220,13 @@ let tinf_cmd =
   Cmd.v
     (Cmd.info "tinf" ~exits
        ~doc:"Chase T∞ from D_I and print its words (Figure 1).")
-    Term.(const tinf $ obs_term $ resilience_term $ stages $ engine_arg $ jobs_arg)
+    Term.(const tinf $ obs_term $ resilience_term $ stages)
 
 (* --- collide ----------------------------------------------------------- *)
 
-let collide () governor t u engine jobs =
-  let engine = graph_engine engine in
+let collide () governor t u =
   let pattern, stats, g =
-    Separating.Theorem14.collision_outcome ~engine ?jobs ~governor ~t ~t':u ()
+    Separating.Theorem14.collision_outcome ~governor ~t ~t':u ()
   in
   Format.printf
     "αβ-paths of lengths %d and %d sharing both endpoints, gridded by T□:@." t u;
@@ -249,7 +240,7 @@ let collide_cmd =
   Cmd.v
     (Cmd.info "collide" ~exits
        ~doc:"Grid two colliding αβ-paths with T□ (Figures 2–4).")
-    Term.(const collide $ obs_term $ resilience_term $ t $ u $ engine_arg $ jobs_arg)
+    Term.(const collide $ obs_term $ resilience_term $ t $ u)
 
 (* --- worm -------------------------------------------------------------- *)
 

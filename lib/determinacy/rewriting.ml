@@ -75,7 +75,3 @@ let conjunctive ~views q0 =
       if Cq.Containment.equivalent expansion q0 then
         Rewriting (Cq.Containment.core plan)
       else No_conjunctive_rewriting
-
-let pp_result ppf = function
-  | Rewriting q -> Fmt.pf ppf "rewriting: %a" Cq.Query.pp q
-  | No_conjunctive_rewriting -> Fmt.string ppf "no conjunctive rewriting"

@@ -18,5 +18,3 @@ type result =
 
 (** Decide whether the universal plan is an exact rewriting. *)
 val conjunctive : views:(string * Cq.Query.t) list -> Cq.Query.t -> result
-
-val pp_result : Format.formatter -> result -> unit

@@ -26,9 +26,22 @@ let to_structure g =
       Structure.reserve st v;
       Structure.set_name st v (Graph.name g v))
     (List.sort compare (Graph.vertices g));
-  Graph.iter_edges g (fun e ->
-      Structure.add2 st (symbol_of e.Graph.label) e.Graph.src e.Graph.dst);
+  (* in journal order, so the structure's journal is the graph's *)
+  List.iter
+    (fun (e : Graph.edge) ->
+      Structure.add2 st (symbol_of e.Graph.label) e.Graph.src e.Graph.dst)
+    (Graph.delta_since g 0);
   st
+
+(* A structure's edge facts in journal order, as green-graph edges: the
+   counterpart of [Graph.delta_since g 0]. *)
+let edge_journal st =
+  List.filter_map
+    (fun f ->
+      Option.map
+        (fun label -> { Graph.label; src = Fact.arg f 0; dst = Fact.arg f 1 })
+        (label_of_symbol (Fact.sym f)))
+    (Structure.delta_since st 0)
 
 let of_structure st =
   let g = Graph.create () in
@@ -64,3 +77,12 @@ let tgds_of_rule (r : Rule.t) =
   ]
 
 let tgds_of_rules rules = List.concat_map tgds_of_rule rules
+
+(* The green-graph chase's reference: the bridged rules chased by the TGD
+   [`Stage] engine on a [to_structure] copy of [g] ([g] is not touched).
+   It shares no discovery or firing code with [Rule.chase], and both fire
+   in the canonical order, so the two runs must agree journal entry for
+   journal entry ([edge_journal]). *)
+let reference_chase ?max_stages ?stop rules g =
+  let d = to_structure g in
+  (d, Tgd.Chase.run ~engine:`Stage ?max_stages ?stop (tgds_of_rules rules) d)

@@ -31,24 +31,6 @@ let pp ppf t =
     (if t.name = "" then "" else t.name ^ ": ")
     Label.pp t.l1 c Label.pp t.l2 Label.pp t.r1 c Label.pp t.r2
 
-(* Canonical ruleset digest, mirroring [Tgd.Dep.digest_hex]: connector
-   and label pairs in rule order, names excluded (renamed rulesets
-   rewrite identically).  Order-sensitive — firing order determines
-   fresh-vertex identity. *)
-let digest_hex rules =
-  let dg = Relational.Digest128.create () in
-  List.iter
-    (fun r ->
-      Relational.Digest128.feed_int dg
-        (match r.conn with Amp -> 0 | Slash -> 1);
-      List.iter
-        (fun l ->
-          Relational.Digest128.feed_string dg
-            (Format.asprintf "%a" Label.pp l))
-        [ r.l1; r.l2; r.r1; r.r2 ])
-    rules;
-  Relational.Digest128.hex ~salt:[ List.length rules ] dg
-
 (* --- semantics -------------------------------------------------------- *)
 
 let shared_of conn (e : Graph.edge) =
@@ -143,18 +125,13 @@ let pp_stats ppf s =
     s.stages s.applications s.triggers_considered s.fixpoint G.pp_outcome
     s.outcome
 
-(* Trigger-discovery engines, mirroring [Tgd.Chase]: [`Stage] rescans
-   every label bucket each stage and re-checks each rhs pair against the
-   graph at fire time — the reference; [`Par] only examines lhs pairs
-   using at least one edge added since the previous stage, one task per
-   rule direction on a work-stealing domain pool with a canonical
-   sequential merge, still bit-identical; [`Seminaive] (default) is
-   [`Par] at one worker.
-   Both conditions of a trigger are monotone (lhs pairs and rhs pairs are
-   never removed), so a pair wholly inside old edges was examined at an
-   earlier stage and either fired (its rhs pair now exists) or was
-   dropped because the rhs pair existed — inactive forever either way. *)
-type engine = [ `Stage | `Seminaive | `Par ]
+(* The semi-naive chase: a stage only examines lhs pairs using at least
+   one edge added since the previous stage.  Both conditions of a trigger
+   are monotone (lhs pairs and rhs pairs are never removed), so a pair
+   wholly inside old edges was examined at an earlier stage and either
+   fired (its rhs pair now exists) or was dropped because the rhs pair
+   existed — inactive forever either way.  Its reference is the bridged
+   TGD chase ([Bridge.reference_chase]). *)
 
 (* The directions of a rule set in canonical order: (rule, lhs, rhs). *)
 let directions rules =
@@ -165,36 +142,6 @@ let directions rules =
         (rule, (rule.r1, rule.r2), (rule.l1, rule.l2));
       ])
     rules
-
-(* The reference collector: for each rule and direction, the
-   deduplicated (x, x') pairs with an lhs pair present and the rhs pair
-   absent, rescanning every edge with the lhs label, in the canonical
-   firing order (rule, direction, x, x') shared by every engine so their
-   fresh vertices coincide. *)
-let collect_stage ~considered rules g =
-  List.concat_map
-    (fun (rule, (a, b), (c, d)) ->
-      let seen = Hashtbl.create 32 in
-      let out = ref [] in
-      List.iter
-        (fun (e1 : Graph.edge) ->
-          List.iter
-            (fun (e2 : Graph.edge) ->
-              (* cooperative cancellation: the scan is read-only here *)
-              G.Cancel.poll ();
-              let x = free_of rule.conn e1 and x' = free_of rule.conn e2 in
-              if not (Hashtbl.mem seen (x, x')) then begin
-                Hashtbl.replace seen (x, x') ();
-                incr considered;
-                if !Obs.metrics_on then Obs.Metrics.incr c_considered;
-                if not (pair_present g rule.conn (c, d) (x, x')) then
-                  out := (x, x') :: !out
-              end)
-            (edges_at_shared_with g rule.conn (shared_of rule.conn e1) b))
-        (Graph.with_label g a);
-      List.sort compare !out
-      |> List.map (fun (x, x') -> (rule, ((c, x), (d, x')))))
-    (directions rules)
 
 (* A stage's delta, indexed by label once, so the per-direction scans
    below look their candidate edges up instead of rescanning the whole
@@ -232,52 +179,26 @@ let iter_delta_pairs g conn ~dix (a, b) consider =
         (edges_at_shared_with g conn (shared_of conn e2) a))
     (delta_with dix b)
 
-let c_merge_ms = Obs.Metrics.counter "par.merge_ms"
-
-(* The semi-naive collector, at every worker count.  Each (rule,
-   direction) is one task on a work-stealing pool (inline at one worker):
-   it reads the graph only and returns its sorted, deduplicated (x, x')
-   pairs.  A sequential merge then counts and rhs-checks them in (rule,
-   direction) order, which is the canonical firing order.  Under the
-   ["par.shard"] failpoint the degrade rung runs the same tasks inline,
-   so every rung yields the same triggers. *)
-let collect_delta ~jobs ~considered rules g delta_edges =
+(* The stage's triggers: for each (rule, direction) in canonical order,
+   the sorted, deduplicated (x, x') pairs of its delta-restricted lhs
+   pairs whose rhs pair is absent.  That (rule, direction, x, x') order is
+   the canonical firing order. *)
+let collect_delta ~considered rules g delta_edges =
   let dix = index_delta delta_edges in
-  let dirs = Array.of_list (directions rules) in
-  let n = Array.length dirs in
-  let task t =
-    let rule, ab, _ = dirs.(t) in
-    let acc = ref [] in
-    iter_delta_pairs g rule.conn ~dix ab (fun e1 e2 ->
-        G.Cancel.poll ();
-        acc := (free_of rule.conn e1, free_of rule.conn e2) :: !acc);
-    List.sort_uniq compare !acc
-  in
-  let pairs =
-    Resilience.Failpoint.ladder ~site:"par.shard" n
-      (fun guard ->
-        Relational.Pool.run_stealing ~jobs n (fun t ->
-            guard t;
-            task t))
-      ~degrade:(fun () -> Array.init n task)
-  in
-  let t0 = Obs.Clock.now_s () in
-  let out = ref [] in
-  Array.iteri
-    (fun t ps ->
-      let rule, _, (c, d) = dirs.(t) in
-      List.iter
+  List.concat_map
+    (fun (rule, ab, (c, d)) ->
+      let acc = ref [] in
+      iter_delta_pairs g rule.conn ~dix ab (fun e1 e2 ->
+          G.Cancel.poll ();
+          acc := (free_of rule.conn e1, free_of rule.conn e2) :: !acc);
+      List.filter_map
         (fun (x, x') ->
           incr considered;
           if !Obs.metrics_on then Obs.Metrics.incr c_considered;
-          if not (pair_present g rule.conn (c, d) (x, x')) then
-            out := (rule, ((c, x), (d, x'))) :: !out)
-        ps)
-    pairs;
-  if !Obs.metrics_on then
-    Obs.Metrics.add c_merge_ms
-      (int_of_float ((Obs.Clock.now_s () -. t0) *. 1000.));
-  List.rev !out
+          if pair_present g rule.conn (c, d) (x, x') then None
+          else Some (rule, ((c, x), (d, x'))))
+        (List.sort_uniq compare !acc))
+    (directions rules)
 
 (* Packed integer keys for the semi-naive fire table.  A label's code is
    [None -> 0 | Some i -> i + 1]; vertex ids are bounded by
@@ -305,72 +226,19 @@ let lab_bound rules =
     1 rules
   |> max 0
 
-(* A resumable graph-chase snapshot.  The graph chase keeps no persistent
-   dedup state across stages (its trigger dedup is per stage), so a
-   snapshot is the graph (a journal-order-preserving Marshal clone), the
-   watermark and the counters.  [gsnap_stage] is the last completed
-   stage; resuming continues at [gsnap_stage + 1] with absolute stage
-   numbering. *)
-type snapshot = {
-  gsnap_engine : engine;
-  gsnap_stage : int;
-  gsnap_wm : int;
-  gsnap_considered : int;
-  gsnap_applications : int;
-  gsnap_rules : t list; (* plain data; compared to reject mismatched resumes *)
-  gsnap_graph : Graph.t;
-}
-
-let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
-    ?(max_stages = max_int) ?(stop = fun _ -> false) ?(snapshot_every = 1)
-    ?on_snapshot ?from rules g =
-  (match from with
-  | Some s ->
-      if s.gsnap_rules <> rules then
-        invalid_arg "Rule.resume: rule list differs from the snapshot's"
-  | None -> ());
-  let jobs =
-    match (engine, jobs) with
-    | (`Stage | `Seminaive), _ -> 1
-    | `Par, Some j -> max 1 j
-    | `Par, None -> Relational.Pool.default_jobs ()
-  in
-  let start_stage, wm0, considered0, apps0 =
-    match from with
-    | Some s -> (s.gsnap_stage, s.gsnap_wm, s.gsnap_considered, s.gsnap_applications)
-    | None -> (0, 0, 0, 0)
-  in
-  let applications = ref apps0 in
-  let considered = ref considered0 in
-  let wm = ref wm0 in
-  let snapshot i =
-    match on_snapshot with
-    | Some f ->
-        f
-          {
-            gsnap_engine = engine;
-            gsnap_stage = i;
-            gsnap_wm = !wm;
-            gsnap_considered = !considered;
-            gsnap_applications = !applications;
-            gsnap_rules = rules;
-            gsnap_graph = Resilience.Checkpoint.clone g;
-          }
-    | None -> ()
-  in
+let chase ?(governor = G.unlimited) ?(max_stages = max_int)
+    ?(stop = fun _ -> false) rules g =
+  let applications = ref 0 in
+  let considered = ref 0 in
+  let wm = ref 0 in
   let collect () =
-    match engine with
-    | `Stage ->
-        if !Obs.metrics_on then Obs.Metrics.observe h_delta (Graph.size g);
-        collect_stage ~considered rules g
-    | `Seminaive | `Par ->
-        let d = Graph.delta_since g !wm in
-        if !Obs.metrics_on then Obs.Metrics.observe h_delta (List.length d);
-        let c = collect_delta ~jobs ~considered rules g d in
-        (* advance only after a completed scan: a cancelled scan must not
-           move the watermark past the last resumable boundary *)
-        wm := Graph.watermark g;
-        c
+    let d = Graph.delta_since g !wm in
+    if !Obs.metrics_on then Obs.Metrics.observe h_delta (List.length d);
+    let c = collect_delta ~considered rules g d in
+    (* advance only after a completed scan: a cancelled scan must not
+       move the watermark past the last stage boundary *)
+    wm := Graph.watermark g;
+    c
   in
   let fire_one fired rule t =
     fire rule g t;
@@ -378,78 +246,68 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
     incr fired
   in
   (* Fire the stage's triggers in order, each only if its rhs pair is
-     still absent (the chase of Section II.C); returns the firings. *)
+     still absent (the chase of Section II.C); returns the firings.
+
+     The fire-time re-check is O(1) per trigger.  Every collected
+     trigger's rhs pair was absent against the stage-start graph, and a
+     [fire] only adds edges touching its own fresh vertex, which no older
+     edge reaches — so a pair at fire time is either wholly old (absent:
+     it was checked at collection) or wholly among the two edges of one
+     single firing this stage.  A table of the pairs derivable from each
+     firing's edge pair {c: x~v, d: x'~v} therefore decides the re-check
+     exactly: present iff probed.  Same decisions as a [pair_present]
+     re-check, and measured faster than it (DESIGN.md, "The graph
+     engine's fire table").
+
+     Keys are packed ints when the label/vertex bounds fit in a tagged
+     word (they do on every realistic rule set); otherwise structural
+     5-tuples — same decisions, only the hashing cost differs.  [n0] is
+     taken before any firing, so every trigger vertex is below it. *)
   let fire_stage collected =
     let fired = ref 0 in
-    (match engine with
-    | `Stage ->
-        List.iter
-          (fun (rule, ((c, x), (d, x'))) ->
-            if not (pair_present g rule.conn (c, d) (x, x')) then
-              fire_one fired rule ((c, x), (d, x')))
-          collected
-    | `Seminaive | `Par ->
-        (* The fire-time re-check, O(1) per trigger.  Every collected
-           trigger's rhs pair was absent against the stage-start graph,
-           and a [fire] only adds edges touching its own fresh vertex,
-           which no older edge reaches — so a pair at fire time is either
-           wholly old (absent: it was checked at collection) or wholly
-           among the two edges of one single firing this stage.  A table
-           of the pairs derivable from each firing's edge pair
-           {c: x~v, d: x'~v} therefore decides the re-check exactly:
-           present iff probed.  Bit-identical outcomes to the reference
-           [pair_present] re-check, and measured faster than it
-           (DESIGN.md, "The graph engine's fire table"). *)
-        (* Keys are packed ints when the label/vertex bounds fit in a
-           tagged word (they do on every realistic rule set); otherwise
-           structural 5-tuples — same decisions, only the hashing cost
-           differs.  [n0] is taken before any firing, so every trigger
-           vertex is below it. *)
-        let n0 = Graph.next_vertex g in
-        let lb = lab_bound rules in
-        let packed =
-          lb > 0 && n0 > 0
-          && float_of_int lb *. float_of_int lb *. float_of_int n0
-             *. float_of_int n0 *. 2.
-             < 4.0e18
-        in
-        if packed then begin
-          let fired_pairs = Hashtbl.create 64 in
-          let pk conn c x d x' =
-            let cb = match conn with Amp -> 0 | Slash -> 1 in
-            ((((((cb * lb) + lab_code c) * lb) + lab_code d) * n0 + x) * n0)
-            + x'
-          in
-          List.iter
-            (fun (rule, ((c, x), (d, x'))) ->
-              if not (Hashtbl.mem fired_pairs (pk rule.conn c x d x'))
-              then begin
-                fire_one fired rule ((c, x), (d, x'));
-                Hashtbl.replace fired_pairs (pk rule.conn c x d x') ();
-                Hashtbl.replace fired_pairs (pk rule.conn d x' c x) ();
-                Hashtbl.replace fired_pairs (pk rule.conn c x c x) ();
-                Hashtbl.replace fired_pairs (pk rule.conn d x' d x') ()
-              end)
-            collected
-        end
-        else begin
-          let fired_pairs = Hashtbl.create 64 in
-          List.iter
-            (fun (rule, ((c, x), (d, x'))) ->
-              if not (Hashtbl.mem fired_pairs (rule.conn, c, x, d, x'))
-              then begin
-                fire_one fired rule ((c, x), (d, x'));
-                List.iter
-                  (fun k -> Hashtbl.replace fired_pairs k ())
-                  [
-                    (rule.conn, c, x, d, x');
-                    (rule.conn, d, x', c, x);
-                    (rule.conn, c, x, c, x);
-                    (rule.conn, d, x', d, x');
-                  ]
-              end)
-            collected
-        end);
+    let n0 = Graph.next_vertex g in
+    let lb = lab_bound rules in
+    let packed =
+      lb > 0 && n0 > 0
+      && float_of_int lb *. float_of_int lb *. float_of_int n0
+         *. float_of_int n0 *. 2.
+         < 4.0e18
+    in
+    (if packed then begin
+       let fired_pairs = Hashtbl.create 64 in
+       let pk conn c x d x' =
+         let cb = match conn with Amp -> 0 | Slash -> 1 in
+         ((((((cb * lb) + lab_code c) * lb) + lab_code d) * n0 + x) * n0)
+         + x'
+       in
+       List.iter
+         (fun (rule, ((c, x), (d, x'))) ->
+           if not (Hashtbl.mem fired_pairs (pk rule.conn c x d x')) then begin
+             fire_one fired rule ((c, x), (d, x'));
+             Hashtbl.replace fired_pairs (pk rule.conn c x d x') ();
+             Hashtbl.replace fired_pairs (pk rule.conn d x' c x) ();
+             Hashtbl.replace fired_pairs (pk rule.conn c x c x) ();
+             Hashtbl.replace fired_pairs (pk rule.conn d x' d x') ()
+           end)
+         collected
+     end
+     else begin
+       let fired_pairs = Hashtbl.create 64 in
+       List.iter
+         (fun (rule, ((c, x), (d, x'))) ->
+           if not (Hashtbl.mem fired_pairs (rule.conn, c, x, d, x')) then begin
+             fire_one fired rule ((c, x), (d, x'));
+             List.iter
+               (fun k -> Hashtbl.replace fired_pairs k ())
+               [
+                 (rule.conn, c, x, d, x');
+                 (rule.conn, d, x', c, x);
+                 (rule.conn, c, x, c, x);
+                 (rule.conn, d, x', d, x');
+               ]
+           end)
+         collected
+     end);
     !fired
   in
   let step _ =
@@ -459,16 +317,11 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
     (List.length collected, fired)
   in
   let stages, outcome =
-    Obs.Trace.with_span
-      (match engine with
-      | `Stage -> "graph.chase(stage)"
-      | `Seminaive -> "graph.chase(seminaive)"
-      | `Par -> "graph.chase(par)")
-      (fun () ->
-        G.run_stages governor ~span:"graph.stage" ~start_stage ~max_stages
+    Obs.Trace.with_span "graph.chase(seminaive)" (fun () ->
+        G.run_stages governor ~span:"graph.stage" ~start_stage:0 ~max_stages
           ~sizes:(fun () -> (List.length (Graph.vertices g), Graph.size g))
           ~stop:(fun () -> stop g)
-          ~snapshot_every ~snapshot step)
+          ~snapshot_every:1 ~snapshot:ignore step)
   in
   {
     stages;
@@ -477,19 +330,6 @@ let chase ?(engine = `Seminaive) ?jobs ?(governor = G.unlimited)
     fixpoint = outcome = G.Fixpoint;
     outcome;
   }
-
-(* Continue a checkpointed graph chase on the snapshot's own graph (clone
-   the snapshot first to keep it reusable): prefix + resume is
-   bit-identical to one uninterrupted run with the same absolute
-   [max_stages]. *)
-let resume ?jobs ?governor ?max_stages ?stop ?snapshot_every ?on_snapshot
-    rules snap =
-  let g = snap.gsnap_graph in
-  let stats =
-    chase ~engine:snap.gsnap_engine ?jobs ?governor ?max_stages ?stop
-      ?snapshot_every ?on_snapshot ~from:snap rules g
-  in
-  (stats, g)
 
 (* Definition 11 for L₂, bounded: chase D_I and watch for a 1-2 pattern. *)
 let leads_to_red_spider ?(max_stages = 16) rules =

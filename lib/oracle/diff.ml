@@ -247,89 +247,61 @@ let diff_tgd budget inst =
 
 (* --- green-graph diff ----------------------------------------------------- *)
 
-let run_graph budget engine gc =
-  let module G = Greengraph.Graph in
-  let g = Gen.build_graph gc in
-  let stop g = G.size g > budget.max_facts || G.order g > budget.max_elems in
-  let stats =
-    Greengraph.Rule.chase ~engine ~max_stages:budget.max_stages ~stop
-      gc.Gen.rules g
-  in
-  let outcome = outcome_of_graph stats in
-  (g, stats, outcome)
-
+(* The graph engine against its reference, the bridged rules under
+   [diff_tgd]'s reference engine ([Greengraph.Bridge.reference_chase]):
+   every edge, fresh vertex ids included, must come out at the same
+   journal position. *)
 let diff_graph budget gc =
   let module G = Greengraph.Graph in
+  let module B = Greengraph.Bridge in
+  let module R = Greengraph.Rule in
   let violations = ref [] in
-  let incomparable = ref 0 in
-  let g1, s1, o1 = run_graph budget `Stage gc in
-  let g2, s2, o2 = run_graph budget `Seminaive gc in
-  let g3, s3, o3 = run_graph budget `Par gc in
-  let comparable oa ob =
-    if oa = ob then true
-    else begin
-      incr incomparable;
-      false
-    end
+  let g = Gen.build_graph gc in
+  let d, rs =
+    B.reference_chase ~max_stages:budget.max_stages
+      ~stop:(fun d ->
+        Structure.size d > budget.max_facts
+        || Structure.card d > budget.max_elems)
+      gc.Gen.rules g
   in
-  if comparable o1 o2 then begin
-    if not (G.equal g1 g2) then
-      fail violations "stage/seminaive graphs differ: %d vs %d edges"
-        (G.size g1) (G.size g2);
-    (match first_mismatch (G.delta_since g1 0) (G.delta_since g2 0) with
+  let s =
+    R.chase ~max_stages:budget.max_stages
+      ~stop:(fun g ->
+        G.size g > budget.max_facts || G.order g > budget.max_elems)
+      gc.Gen.rules g
+  in
+  let o = outcome_of_graph s and ro = outcome_of_chase rs in
+  if o = ro then begin
+    if s.R.outcome <> rs.Tgd.Chase.outcome then
+      fail violations "graph run ended %a, reference %a"
+        Resilience.Governor.pp_outcome s.R.outcome
+        Resilience.Governor.pp_outcome rs.Tgd.Chase.outcome;
+    (match first_mismatch (G.delta_since g 0) (B.edge_journal d) with
     | Some (i, (e : G.edge)) ->
         fail violations
-          "stage/seminaive edge journals diverge at entry %d (%a %d->%d)" i
+          "graph/reference edge journals diverge at entry %d (%a %d->%d)" i
           Greengraph.Label.pp e.G.label e.G.src e.G.dst
     | None -> ());
-    if s1.Greengraph.Rule.applications <> s2.Greengraph.Rule.applications then
-      fail violations "graph applications differ: stage %d, seminaive %d"
-        s1.Greengraph.Rule.applications s2.Greengraph.Rule.applications;
-    if s1.Greengraph.Rule.stages <> s2.Greengraph.Rule.stages then
-      fail violations "graph stages differ: stage %d, seminaive %d"
-        s1.Greengraph.Rule.stages s2.Greengraph.Rule.stages;
-    if
-      s2.Greengraph.Rule.triggers_considered
-      > s1.Greengraph.Rule.triggers_considered
-    then
-      fail violations
-        "graph seminaive considered more pairs than stage (%d > %d)"
-        s2.Greengraph.Rule.triggers_considered
-        s1.Greengraph.Rule.triggers_considered
+    if s.R.applications <> rs.Tgd.Chase.applications then
+      fail violations "graph applications differ: graph %d, reference %d"
+        s.R.applications rs.Tgd.Chase.applications;
+    if s.R.stages <> rs.Tgd.Chase.stages then
+      fail violations "graph stages differ: graph %d, reference %d" s.R.stages
+        rs.Tgd.Chase.stages;
+    if s.R.triggers_considered > rs.Tgd.Chase.triggers_considered then
+      fail violations "graph considered more pairs than the reference (%d > %d)"
+        s.R.triggers_considered rs.Tgd.Chase.triggers_considered
   end;
-  if comparable o2 o3 then begin
-    if not (G.equal g2 g3) then
-      fail violations "seminaive/par graphs differ: %d vs %d edges" (G.size g2)
-        (G.size g3);
-    (match first_mismatch (G.delta_since g2 0) (G.delta_since g3 0) with
-    | Some (i, (e : G.edge)) ->
-        fail violations
-          "seminaive/par edge journals diverge at entry %d (%a %d->%d)" i
-          Greengraph.Label.pp e.G.label e.G.src e.G.dst
-    | None -> ());
-    if
-      s3.Greengraph.Rule.applications <> s2.Greengraph.Rule.applications
-      || s3.Greengraph.Rule.stages <> s2.Greengraph.Rule.stages
-      || s3.Greengraph.Rule.triggers_considered
-         <> s2.Greengraph.Rule.triggers_considered
-    then
-      fail violations "graph par stats differ from seminaive: %a vs %a"
-        Greengraph.Rule.pp_stats s3 Greengraph.Rule.pp_stats s2
-  end;
-  List.iter
-    (fun (g, which) ->
-      (* same overshoot guard as diff_tgd: a run that blew far past the
-         budget is not audited *)
-      if G.size g <= 4 * budget.max_facts && G.order g <= 4 * budget.max_elems
-      then
-        List.iter
-          (fun v -> fail violations "[%s graph output] %s" which v)
-          (Audit.graph g))
-    [ (g1, "stage"); (g2, "seminaive"); (g3, "par") ];
+  (* same overshoot guard as diff_tgd: a run that blew far past the
+     budget is not audited *)
+  if G.size g <= 4 * budget.max_facts && G.order g <= 4 * budget.max_elems then
+    List.iter
+      (fun v -> fail violations "[graph output] %s" v)
+      (Audit.graph g);
   (* a graph fixpoint is a model of the rules *)
-  if s1.Greengraph.Rule.fixpoint && not (Greengraph.Rule.models gc.Gen.rules g1)
-  then fail violations "graph fixpoint is not a model of its rules";
-  (List.rev !violations, [ (s1, o1); (s2, o2); (s3, o3) ], !incomparable)
+  if s.R.fixpoint && not (R.models gc.Gen.rules g) then
+    fail violations "graph fixpoint is not a model of its rules";
+  (List.rev !violations, [ o; ro ], if o = ro then 0 else 1)
 
 (* --- CQ cross-checks ------------------------------------------------------ *)
 
@@ -465,9 +437,7 @@ let run_cases ?(budget = default_budget) ?fold ?(from_case = 0) ~seed ~cases ()
     let gv, gruns, ginc = diff_graph budget gc in
     engine_runs := !engine_runs + List.length gruns;
     incomparable := !incomparable + ginc;
-    List.iter
-      (fun (_, o) -> if o = Budget_exceeded then incr budget_exceeded)
-      gruns;
+    List.iter (fun o -> if o = Budget_exceeded then incr budget_exceeded) gruns;
     (if gv <> [] then
        let gc' =
          Gen.shrink Gen.shrink_graph_case

@@ -79,13 +79,17 @@ val run_tgd :
     violations, the five runs and the incomparable-pair count. *)
 val diff_tgd : budget -> Gen.instance -> string list * engine_run list * int
 
-(** Same for a green-graph case under [`Stage] vs [`Seminaive] vs
-    [`Par]; the third component again counts incomparable engine
-    pairs. *)
-val diff_graph :
-  budget ->
-  Gen.graph_case ->
-  string list * (Greengraph.Rule.stats * outcome) list * int
+(** Chase a green-graph case with {!Greengraph.Rule.chase} and with its
+    reference {!Greengraph.Bridge.reference_chase} (the bridged rules
+    under [Tgd.Chase]'s [`Stage] engine, which shares no code with the
+    graph engine).  When the two outcomes agree, the runs must end the
+    same way and have equal edge journals (fresh vertex ids included),
+    stages and applications, and the graph engine may consider no more
+    pairs than the reference; the graph output must pass {!Audit.graph},
+    and a graph fixpoint must model the rules.  Returns the violations,
+    the two outcomes (graph, reference) and the incomparable-pair
+    count. *)
+val diff_graph : budget -> Gen.graph_case -> string list * outcome list * int
 
 (** {1 CQ cross-checks} *)
 

@@ -176,7 +176,9 @@ let graph_case r violations counters =
   let case = Gen.graph_case r in
   let base = Gen.build_graph case in
   let base_vertices = List.sort compare (GG.vertices base) in
-  let engine = if Gen.bool r then `Seminaive else `Par in
+  (* a discarded draw, which keeps every later draw of the case stream
+     in place *)
+  ignore (Gen.bool r);
   let deps = B.tgds_of_rules case.Gen.rules in
   let sbase = B.to_structure base in
   let m, s0 =
@@ -225,7 +227,7 @@ let graph_case r violations counters =
              ignore
                (if ins then GG.add_edge scr l s d else GG.remove_edge scr l s d))
            !applied;
-         let ss = GR.chase ~engine ~governor:(gov ()) case.Gen.rules scr in
+         let ss = GR.chase ~governor:(gov ()) case.Gen.rules scr in
          if not ss.GR.fixpoint then begin
            incr incomparable;
            raise Exit

@@ -84,11 +84,3 @@ let tape_list t c =
   in
   List.init (hi + 1) (fun i ->
       Option.value (Int_map.find_opt i c.tape) ~default:t.blank)
-
-let pp_config t ppf c =
-  let cells = tape_list t c in
-  List.iteri
-    (fun i a ->
-      if i = c.head then Fmt.pf ppf "[%s:%s] " c.state a else Fmt.pf ppf "%s " a)
-    cells;
-  if c.head >= List.length cells then Fmt.pf ppf "[%s:%s]" c.state t.blank

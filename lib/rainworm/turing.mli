@@ -46,5 +46,3 @@ val halts : ?max_steps:int -> t -> bool
 
 (** The tape as a list over cells 0..max visited. *)
 val tape_list : t -> config -> string list
-
-val pp_config : t -> Format.formatter -> config -> unit

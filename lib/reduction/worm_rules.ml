@@ -55,10 +55,10 @@ let of_machine ?(labeling = Labeling.create ()) machine =
 let with_grid t = t.rules @ Separating.Tbox.rules
 
 (* chase(T_M, D_I) up to a stage bound. *)
-let chase ?engine ?jobs ?(with_tbox = false) ~stages t =
+let chase ?(with_tbox = false) ~stages t =
   let g, a, b = Greengraph.Graph.d_i () in
   let rules = if with_tbox then with_grid t else t.rules in
-  let stats = Greengraph.Rule.chase ?engine ?jobs ~max_stages:stages rules g in
+  let stats = Greengraph.Rule.chase ~max_stages:stages rules g in
   (g, a, b, stats)
 
 (* Lemma 25: every machine configuration reachable from αη11 is a word of
@@ -94,8 +94,8 @@ let alpha_beta_spine g ~a =
 (* The "⇒" direction of Lemma 24, made finite: fold the chase prefix by
    identifying two b-vertices of the αβ-spine (the pigeonhole collision
    of any finite model), then chase T□ and look for the 1-2 pattern. *)
-let fold_and_grid ?engine ?jobs ?(stages = 20) ?(grid_stages = 64) t ~fold:(i, j) =
-  let g, a, _, _ = chase ?engine ?jobs ~stages t in
+let fold_and_grid ?(stages = 20) ?(grid_stages = 64) t ~fold:(i, j) =
+  let g, a, _, _ = chase ~stages t in
   let spine = alpha_beta_spine g ~a in
   if List.length spine <= max i j then
     invalid_arg "fold_and_grid: spine too short; raise ~stages";
@@ -104,7 +104,7 @@ let fold_and_grid ?engine ?jobs ?(stages = 20) ?(grid_stages = 64) t ~fold:(i, j
     Greengraph.Graph.map_vertices (fun v -> if v = vj then vi else v) g
   in
   let stats =
-    Greengraph.Rule.chase ?engine ?jobs ~max_stages:grid_stages
+    Greengraph.Rule.chase ~max_stages:grid_stages
       ~stop:Greengraph.Graph.has_12_pattern Separating.Tbox.rules folded
   in
   (Greengraph.Graph.has_12_pattern folded, stats, folded)

@@ -23,8 +23,6 @@ val with_grid : t -> Greengraph.Rule.t list
 
 (** Bounded chase(T_M, D_I) (optionally with T□). *)
 val chase :
-  ?engine:Greengraph.Rule.engine ->
-  ?jobs:int ->
   ?with_tbox:bool ->
   stages:int ->
   t ->
@@ -43,8 +41,6 @@ val alpha_beta_spine : Greengraph.Graph.t -> a:int -> int list
     and look for the 1-2 pattern.
     @raise Invalid_argument when the spine is shorter than the fold. *)
 val fold_and_grid :
-  ?engine:Greengraph.Rule.engine ->
-  ?jobs:int ->
   ?stages:int ->
   ?grid_stages:int ->
   t ->

@@ -40,15 +40,6 @@ let grid_code gl =
 
 let grid gl : Greengraph.Label.t = Some (grid_code gl)
 
-let pp_dir ppf d =
-  Fmt.string ppf (match d with N -> "n" | E -> "e" | S -> "s" | W -> "w")
-
-let pp_grid ppf gl =
-  Fmt.pf ppf "⟨%a,%s,%s,%s⟩" pp_dir gl.dir
-    (match gl.theta with Ta -> "α" | Tb -> "β")
-    (if gl.diag then "d" else "d̄")
-    (if gl.border then "b" else "b̄")
-
 (* every grid label has a distinct code, disjoint from the specials *)
 let all_grid_labels =
   List.concat_map

@@ -30,9 +30,6 @@ val grid_code : grid -> int
 
 val grid : grid -> Greengraph.Label.t
 
-val pp_dir : Format.formatter -> dir -> unit
-val pp_grid : Format.formatter -> grid -> unit
-
 (** All 32 grid labels. *)
 val all_grid_labels : grid list
 

@@ -9,30 +9,30 @@
 (* Bounded evidence for "does not lead": chase T for [stages] stages from
    D_I and report whether a 1-2 pattern appeared (Theorem 14 says it never
    does). *)
-let chase_prefix_clean ?engine ?jobs ?governor ~stages () =
+let chase_prefix_clean ?governor ~stages () =
   let g, _, _ = Greengraph.Graph.d_i () in
   let _ =
-    Greengraph.Rule.chase ?engine ?jobs ?governor ~max_stages:stages
+    Greengraph.Rule.chase ?governor ~max_stages:stages
       ~stop:Greengraph.Graph.has_12_pattern Tbox.t_full g
   in
   (not (Greengraph.Graph.has_12_pattern g), g)
 
 (* The finite-leads mechanism (Lemma 17): fold two αβ-paths of lengths t
    and t' onto shared endpoints and chase T□. *)
-let collision_outcome ?engine ?jobs ?governor ?(max_stages = 64) ~t ~t' () =
+let collision_outcome ?governor ?(max_stages = 64) ~t ~t' () =
   let g, _, _ = Paths.collision ~t ~t' in
   let stats =
-    Greengraph.Rule.chase ?engine ?jobs ?governor ~max_stages
+    Greengraph.Rule.chase ?governor ~max_stages
       ~stop:Greengraph.Graph.has_12_pattern Tbox.rules g
   in
   (Greengraph.Graph.has_12_pattern g, stats, g)
 
 (* Lemma 18 intuition: a single path grids into M_t without a 1-2
    pattern. *)
-let single_path_outcome ?engine ?jobs ?governor ?(max_stages = 64) ~t () =
+let single_path_outcome ?governor ?(max_stages = 64) ~t () =
   let g, _ = Paths.single ~t in
   let stats =
-    Greengraph.Rule.chase ?engine ?jobs ?governor ~max_stages
+    Greengraph.Rule.chase ?governor ~max_stages
       ~stop:Greengraph.Graph.has_12_pattern Tbox.rules g
   in
   (Greengraph.Graph.has_12_pattern g, stats, g)

@@ -4,8 +4,6 @@
 (** Bounded evidence for the unrestricted side: chase T from D_I and
     report (no-pattern?, graph). *)
 val chase_prefix_clean :
-  ?engine:Greengraph.Rule.engine ->
-  ?jobs:int ->
   ?governor:Resilience.Governor.t ->
   stages:int ->
   unit ->
@@ -13,8 +11,6 @@ val chase_prefix_clean :
 
 (** The finite-side mechanism (Lemma 17): grid a fold of two αβ-paths. *)
 val collision_outcome :
-  ?engine:Greengraph.Rule.engine ->
-  ?jobs:int ->
   ?governor:Resilience.Governor.t ->
   ?max_stages:int ->
   t:int ->
@@ -24,8 +20,6 @@ val collision_outcome :
 
 (** Lemma 18's intuition: a single path grids into M_t harmlessly. *)
 val single_path_outcome :
-  ?engine:Greengraph.Rule.engine ->
-  ?jobs:int ->
   ?governor:Resilience.Governor.t ->
   ?max_stages:int ->
   t:int ->

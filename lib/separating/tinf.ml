@@ -18,10 +18,10 @@ let rules =
 
 (* chase(T∞, D_I) up to a stage bound; returns the graph and the
    constants a, b. *)
-let chase ?engine ?jobs ?governor ~stages () =
+let chase ?governor ~stages () =
   let g, a, b = Greengraph.Graph.d_i () in
   let stats =
-    Greengraph.Rule.chase ?engine ?jobs ?governor ~max_stages:stages rules g
+    Greengraph.Rule.chase ?governor ~max_stages:stages rules g
   in
   (g, a, b, stats)
 

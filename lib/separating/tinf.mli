@@ -5,11 +5,8 @@
 (** (I) ∅&··∅ ] α&··η1, (II) ∅/··η1 ] η0/··β1, (III) ∅&··η0 ] η1&··β0. *)
 val rules : Greengraph.Rule.t list
 
-(** Bounded chase(T∞, D_I); returns graph, a, b and stats.  [engine]
-    selects the rule-chase engine (default semi-naive). *)
+(** Bounded chase(T∞, D_I); returns graph, a, b and stats. *)
 val chase :
-  ?engine:Greengraph.Rule.engine ->
-  ?jobs:int ->
   ?governor:Resilience.Governor.t ->
   stages:int ->
   unit ->

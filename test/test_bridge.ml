@@ -73,16 +73,17 @@ let test_violations_agree () =
        (Greengraph.Bridge.to_structure g))
 
 (* The TGD pipeline over the bridged rules reproduces the graph engine
-   run for run: the same edges with the same vertex ids (both engines
-   fire in the canonical order, so fresh vertices coincide), the same
-   stage count and the same number of firings.  Both run [`Seminaive];
-   [stop] is the size budget in each engine's own terms. *)
+   run for run: the same edge journal, edge for edge in insertion order
+   with the same vertex ids (both engines fire in the canonical order,
+   so fresh vertices coincide), the same stage count and the same number
+   of firings.  The TGD side runs [`Seminaive]; [stop] is the size
+   budget in each engine's own terms. *)
 let same_seminaive_chase ?(stop = fun _ _ -> false) ~max_stages what rules g =
   let module G = Greengraph.Graph in
   let module B = Greengraph.Bridge in
   let d = B.to_structure g in
   let gs =
-    Greengraph.Rule.chase ~engine:`Seminaive ~max_stages
+    Greengraph.Rule.chase ~max_stages
       ~stop:(fun g -> stop (G.size g) (G.order g))
       rules g
   in
@@ -94,6 +95,8 @@ let same_seminaive_chase ?(stop = fun _ _ -> false) ~max_stages what rules g =
   in
   check (what ^ ": same edges and vertex ids") true
     (G.edges g = G.edges (B.of_structure d));
+  check (what ^ ": same edge journal") true
+    (G.delta_since g 0 = B.edge_journal d);
   check_int (what ^ ": same stages") gs.Greengraph.Rule.stages
     ts.Tgd.Chase.stages;
   check_int (what ^ ": same applications") gs.Greengraph.Rule.applications

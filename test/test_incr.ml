@@ -215,9 +215,9 @@ let graph_maint ?max_stages ?(engine = `Seminaive) rules g =
 
 let maint_graph m = B.of_structure (M.structure m)
 
-let graph_scratch ~engine rules base ops =
+let graph_scratch rules base ops =
   let g = B.of_structure (scratch_base (B.to_structure base) ops) in
-  ignore (R.chase ~engine:(engine :> R.engine) rules g);
+  ignore (R.chase rules g);
   B.to_structure g
 
 let check_graph_edit ?(msg = "gedit") ~engine rules base scripts =
@@ -227,7 +227,7 @@ let check_graph_edit ?(msg = "gedit") ~engine rules base scripts =
     (fun i ops ->
       let _ = M.apply_edit m ops in
       let s =
-        graph_scratch ~engine rules base
+        graph_scratch rules base
           (List.concat (List.filteri (fun j _ -> j <= i) scripts))
       in
       let tag = Printf.sprintf "%s #%d" msg i in
@@ -261,7 +261,7 @@ let test_graph_retract_through_fresh engine () =
   check "cascade killed product edges" true (st.M.e_killed >= 2);
   check_int "graph back to empty base" 0 (Structure.size (M.structure m));
   Alcotest.(check (list string)) "audit clean" [] (M.check m);
-  let s = graph_scratch ~engine rules base cut in
+  let s = graph_scratch rules base cut in
   check "equivalent to scratch" true
     (equiv ~base:(B.to_structure base) (M.structure m) s)
 
@@ -315,7 +315,7 @@ let test_grid44_workload engine () =
   let st = M.apply_edit m [ M.Retract cut ] in
   check "cut tore grid off the fold edge" true (st.M.e_killed >= 50);
   Alcotest.(check (list string)) "audit after cut" [] (M.check m);
-  let scr = graph_scratch ~engine rules base [ M.Retract cut ] in
+  let scr = graph_scratch rules base [ M.Retract cut ] in
   check "cut models" true (R.models rules (maint_graph m));
   check "cut equivalent to scratch" true
     (equiv ~base:(B.to_structure base) (M.structure m) scr);
@@ -324,7 +324,7 @@ let test_grid44_workload engine () =
   check "regrow reached fixpoint" true st2.M.e_run.Tgd.Chase.fixpoint;
   Alcotest.(check (list string)) "audit after regrow" [] (M.check m);
   let g = maint_graph m in
-  let scr2 = B.of_structure (graph_scratch ~engine rules base []) in
+  let scr2 = B.of_structure (graph_scratch rules base []) in
   check "regrow models" true (R.models rules g);
   check_int "regrown grid size" (G.size scr2) (G.size g);
   check "regrown 1-2 pattern agrees" (G.has_12_pattern scr2)

@@ -487,15 +487,12 @@ let test_graph_spec () =
       (Printf.sprintf "sparse graph %d" case)
       (sparse_graph 12 case);
     let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:12 ~case) in
-    List.iter
-      (fun (engine, name) ->
-        let g = Oracle.Gen.build_graph gc in
-        ignore
-          (Greengraph.Rule.chase ~engine ~max_stages:4
-             ~stop:(fun g -> Greengraph.Graph.size g > 500)
-             gc.Oracle.Gen.rules g);
-        check_graph_spec (Printf.sprintf "case %d, %s output" case name) g)
-      [ (`Stage, "stage"); (`Seminaive, "seminaive"); (`Par, "par") ]
+    let g = Oracle.Gen.build_graph gc in
+    ignore
+      (Greengraph.Rule.chase ~max_stages:4
+         ~stop:(fun g -> Greengraph.Graph.size g > 500)
+         gc.Oracle.Gen.rules g);
+    check_graph_spec (Printf.sprintf "case %d, chase output" case) g
   done
 
 (* Corruptions of the live id buckets of a structure: [ids_with_pin] and
@@ -703,9 +700,9 @@ let test_phantom_graph_buckets () =
 
 (* The audits against the verbatim copy on the audit workload's case
    universe: every in-slack result of seed 42 cases 0..599 under the
-   five TGD runs, and every in-slack output of the three graph runs
-   (the CQ checks run in between, as in [run_cases], so each graph case
-   is drawn from the same stream). *)
+   five TGD runs, and every in-slack output of the graph run (the CQ
+   checks run in between, as in [run_cases], so each graph case is drawn
+   from the same stream). *)
 let test_spec_seed42 () =
   let budget = Oracle.Diff.default_budget in
   let slack size card =
@@ -736,25 +733,22 @@ let test_spec_seed42 () =
         (`Par, Some staged) ];
     ignore (Oracle.Diff.cq_checks r inst.Oracle.Gen.signature (Oracle.Gen.build inst));
     let gc = Oracle.Gen.graph_case r in
-    List.iter
-      (fun engine ->
-        let module G = Greengraph.Graph in
-        let g = Oracle.Gen.build_graph gc in
-        ignore
-          (Greengraph.Rule.chase ~engine ~max_stages:budget.Oracle.Diff.max_stages
-             ~stop:(fun g ->
-               G.size g > budget.Oracle.Diff.max_facts
-               || G.order g > budget.Oracle.Diff.max_elems)
-             gc.Oracle.Gen.rules g);
-        if slack (G.size g) (G.order g) then begin
-          incr graphs;
-          agree (Printf.sprintf "graph case %d" case) (Audit_spec.graph g)
-            (Oracle.Audit.graph g)
-        end)
-      [ `Stage; `Seminaive; `Par ]
+    let module G = Greengraph.Graph in
+    let g = Oracle.Gen.build_graph gc in
+    ignore
+      (Greengraph.Rule.chase ~max_stages:budget.Oracle.Diff.max_stages
+         ~stop:(fun g ->
+           G.size g > budget.Oracle.Diff.max_facts
+           || G.order g > budget.Oracle.Diff.max_elems)
+         gc.Oracle.Gen.rules g);
+    if slack (G.size g) (G.order g) then begin
+      incr graphs;
+      agree (Printf.sprintf "graph case %d" case) (Audit_spec.graph g)
+        (Oracle.Audit.graph g)
+    end
   done;
   check_int "results within the slack" 2989 !results;
-  check_int "graphs within the slack" 1791 !graphs
+  check_int "graphs within the slack" 597 !graphs
 
 (* [facts_with_sym] is the image of [ids_with_sym], so an id dropped from
    a symbol bucket vanishes from both: the old check compared the bucket
@@ -959,8 +953,9 @@ let test_harness_clean () =
   check_int "no violations on clean code" 0
     (List.length report.Oracle.Diff.violations);
   (* 5 TGD runs (stage, seminaive, oblivious, par, par+staged firing)
-     plus 3 graph runs per case *)
-  check_int "eight engine runs per case" (8 * 60)
+     plus 2 graph runs (the graph engine and its bridged reference) per
+     case *)
+  check_int "seven engine runs per case" (7 * 60)
     report.Oracle.Diff.engine_runs
 
 (* The audit workload's case universe, pinned to its exact outcome: a
@@ -968,8 +963,8 @@ let test_harness_clean () =
    the endings the same way. *)
 let test_harness_exact_outcome () =
   let report = Oracle.Diff.run_cases ~seed:42 ~from_case:0 ~cases:600 () in
-  check_int "engine runs" 4800 report.Oracle.Diff.engine_runs;
-  check_int "budget exceeded" 548 report.Oracle.Diff.budget_exceeded;
+  check_int "engine runs" 4200 report.Oracle.Diff.engine_runs;
+  check_int "budget exceeded" 478 report.Oracle.Diff.budget_exceeded;
   check_int "incomparable pairs" 0 report.Oracle.Diff.incomparable;
   check_int "cases with violations" 0
     (List.length report.Oracle.Diff.violations)

@@ -117,67 +117,6 @@ let test_tgd_faulted () =
             (counter "resilience.par_degraded" > degraded0))
         [ "par.shard"; "par.fire" ])
 
-(* --- green-graph chase ---------------------------------------------------- *)
-
-let run_graph ?jobs engine gc =
-  let module G = Greengraph.Graph in
-  let g = Oracle.Gen.build_graph gc in
-  let stop g = G.size g > 300 || G.order g > 100 in
-  let stats =
-    Greengraph.Rule.chase ~engine ?jobs ~max_stages:6 ~stop
-      gc.Oracle.Gen.rules g
-  in
-  (g, stats)
-
-let same_graph_run what (g1, s1) (g2, s2) =
-  let module G = Greengraph.Graph in
-  check (what ^ ": graphs equal") true (G.equal g1 g2);
-  check
-    (what ^ ": edge journals equal")
-    true
-    (G.delta_since g1 0 = G.delta_since g2 0);
-  check (what ^ ": stats equal") true (s1 = s2)
-
-let test_graph_jobs () =
-  for case = 0 to 19 do
-    let r = Oracle.Gen.case_rng ~seed:31 ~case in
-    let gc = Oracle.Gen.graph_case r in
-    let base = run_graph `Seminaive gc in
-    List.iter
-      (fun jobs ->
-        same_graph_run
-          (Printf.sprintf "graph case %d jobs %d" case jobs)
-          base
-          (run_graph ~jobs `Par gc))
-      [ 1; 3 ]
-  done
-
-let test_graph_faulted () =
-  Obs.set_metrics true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_metrics false;
-      FP.clear ())
-    (fun () ->
-      let retries0 = counter "resilience.par_retries" in
-      let degraded0 = counter "resilience.par_degraded" in
-      for case = 0 to 9 do
-        let r = Oracle.Gen.case_rng ~seed:37 ~case in
-        let gc = Oracle.Gen.graph_case r in
-        FP.clear ();
-        let base = run_graph `Seminaive gc in
-        FP.configure_exn ~seed:(200 + case) "par.shard";
-        let faulted = run_graph ~jobs:2 `Par gc in
-        FP.clear ();
-        same_graph_run
-          (Printf.sprintf "graph case %d under par.shard" case)
-          base faulted
-      done;
-      check "graph ladder retried" true
-        (counter "resilience.par_retries" > retries0);
-      check "graph ladder degraded" true
-        (counter "resilience.par_degraded" > degraded0))
-
 let () =
   Alcotest.run "par_fire"
     [
@@ -188,11 +127,5 @@ let () =
             test_tgd_fresh_plans_jobs4;
           Alcotest.test_case "faulted ladders bit-identical" `Quick
             test_tgd_faulted;
-        ] );
-      ( "graph",
-        [
-          Alcotest.test_case "jobs 1/3 bit-identical" `Quick test_graph_jobs;
-          Alcotest.test_case "faulted ladder bit-identical" `Quick
-            test_graph_faulted;
         ] );
     ]

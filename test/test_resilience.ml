@@ -1,7 +1,7 @@
 (* The resilience layer: governor semantics, failpoint determinism,
-   checkpoint atomicity, and the run-until-k + resume ≡ uninterrupted
-   contract on both the TGD chase (the E10 workload) and the graph chase
-   (the grid(4,4) collision), plus the end-to-end fault campaign. *)
+   checkpoint atomicity, governed graph-chase rows on the grid(4,4)
+   collision, the run-until-k + resume ≡ uninterrupted contract on the
+   TGD chase (the E10 workload), plus the end-to-end fault campaign. *)
 
 open Relational
 module G = Resilience.Governor
@@ -401,11 +401,11 @@ let test_maint_continues_faulted_run () =
   check_int "the uninterrupted run's 998 edges" 998 (Structure.size d)
 
 (* The graph chase and the maintenance of its rules on the shared stage
-   loop: rows (stages, applications, triggers considered, outcome, edges,
-   snapshot stages) on the grid(4,4) collision, recorded before the three
-   loops became one.  Maintenance runs the bridged rules through
-   [Tgd.Chase.Maint]; its rows are the ones recorded when green graphs
-   had a maintainer of their own. *)
+   loop: rows (stages, applications, triggers considered, outcome, edges)
+   on the grid(4,4) collision, recorded before the three loops became
+   one.  Maintenance runs the bridged rules through [Tgd.Chase.Maint];
+   its rows are the ones recorded when green graphs had a maintainer of
+   their own. *)
 let test_graph_stage_loop_rows () =
   let module R = Greengraph.Rule in
   let module GG = Greengraph.Graph in
@@ -419,42 +419,29 @@ let test_graph_stage_loop_rows () =
   let c = G.Cancel.create () in
   G.Cancel.trip c;
   let stop g = GG.size g > 250 in
-  let chase ?jobs ?(stop = fun _ -> false) engine governor =
+  let chase ?(stop = fun _ -> false) governor =
     let g = grid () in
-    let snaps = ref [] in
-    let s =
-      R.chase ~engine ?jobs ~governor ~stop ~snapshot_every:2
-        ~on_snapshot:(fun sn -> snaps := sn.R.gsnap_stage :: !snaps)
-        Separating.Tbox.rules g
-    in
-    (row s, GG.size g, List.rev !snaps)
+    let s = R.chase ~governor ~stop Separating.Tbox.rules g in
+    (row s, GG.size g)
   in
   let same what expected got =
     check what true (expected = got)
   in
-  List.iter
-    (fun (name, engine, jobs, considered) ->
-      let what w = Printf.sprintf "%s %s" name w in
-      same (what "max_facts")
-        ((6, 182, considered.(0), G.Budget G.Facts), 382, [ 2; 4; 6 ])
-        (chase ?jobs engine (G.make ~max_facts:300 ()));
-      same (what "max_elems")
-        ((7, 230, considered.(1), G.Budget G.Elems), 478, [ 2; 4; 6; 7 ])
-        (chase ?jobs engine (G.make ~max_elems:200 ()));
-      same (what "pre-tripped cancel")
-        ((0, 0, 0, G.Cancelled), 18, [ 0 ])
-        (chase ?jobs engine (G.make ~cancel:c ()));
-      same (what "stop")
-        ((5, 138, considered.(2), G.Budget G.Stop), 294, [ 2; 4; 5 ])
-        (chase ?jobs ~stop engine G.unlimited);
-      same (what "stop under stage fuel")
-        ((4, 96, considered.(3), G.Budget G.Stages), 210, [ 2; 4 ])
-        (chase ?jobs ~stop engine (G.make ~max_stages:4 ())))
-    [
-      ("stage", `Stage, None, [| 850; 1262; 530; 296 |]);
-      ("seminaive", `Seminaive, None, [| 320; 412; 234; 156 |]);
-      ("par", `Par, Some 2, [| 320; 412; 234; 156 |]);
-    ];
+  same "seminaive max_facts"
+    ((6, 182, 320, G.Budget G.Facts), 382)
+    (chase (G.make ~max_facts:300 ()));
+  same "seminaive max_elems"
+    ((7, 230, 412, G.Budget G.Elems), 478)
+    (chase (G.make ~max_elems:200 ()));
+  same "seminaive pre-tripped cancel"
+    ((0, 0, 0, G.Cancelled), 18)
+    (chase (G.make ~cancel:c ()));
+  same "seminaive stop"
+    ((5, 138, 234, G.Budget G.Stop), 294)
+    (chase ~stop G.unlimited);
+  same "seminaive stop under stage fuel"
+    ((4, 96, 156, G.Budget G.Stages), 210)
+    (chase ~stop (G.make ~max_stages:4 ()));
   let deps = Greengraph.Bridge.tgds_of_rules Separating.Tbox.rules in
   let trow (s : Tgd.Chase.stats) =
     Tgd.Chase.(s.stages, s.applications, s.triggers_considered, s.outcome)
@@ -565,30 +552,6 @@ let test_resume_rejects_other_deps () =
        false
      with Invalid_argument _ -> true)
 
-let test_grid_resume_bit_identical () =
-  let module R = Greengraph.Rule in
-  let module GG = Greengraph.Graph in
-  let chase ?on_snapshot ?from ~max_stages g =
-    R.chase ~engine:`Seminaive ~max_stages ~stop:GG.has_12_pattern
-      ?snapshot_every:(Option.map (fun _ -> 1) on_snapshot)
-      ?on_snapshot ?from Separating.Tbox.rules g
-  in
-  let g_full, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
-  let full_stats = chase ~max_stages:64 g_full in
-  check "grid(4,4) needs several stages" true (full_stats.R.stages >= 2);
-  let k = full_stats.R.stages / 2 in
-  let g_cut, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
-  let snap = ref None in
-  let _ = chase ~on_snapshot:(fun s -> snap := Some s) ~max_stages:k g_cut in
-  let snap = CK.clone (Option.get !snap) in
-  let stats, g' = R.resume ~max_stages:64 ~stop:GG.has_12_pattern
-      Separating.Tbox.rules snap
-  in
-  check "edge journal identical after resume" true
-    (GG.delta_since g' 0 = GG.delta_since g_full 0);
-  check "fresh vertices identical" true (GG.vertices g' = GG.vertices g_full);
-  check "stats identical" true (stats = full_stats)
-
 (* --- the campaign ------------------------------------------------------- *)
 
 let test_campaign_clean () =
@@ -650,7 +613,6 @@ let () =
             test_e10_resume_through_file;
           Alcotest.test_case "deps signature check" `Quick
             test_resume_rejects_other_deps;
-          Alcotest.test_case "grid(4,4)" `Quick test_grid_resume_bit_identical;
         ] );
       ( "campaign",
         [ Alcotest.test_case "30 cases, 0 corruptions" `Quick test_campaign_clean ] );

@@ -283,47 +283,68 @@ let test_models_after_fixpoint () =
   check "no violation" true (Tgd.Chase.find_violation deps d = None);
   check "no active triggers" true (Tgd.Chase.active_triggers deps d = [])
 
-(* --- graph-rule chase: stage ≡ seminaive --------------------------------- *)
+(* --- graph-rule chase against its bridged reference ---------------------- *)
+
+module GG = Greengraph.Graph
+module GR = Greengraph.Rule
+module B = Greengraph.Bridge
+
+(* The graph chase's reference ([Bridge.reference_chase]) from the start
+   graph [g], with the 1-2 pattern stop when [pattern_stop]. *)
+let bridged_reference ?(pattern_stop = false) ~max_stages rules g =
+  B.reference_chase ~max_stages
+    ~stop:(fun d -> pattern_stop && GG.has_12_pattern (B.of_structure d))
+    rules g
+
+(* Run for run: equal edge journals (fresh vertex ids included), equal
+   stages and applications, and no more pairs considered than the
+   reference. *)
+let same_as_reference what (d, (rs : Tgd.Chase.stats)) g (s : GR.stats) =
+  check (what ^ ": equal edge journals") true
+    (GG.delta_since g 0 = B.edge_journal d);
+  check_int (what ^ ": equal stages") rs.Tgd.Chase.stages s.GR.stages;
+  check_int (what ^ ": equal applications") rs.Tgd.Chase.applications
+    s.GR.applications;
+  check (what ^ ": considers no more") true
+    (s.GR.triggers_considered <= rs.Tgd.Chase.triggers_considered)
+
+let d_i () =
+  let g, _, _ = GG.d_i () in
+  g
 
 let test_graph_engines_tinf () =
   List.iter
     (fun stages ->
-      let g1, _, _, s1 = Separating.Tinf.chase ~engine:`Stage ~stages () in
-      let g2, _, _, s2 = Separating.Tinf.chase ~engine:`Seminaive ~stages () in
-      check "equal graphs" true (Greengraph.Graph.equal g1 g2);
-      check_int "equal applications" s1.Greengraph.Rule.applications
-        s2.Greengraph.Rule.applications)
+      let r =
+        bridged_reference ~max_stages:stages Separating.Tinf.rules (d_i ())
+      in
+      let g, _, _, s = Separating.Tinf.chase ~stages () in
+      same_as_reference (Printf.sprintf "T∞ %d stages" stages) r g s)
     [ 6; 10; 14 ]
 
 let test_graph_engines_collision () =
-  let p1, s1, g1 =
-    Separating.Theorem14.collision_outcome ~engine:`Stage ~t:3 ~t':4 ()
+  let g0, _, _ = Separating.Paths.collision ~t:3 ~t':4 in
+  let ((d, _) as r) =
+    bridged_reference ~pattern_stop:true ~max_stages:64 Separating.Tbox.rules
+      g0
   in
-  let p2, s2, g2 =
-    Separating.Theorem14.collision_outcome ~engine:`Seminaive ~t:3 ~t':4 ()
-  in
-  check "same 1-2 verdict" true (p1 = p2);
-  check "equal graphs" true (Greengraph.Graph.equal g1 g2);
-  check_int "equal applications" s1.Greengraph.Rule.applications
-    s2.Greengraph.Rule.applications;
-  check "seminaive considers fewer" true
-    (s2.Greengraph.Rule.triggers_considered
-    <= s1.Greengraph.Rule.triggers_considered)
+  let p, s, g = Separating.Theorem14.collision_outcome ~t:3 ~t':4 () in
+  check "same 1-2 verdict" true (p = GG.has_12_pattern (B.of_structure d));
+  same_as_reference "collision (3,4)" r g s
 
 let test_graph_engines_worm () =
   let wr = Reduction.Worm_rules.of_machine Rainworm.Zoo.eternal_creeper in
-  let g1, _, _, s1 = Reduction.Worm_rules.chase ~engine:`Stage ~stages:15 wr in
-  let g2, _, _, s2 =
-    Reduction.Worm_rules.chase ~engine:`Seminaive ~stages:15 wr
+  let r =
+    bridged_reference ~max_stages:15 wr.Reduction.Worm_rules.rules (d_i ())
   in
-  check "equal graphs" true (Greengraph.Graph.equal g1 g2);
-  check_int "equal applications" s1.Greengraph.Rule.applications
-    s2.Greengraph.Rule.applications
+  let g, _, _, s = Reduction.Worm_rules.chase ~stages:15 wr in
+  same_as_reference "worm rules" r g s
 
-(* The graph effort counters, pinned: [`Stage] rescans and re-checks
-   every lhs pair each stage, the delta engines count each new pair
-   once, at every worker count.  [par.shards] ticks the worker count
-   once per stage.  Rows: (considered, pair checks, firings, shards). *)
+(* The graph effort counters, pinned: the graph engine counts each new
+   lhs pair once; its bridged reference rescans and re-checks every lhs
+   pair each stage.  Graph rows: (considered, pair checks, firings,
+   shards); [par.shards] stays 0, since the graph engine runs no pool.
+   Reference rows: (considered, applications, stages). *)
 let graph_effort_counters =
   [
     "graph.triggers_considered"; "graph.pair_checks"; "graph.firings";
@@ -337,12 +358,9 @@ let test_graph_effort_pinned () =
     run ();
     List.map2 (fun n b -> value n - b) graph_effort_counters before
   in
-  let e1 engine jobs () =
-    ignore (Separating.Tinf.chase ~engine ?jobs ~stages:20 ())
-  in
-  let e2 engine jobs () =
-    ignore
-      (Separating.Theorem14.collision_outcome ~engine ?jobs ~t:4 ~t':4 ())
+  let e1 () = ignore (Separating.Tinf.chase ~stages:20 ()) in
+  let e2 () =
+    ignore (Separating.Theorem14.collision_outcome ~t:4 ~t':4 ())
   in
   Obs.set_metrics true;
   Fun.protect
@@ -352,15 +370,23 @@ let test_graph_effort_pinned () =
         (fun (what, run, expected) ->
           Alcotest.(check (list int)) what expected (tally run))
         [
-          ("E1 T∞ stage", e1 `Stage None, [ 400; 420; 20; 0 ]);
-          ("E1 T∞ seminaive", e1 `Seminaive None, [ 39; 39; 20; 20 ]);
-          ("E1 T∞ par jobs 1", e1 `Par (Some 1), [ 39; 39; 20; 20 ]);
-          ("E1 T∞ par jobs 3", e1 `Par (Some 3), [ 39; 39; 20; 60 ]);
-          ("E2 grid(4,4) stage", e2 `Stage None, [ 10318; 10808; 490; 0 ]);
-          ("E2 grid(4,4) seminaive", e2 `Seminaive None, [ 980; 980; 490; 18 ]);
-          ("E2 grid(4,4) par jobs 1", e2 `Par (Some 1), [ 980; 980; 490; 18 ]);
-          ("E2 grid(4,4) par jobs 3", e2 `Par (Some 3), [ 980; 980; 490; 54 ]);
-        ])
+          ("E1 T∞ seminaive", e1, [ 39; 39; 20; 0 ]);
+          ("E2 grid(4,4) seminaive", e2, [ 980; 980; 490; 0 ]);
+        ]);
+  let grid, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
+  List.iter
+    (fun (what, (_, (s : Tgd.Chase.stats)), expected) ->
+      Alcotest.(check (list int)) what expected
+        Tgd.Chase.[ s.triggers_considered; s.applications; s.stages ])
+    [
+      ( "E1 T∞ bridged reference",
+        bridged_reference ~max_stages:20 Separating.Tinf.rules (d_i ()),
+        [ 400; 20; 20 ] );
+      ( "E2 grid(4,4) bridged reference",
+        bridged_reference ~pattern_stop:true ~max_stages:64
+          Separating.Tbox.rules grid,
+        [ 10318; 490; 18 ] );
+    ]
 
 let () =
   Alcotest.run "seminaive"
