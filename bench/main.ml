@@ -167,8 +167,8 @@ let path_query k =
   Cq.Query.make ~free:[ "x"; "y" ] (List.init k (fun i -> e (name i) (name (i + 1))))
 
 (* shared hom-search workload: a directed path and a deliberately
-   scrambled 7-atom path body — the ordering heuristic reconnects it, an
-   unordered run explores the cross product *)
+   scrambled 7-atom path body, which the greedy atom ordering
+   reconnects *)
 let long_path n =
   let s = Relational.Structure.create () in
   let vs = Array.init (n + 1) (fun _ -> Relational.Structure.fresh s) in
@@ -241,12 +241,12 @@ let grid t t' =
   g
 
 let table_ablations () =
-  section "E13: design ablations (chase engines, hom ordering)";
+  section "E13: design ablations (chase engines)";
   (* lazy vs semi-oblivious on T_Q of the composition instance *)
   let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
   let seed () = fst (Tgd.Greenred.green_canonical (path_query 5)) in
   let d1 = seed () in
-  let s1 = Tgd.Chase.run_stage ~max_stages:6 deps d1 in
+  let s1 = Tgd.Chase.run ~engine:`Stage ~max_stages:6 deps d1 in
   let d1' = seed () in
   let s1' = Tgd.Chase.run ~engine:`Seminaive ~max_stages:6 deps d1' in
   let d2 = seed () in
@@ -365,10 +365,6 @@ let benches =
     (let target = long_path 40 in
      Test.make ~name:"E13c hom search: scrambled P7, greedy ordering"
        (Staged.stage (fun () -> Relational.Hom.count target scrambled_p7)));
-    (let target = long_path 40 in
-     Test.make ~name:"E13d hom search: scrambled P7, no ordering"
-       (Staged.stage (fun () ->
-            Relational.Hom.count ~ordered:false target scrambled_p7)));
     Test.make ~name:"E13e chase(T∞) 16 stages: bridged stage reference"
       (Staged.stage (fun () ->
            Greengraph.Bridge.reference_chase ~max_stages:16 Separating.Tinf.rules
@@ -784,7 +780,7 @@ let par_gate () =
    the grid extends the tail of the second αβ-path of the Theorem 14
    (4,4) collision under the T-box rules, maintained and re-chased as
    TGDs over [Greengraph.Bridge]. *)
-let incr_e10_pair ~engine =
+let incr_e10_pair () =
   let deps = Tgd.Dep.t_q [ ("p2", path_query 2) ] in
   (* the canonical E10 seed is a 5-edge path — small enough that the
      edit's support bookkeeping drowns the cascade in constants — so
@@ -802,23 +798,20 @@ let incr_e10_pair ~engine =
     (d, Relational.Fact.make gedge [| vs.(n); vs.(n + 1) |])
   in
   let base, tail = mk_path false in
-  let m, _ =
-    Tgd.Chase.Maint.create ~engine deps (Relational.Structure.copy base)
-  in
+  let m, _ = Tgd.Chase.Maint.create deps (Relational.Structure.copy base) in
   let incremental () =
     ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Insert tail ]);
     ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Retract tail ])
   in
   let scratch () =
-    let engine = (engine :> Tgd.Chase.engine) in
     let d, _ = mk_path true in
-    ignore (Tgd.Chase.run ~engine deps d);
+    ignore (Tgd.Chase.run deps d);
     let d', _ = mk_path false in
-    ignore (Tgd.Chase.run ~engine deps d')
+    ignore (Tgd.Chase.run deps d')
   in
   (incremental, scratch)
 
-let incr_grid_pair ~(engine : [ `Par | `Seminaive ]) =
+let incr_grid_pair () =
   let module G = Greengraph.Graph in
   let module B = Greengraph.Bridge in
   let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
@@ -830,27 +823,25 @@ let incr_grid_pair ~(engine : [ `Par | `Seminaive ]) =
   let held = B.to_structure base in
   let w = Relational.Structure.fresh held in
   let tail = Relational.Fact.make (B.symbol_of e.G.label) [| e.G.dst; w |] in
-  let m, _ = Tgd.Chase.Maint.create ~engine deps held in
+  let m, _ = Tgd.Chase.Maint.create deps held in
   let incremental () =
     ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Insert tail ]);
     ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Retract tail ])
   in
   let scratch () =
-    let engine = (engine :> Tgd.Chase.engine) in
     let d = B.to_structure base in
     let w' = Relational.Structure.fresh d in
     Relational.Structure.add2 d (B.symbol_of e.G.label) e.G.dst w';
-    ignore (Tgd.Chase.run ~engine deps d);
-    ignore (Tgd.Chase.run ~engine deps (B.to_structure base))
+    ignore (Tgd.Chase.run deps d);
+    ignore (Tgd.Chase.run deps (B.to_structure base))
   in
   (incremental, scratch)
 
 let incr_workload_names =
   [ "E10 tgd {p2} tail-edge edit"; "E2 grid (4,4) tail-extension edit" ]
 
-let incr_workloads ~engine =
-  List.combine incr_workload_names
-    [ incr_e10_pair ~engine; incr_grid_pair ~engine ]
+let incr_workloads () =
+  List.combine incr_workload_names [ incr_e10_pair (); incr_grid_pair () ]
 
 let render_incr_json rows =
   let b = Buffer.create 512 in
@@ -882,7 +873,7 @@ let emit_incr_json () =
         Format.printf "%-32s scratch %.4fms  incr %.4fms  %6.1fx@." name
           (w_scr *. 1e3) (w_inc *. 1e3) (w_scr /. w_inc);
         (name, w_scr, w_inc))
-      (incr_workloads ~engine:`Seminaive)
+      (incr_workloads ())
   in
   let oc = open_out "BENCH_incr.json" in
   output_string oc (render_incr_json rows);
@@ -923,7 +914,7 @@ let incr_gate () =
   List.iter
     (fun (name, (incremental, scratch)) ->
       gate name (min5 scratch incremental))
-    (incr_workloads ~engine:`Seminaive);
+    (incr_workloads ());
   if !failures > 0 then
     Format.printf
       "bench-smoke: incremental edit not 5x faster than scratch on %d row(s)@."
@@ -1731,7 +1722,7 @@ let smoke () =
   let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
   let d1 = fst (Tgd.Greenred.green_canonical (path_query 5)) in
   let d2 = fst (Tgd.Greenred.green_canonical (path_query 5)) in
-  let t1 = Tgd.Chase.run_stage ~max_stages:4 deps d1 in
+  let t1 = Tgd.Chase.run ~engine:`Stage ~max_stages:4 deps d1 in
   let t2 = Tgd.Chase.run ~engine:`Seminaive ~max_stages:4 deps d2 in
   assert (Relational.Structure.equal_sets d1 d2);
   assert (t1.Tgd.Chase.applications = t2.Tgd.Chase.applications);

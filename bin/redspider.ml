@@ -880,6 +880,12 @@ let serve_cmd =
    the taxonomy (a waited-for job propagates its own exit code). *)
 let client () socket tcp_port op id views q0 stages engine machine steps seed
     cases family from_case job_quantum timeout instance edits =
+  (* a daemon slice runs one worker, where [par] is [seminaive] *)
+  let engine =
+    match engine with
+    | `Par -> `Seminaive
+    | (`Seminaive | `Oblivious) as e -> e
+  in
   let conn =
     let tcp = Option.map (fun p -> ("127.0.0.1", p)) tcp_port in
     match Serve.Client.connect ?tcp ~socket () with

@@ -25,11 +25,10 @@ let paint_fact f =
 
 let note_elems t f = Array.iter (fun e -> Hashtbl.replace t.base_elems e ()) (Fact.args f)
 
-let create ?engine ?jobs ?governor ?max_stages inst base =
+let create ?governor ?max_stages inst base =
   let d = Structure.paint Symbol.Green base in
   let maint, stats =
-    Tgd.Chase.Maint.create ?engine ?jobs ?governor ?max_stages
-      (Instance.tgds inst) d
+    Tgd.Chase.Maint.create ?governor ?max_stages (Instance.tgds inst) d
   in
   let t = { inst; maint; base_elems = Hashtbl.create 64 } in
   Structure.iter_facts base (fun f -> note_elems t f);

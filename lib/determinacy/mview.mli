@@ -17,8 +17,6 @@ type op = Insert of Fact.t | Retract of Fact.t
 (** Chase [green(base)] under the instance's T_Q with maintenance
     tracking.  [base] itself is not mutated. *)
 val create :
-  ?engine:[ `Seminaive | `Par ] ->
-  ?jobs:int ->
   ?governor:Resilience.Governor.t ->
   ?max_stages:int ->
   Instance.t ->

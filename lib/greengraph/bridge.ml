@@ -50,10 +50,11 @@ let of_structure st =
       Graph.register g v;
       Graph.set_name g v (Structure.name st v))
     (Structure.elems st);
-  Structure.iter_facts st (fun f ->
-      match label_of_symbol (Fact.sym f) with
-      | Some lab -> ignore (Graph.add_edge g lab (Fact.arg f 0) (Fact.arg f 1))
-      | None -> ());
+  (* in journal order, so the graph's journal is the structure's *)
+  List.iter
+    (fun (e : Graph.edge) ->
+      ignore (Graph.add_edge g e.Graph.label e.Graph.src e.Graph.dst))
+    (edge_journal st);
   g
 
 (* An L₂ equivalence as two generic TGDs. *)

@@ -5,10 +5,6 @@
     spider in three steps (footnote 10). *)
 val base_rules : Swarm.Rule.t list
 
-(** The two swarm rules simulating green-graph rule number [i ≥ 2]
-    (Remark 10), with lower indices 2i+1, 2i+2. *)
-val rule_pair : int -> Rule.t -> Swarm.Rule.t list
-
 val precompile : Rule.t list -> Swarm.Rule.t list
 
 (** The leg count s needed at Levels 1 and 0: max of the labels, the

@@ -1,6 +1,6 @@
 (** The differential runner: chase the same generated instance under
-    [`Stage], [`Seminaive], [`Oblivious], [`Par] and [`Par] with staged
-    firing forced on, with fuel and element budgets, then diff
+    [`Stage], [`Seminaive], [`Oblivious] and [`Par] with staged firing
+    forced on, with fuel and element budgets, then diff
     structures, firing sequences and stats; cross-check CQ containment
     and cores against independent semantics; and audit every produced
     structure/graph with {!Audit}.
@@ -9,7 +9,7 @@
     plus the stats-record fields ([applications], [stages],
     [triggers_considered], [body_matches]) — never on the [hom.*] effort
     counters, which tick inside the pool and are approximate when the
-    [`Par] runs use more than one worker.
+    [`Par] run uses more than one worker.
 
     A run that exhausts its budget ends in the graceful
     {!outcome.Budget_exceeded} instead of diverging — the oblivious
@@ -63,8 +63,8 @@ val run_tgd :
   Gen.instance ->
   engine_run
 
-(** Diff the instance across all five runs: [`Stage], [`Seminaive],
-    [`Par] and [`Par] with staged firing forced on must agree
+(** Diff the instance across all four runs: [`Stage], [`Seminaive] and
+    [`Par] with staged firing forced on must agree
     bit-for-bit (equal fact sets with equal element ids, equal journals
     in insertion order, equal firing sequences, equal
     applications/stages/fixpoint; delta-restriction never considering
@@ -76,7 +76,11 @@ val run_tgd :
     other reached fixpoint, or one faulted) is {e incomparable}: its
     bit-identity diffs are skipped and the pair is counted in the third
     component instead of producing a spurious violation.  Returns the
-    violations, the five runs and the incomparable-pair count. *)
+    violations, the four runs and the incomparable-pair count.
+
+    [`Par] at its default tuning is not a run of its own: with more
+    than one worker it stages, which is the staged run, and at one
+    worker it is [`Seminaive]. *)
 val diff_tgd : budget -> Gen.instance -> string list * engine_run list * int
 
 (** Chase a green-graph case with {!Greengraph.Rule.chase} and with its
@@ -124,7 +128,7 @@ type report = {
 
 (** Run [cases] generated cases from [seed], starting at absolute case
     index [from_case] (default 0): per case, a seed-structure audit, the
-    five-run TGD differential (shrunk on failure), the CQ cross-checks
+    four-run TGD differential (shrunk on failure), the CQ cross-checks
     and a green-graph differential.  Deterministic: case [i] depends
     only on [(seed, i)] — never on other cases — so the range
     [[from_case, from_case+cases)] is a {e shard} whose report does not

@@ -6,15 +6,15 @@
    retractions is pushed through [Tgd.Chase.Maint.apply_edit]; after
    every script the maintained structure must (a) pass the internal
    support audit, (b) model the dependencies, and (c) be hom-equivalent
-   — with the generated base elements pinned — to a from-scratch chase
-   of the edited base with the same engine.  A graph twin does the same
+   — with the generated base elements pinned — to a from-scratch
+   semi-naive chase of the edited base.  A graph twin does the same
    for random green-graph rule sets, maintained as TGDs over the bridge
    and diffed against the dedicated graph engine.
 
    Random dependency sets routinely diverge; runs cut by the stage
    budget are counted [incomparable] and skipped, not diffed — a capped
    maintained run and a capped scratch run need not align stage for
-   stage.  Cases alternate between the two delta engines. *)
+   stage. *)
 
 open Relational
 
@@ -83,12 +83,12 @@ let max_stages = 8
 let gov () =
   Resilience.Governor.make ~max_stages ~max_elems:120 ~max_facts:400 ()
 
-let tgd_case r ~engine violations counters =
+let tgd_case r violations counters =
   let scripts, edits, incomparable = counters in
   let inst = Gen.instance r in
   let base = Gen.build inst in
   let m, s0 =
-    Tgd.Chase.Maint.create ~engine ~governor:(gov ()) inst.Gen.deps
+    Tgd.Chase.Maint.create ~governor:(gov ()) inst.Gen.deps
       (Structure.copy base)
   in
   if not s0.Tgd.Chase.fixpoint then incr incomparable
@@ -120,11 +120,7 @@ let tgd_case r ~engine violations counters =
            fail violations "[tgd %d] maintained structure violates deps" si;
          let scr = Structure.copy base in
          replay_ops scr !applied;
-         let ss =
-           Tgd.Chase.run
-             ~engine:(engine :> Tgd.Chase.engine)
-             ~governor:(gov ()) inst.Gen.deps scr
-         in
+         let ss = Tgd.Chase.run ~governor:(gov ()) inst.Gen.deps scr in
          if not ss.Tgd.Chase.fixpoint then begin
            incr incomparable;
            raise Exit
@@ -250,9 +246,8 @@ let run_cases ?(from_case = 0) ~seed ~cases () =
   for case = from_case to from_case + cases - 1 do
     let r = Gen.case_rng ~seed ~case in
     let violations = ref [] in
-    let engine = if case mod 2 = 0 then `Seminaive else `Par in
     let counters = (scripts, edits, incomparable) in
-    tgd_case r ~engine violations counters;
+    tgd_case r violations counters;
     graph_case r violations counters;
     if !violations <> [] then
       all_violations := (case, List.rev !violations) :: !all_violations

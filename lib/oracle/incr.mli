@@ -6,8 +6,7 @@
     not align — so a clean report means: every comparable script
     preserved universal-model equivalence, on random TGD sets and on
     random green-graph rule sets (maintained as TGDs over the bridge and
-    diffed against the dedicated graph engine), across both delta
-    engines. *)
+    diffed against the dedicated graph engine). *)
 
 type report = {
   seed : int;

@@ -10,14 +10,6 @@ type t = {
   stages_run : int;
 }
 
-(** Draw a coded word as a Parity-Glasses path between two vertices. *)
-val draw_word : Greengraph.Graph.t -> va:int -> vb:int -> int list -> unit
-
-(** One snapshot stage of the §VIII.E procedure: right-to-left direction
-    only, constants reused for ∅ (clause (ii)).  Returns the number of
-    additions. *)
-val stage : a:int -> b:int -> Greengraph.Rule.t list -> Greengraph.Graph.t -> Greengraph.Graph.t -> int
-
 (** Build M = M_{k_M + 1} from the final configuration. *)
 val build : Worm_rules.t -> final_config:Rainworm.Config.t -> k_m:int -> t
 

@@ -16,8 +16,5 @@ val label : t -> Rainworm.Sym.t -> Greengraph.Label.t
 (** A configuration as a word of codes. *)
 val word : t -> Rainworm.Config.t -> int list
 
-(** Reverse lookup among the specials and the codes allocated so far. *)
-val sym_of_code : t -> int -> Rainworm.Sym.t option
-
 (** Decode a whole word, when every code is known. *)
 val decode_word : t -> int list -> Rainworm.Config.t option

@@ -11,11 +11,6 @@ type t = {
     η11/··∅ ] γ1/··η0. *)
 val base_rules : Labeling.t -> Greengraph.Rule.t list
 
-(** The rule of one instruction ([None] for ♦1, which the base rules
-    cover); the connector is determined by the parity of the first lhs
-    symbol. *)
-val rule_of_instruction : Labeling.t -> Rainworm.Instruction.t -> Greengraph.Rule.t option
-
 val of_machine : ?labeling:Labeling.t -> Rainworm.Machine.t -> t
 
 (** T_M□ = T_M ∪ T□, the rule set of Lemma 24. *)

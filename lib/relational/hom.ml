@@ -316,7 +316,7 @@ let candidates target atom binding =
 
 (* The interpreted evaluator: the executable specification.  [Plan] below
    must stay bit-identical to this, bindings, order and counters included. *)
-let iter_all_interp ~ordered ~init ?delta target atoms f =
+let iter_all_interp ~init ?delta target atoms f =
   let rec go sink atoms binding =
     match atoms with
     | [] -> sink binding
@@ -336,7 +336,7 @@ let iter_all_interp ~ordered ~init ?delta target atoms f =
           cands
   in
   match delta with
-  | None -> go f (if ordered then order_atoms atoms else atoms) init
+  | None -> go f (order_atoms atoms) init
   | Some delta_facts ->
       (* Index the delta by symbol once. *)
       let by_sym = Symbol.Tbl.create 16 in
@@ -365,10 +365,9 @@ let iter_all_interp ~ordered ~init ?delta target atoms f =
               match resolved_constants target pivot with
               | None -> ()
               | Some pinned ->
-                  let rest = List.filteri (fun k _ -> k <> j) atoms in
                   let rest =
-                    if ordered then order_atoms ~bound:(Atom.vars pivot) rest
-                    else rest
+                    order_atoms ~bound:(Atom.vars pivot)
+                      (List.filteri (fun k _ -> k <> j) atoms)
                   in
                   List.iter
                     (fun fact ->
@@ -435,11 +434,11 @@ module Plan = struct
 
   (* The connectivity-greedy order is applied here, once.  Slots are
      numbered by first appearance in evaluation order. *)
-  let compile ?(ordered = true) ?(bound = Term.Var_set.empty) atoms =
+  let compile ?(bound = Term.Var_set.empty) atoms =
     let vars = vars_create () in
     let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
     let patoms =
-      if ordered && Array.length patoms > 1 then begin
+      if Array.length patoms > 1 then begin
         let order =
           greedy_order (shape_of patoms vars.n)
             ~bound:(bound_slots vars bound) ~skip:(-1)
@@ -457,12 +456,12 @@ module Plan = struct
      seeded as bound, exactly as the interpreted delta decomposition does.
      Slots are numbered by first appearance along pivot 0 then its
      rest-plan. *)
-  let compile_family ?(ordered = true) atoms =
+  let compile_family atoms =
     let vars = vars_create () in
     let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
     let n = Array.length patoms in
     let orders =
-      if ordered && n > 2 then begin
+      if n > 2 then begin
         let sh = shape_of patoms vars.n in
         let orders =
           Array.init n (fun j -> greedy_order sh ~bound:sh.aslots.(j) ~skip:j)
@@ -471,8 +470,8 @@ module Plan = struct
         orders
       end
       else
-        (* a rest of at most one atom, or authored order: the slots are
-           already numbered along pivot 0 then its rest *)
+        (* a rest of at most one atom: the slots are already numbered
+           along pivot 0 then its rest *)
         Array.init n (fun j ->
             Array.init (n - 1) (fun k -> if k < j then k else k + 1))
     in
@@ -1078,9 +1077,8 @@ end
 
 (* Enumerate every homomorphism from [atoms] into [target] extending
    [init]; [f] is called on each complete binding.  Raise [Exit] from [f]
-   to stop the enumeration.  [ordered:false] disables the
-   connectivity-greedy atom ordering (exposed for the ablation bench);
-   [compiled:false] selects the interpreted reference evaluator.
+   to stop the enumeration.  [compiled:false] selects the interpreted
+   reference evaluator.
 
    [~delta] switches to the semi-naive mode: only the homomorphisms whose
    image uses at least one fact of [delta] are produced (each exactly
@@ -1089,12 +1087,12 @@ end
    standard delta-rule decomposition of semi-naive Datalog evaluation.
    [delta] must be facts of [target] in journal order, as
    [Structure.delta_since] returns them. *)
-let iter_all ?(compiled = true) ?(ordered = true) ?(init = Term.Var_map.empty)
-    ?delta target atoms f =
-  if not compiled then iter_all_interp ~ordered ~init ?delta target atoms f
+let iter_all ?(compiled = true) ?(init = Term.Var_map.empty) ?delta target
+    atoms f =
+  if not compiled then iter_all_interp ~init ?delta target atoms f
   else
     match delta with
-    | None -> Plan.iter ~init (Plan.compile ~ordered atoms) target f
+    | None -> Plan.iter ~init (Plan.compile atoms) target f
     | Some delta_facts ->
         (* the delta's fact ids, ascending: its journal order, the order
            the interpreted path scans it in *)
@@ -1102,7 +1100,7 @@ let iter_all ?(compiled = true) ?(ordered = true) ?(init = Term.Var_map.empty)
           List.filter_map (Structure.fact_id target) delta_facts
           |> List.sort_uniq Int.compare
         in
-        let fam = Plan.compile_family ~ordered atoms in
+        let fam = Plan.compile_family atoms in
         Plan.iter_family_ids
           ~init:(Plan.init_slots_of_binding fam.Plan.fvars.tbl init)
           fam target
@@ -1113,22 +1111,22 @@ let iter_all ?(compiled = true) ?(ordered = true) ?(init = Term.Var_map.empty)
    crosses the module boundary, so a caller callback's own exceptions
    (including [Exit], per the [iter_all] contract) can't be misread as a
    match. *)
-let find ?compiled ?ordered ?(init = Term.Var_map.empty) target atoms =
+let find ?compiled ?(init = Term.Var_map.empty) target atoms =
   let result = ref None in
   (try
-     iter_all ?compiled ?ordered ~init target atoms (fun b ->
+     iter_all ?compiled ~init target atoms (fun b ->
          result := Some b;
          raise Exit)
    with Exit -> ());
   !result
 
-let exists ?compiled ?ordered ?init target atoms =
-  Option.is_some (find ?compiled ?ordered ?init target atoms)
+let exists ?compiled ?init target atoms =
+  Option.is_some (find ?compiled ?init target atoms)
 
 (* Count homomorphisms (used by tests and benches; beware of blowup). *)
-let count ?compiled ?ordered ?init target atoms =
+let count ?compiled ?init target atoms =
   let n = ref 0 in
-  iter_all ?compiled ?ordered ?init target atoms (fun _ -> incr n);
+  iter_all ?compiled ?init target atoms (fun _ -> incr n);
   !n
 
 (* --- Structure-to-structure homomorphisms --------------------------- *)

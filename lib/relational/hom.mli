@@ -26,12 +26,12 @@ type binding = int Term.Var_map.t
     O((n + i)·log n) for i variable occurrences. *)
 val order_atoms : ?bound:Term.Var_set.t -> Atom.t list -> Atom.t list
 
-(** [iter_all ?compiled ?ordered ?init target atoms f] calls [f] on every
+(** [iter_all ?compiled ?init target atoms f] calls [f] on every
     homomorphism from [atoms] into [target] extending [init].  Raise
-    [Exit] from [f] to stop early.  [ordered:false] disables the atom
-    ordering (ablation); [compiled:false] selects the interpreted
-    reference evaluator (they are bit-identical — the property suite in
-    [test_plan.ml] holds the compiled path to the interpreted one).
+    [Exit] from [f] to stop early.  [compiled:false] selects the
+    interpreted reference evaluator (they are bit-identical — the
+    property suite in [test_plan.ml] holds the compiled path to the
+    interpreted one).
 
     [~delta] restricts the enumeration to homomorphisms whose image uses
     at least one fact of [delta] (each produced exactly once): for each
@@ -44,7 +44,6 @@ val order_atoms : ?bound:Term.Var_set.t -> Atom.t list -> Atom.t list
     [target] are ignored. *)
 val iter_all :
   ?compiled:bool ->
-  ?ordered:bool ->
   ?init:binding ->
   ?delta:Fact.t list ->
   Structure.t ->
@@ -57,7 +56,6 @@ val iter_all :
     module. *)
 val find :
   ?compiled:bool ->
-  ?ordered:bool ->
   ?init:binding ->
   Structure.t ->
   Atom.t list ->
@@ -65,7 +63,6 @@ val find :
 
 val exists :
   ?compiled:bool ->
-  ?ordered:bool ->
   ?init:binding ->
   Structure.t ->
   Atom.t list ->
@@ -74,7 +71,6 @@ val exists :
 (** Number of homomorphisms (beware of blowup). *)
 val count :
   ?compiled:bool ->
-  ?ordered:bool ->
   ?init:binding ->
   Structure.t ->
   Atom.t list ->
@@ -96,12 +92,12 @@ module Plan : sig
       merge. *)
   type family
 
-  (** [compile ?ordered ?bound atoms] freezes the connectivity-greedy
+  (** [compile ?bound atoms] freezes the connectivity-greedy
       evaluation order (with [bound] seeding {!order_atoms}) and interns
       the body's variables to dense slots, numbered by first appearance
       in that order.  The plan is bit-identical to the interpreted
       reference: bindings, order and counters. *)
-  val compile : ?ordered:bool -> ?bound:Term.Var_set.t -> Atom.t list -> t
+  val compile : ?bound:Term.Var_set.t -> Atom.t list -> t
 
   (** One rest-plan per pivot occurrence, mirroring the interpreted delta
       decomposition: each rest is in {!order_atoms} order with the
@@ -113,7 +109,7 @@ module Plan : sig
       atoms, compile in a few milliseconds.  Slots are numbered by first
       appearance along pivot 0 and then its rest, as in {!compile}.
       [plan.compilations] ticks once per pivot. *)
-  val compile_family : ?ordered:bool -> Atom.t list -> family
+  val compile_family : Atom.t list -> family
 
   (** Number of variable slots; emitted arrays have this length. *)
   val nslots : t -> int

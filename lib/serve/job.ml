@@ -17,7 +17,9 @@
    Everything on the wire uses the PR 5 outcome taxonomy
    ([Governor.pp_outcome] strings and the documented exit codes). *)
 
-type engine = Tgd.Chase.engine
+(* The daemon's engines: the lazy chase ([`Seminaive]) or the
+   semi-oblivious one.  Every slice runs one worker. *)
+type engine = [ `Seminaive | `Oblivious ]
 
 (* One fact edit of a mutate job.  Elements are referenced by the
    structure's integer ids; a negative id names a fresh element, to be
@@ -135,19 +137,16 @@ let terminal j =
 (* --- engines ----------------------------------------------------------- *)
 
 let engine_name : engine -> string = function
-  | `Stage -> "stage"
   | `Seminaive -> "seminaive"
   | `Oblivious -> "oblivious"
-  | `Par -> "par"
 
-(* [`Stage] is the tests' and the oracle's reference, not a daemon
-   engine.  Specs and stored manifests that name it run [`Seminaive],
+(* [`Stage] is the tests' and the oracle's reference, and [`Par] at the
+   daemon's one worker per slice is [`Seminaive]; neither is a daemon
+   engine.  Specs and stored manifests that name them run [`Seminaive],
    which builds the bit-identical structure. *)
 let engine_of_name : string -> engine option = function
-  | "stage" -> Some `Seminaive
-  | "seminaive" -> Some `Seminaive
+  | "stage" | "seminaive" | "par" -> Some `Seminaive
   | "oblivious" -> Some `Oblivious
-  | "par" -> Some `Par
   | _ -> None
 
 (* --- outcome strings --------------------------------------------------- *)
@@ -200,7 +199,7 @@ let validate spec =
       else if family = "faults" then
         (* the faults oracle owns the process-global failpoint registry;
            running it inside a multi-worker daemon would perturb every
-           concurrent par-engine slice *)
+           concurrent chase slice *)
         Error "faults shards cannot run as daemon jobs"
       else if Option.is_none (Oracle.Shard.family_of_name family) then
         Error (Printf.sprintf "unknown oracle family %s" family)
@@ -208,8 +207,8 @@ let validate spec =
   | Mutate { instance; views; q0; ops; max_stages; engine } ->
       if instance = "" then Error "instance must be named"
       else if max_stages <= 0 then Error "max_stages must be positive"
-      else if engine <> `Seminaive && engine <> `Par then
-        Error "mutate jobs need a maintained engine (seminaive/par)"
+      else if engine <> `Seminaive then
+        Error "mutate jobs need the maintained engine (seminaive)"
       else if List.exists (fun o -> o.rel = "") ops then
         Error "edit op with an empty relation name"
       else Result.map (fun _ -> ()) (parse_rules views q0)
@@ -237,11 +236,9 @@ let structure_digest d = Relational.Structure.digest_hex d
    [Pure k]: the result is a function of the spec alone — the key [k]
    canonicalizes the inputs (ruleset digest + canonical-instance digest
    for chases, machine/steps for worms, parameters for audits).  Of the
-   engine only its chase class is part of the key: the lazy engines are
-   proven bit-identical (same structures, same fresh ids, same digest),
-   so a [`Par] submission may legitimately be answered by a cached
-   [`Seminaive] result, but the semi-oblivious chase builds a different
-   structure and keys apart.  [quantum_override] is excluded because
+   engine only its chase class is part of the key: the semi-oblivious
+   chase builds a different structure from the lazy one and keys
+   apart.  [quantum_override] is excluded because
    preempted ≡ uninterrupted is an invariant, not a parameter.
 
    [Instance_read]: a mutate job with an empty edit script reads a
@@ -260,7 +257,7 @@ type cache_class =
    The ["/lazy"] and ["/oblivious"] suffixes also retire every entry
    persisted while the key held no engine at all. *)
 let engine_class : engine -> string = function
-  | `Stage | `Seminaive | `Par -> "lazy"
+  | `Seminaive -> "lazy"
   | `Oblivious -> "oblivious"
 
 let chase_key ~tag views q0 max_stages =

@@ -132,7 +132,9 @@ let run_chase_slice ~store ~cancel ~quantum (job : Job.t) ~views ~q0
         else
           let d = fst (Tgd.Greenred.green_canonical q0) in
           let stats =
-            Tgd.Chase.run ~engine ~jobs:1 ~governor ~max_stages:target
+            Tgd.Chase.run
+              ~engine:(engine :> Tgd.Chase.engine)
+              ~governor ~max_stages:target
               ~snapshot_every:1 ~on_snapshot deps d
           in
           Ok (stats, d)
@@ -165,16 +167,16 @@ let run_determinacy ~cancel (job : Job.t) ~views ~q0 ~max_stages ~engine =
   match Job.parse_rules views q0 with
   | Error m -> job.Job.state <- Job.Faulted m
   | Ok (views, q0) ->
+      let engine = (engine :> Tgd.Chase.engine) in
       let inst = Determinacy.Instance.make ~views ~q0 in
       let governor = G.make ~cancel () in
       let verdict v = Format.asprintf "%a" Determinacy.Solver.pp_verdict v in
       let unrestricted =
         verdict
-          (Determinacy.Solver.unrestricted ~engine ~jobs:1 ~governor
-             ~max_stages inst)
+          (Determinacy.Solver.unrestricted ~engine ~governor ~max_stages inst)
       in
       let finite =
-        verdict (Determinacy.Solver.finite ~engine ~jobs:1 ~governor inst)
+        verdict (Determinacy.Solver.finite ~engine ~governor inst)
       in
       let outcome = if G.cancelled governor then G.Cancelled else G.Fixpoint in
       let detail =
@@ -320,94 +322,88 @@ let finish_mutate (job : Job.t) (h : held) ~instance
    is preempted exactly like a fresh chase — just without a disk
    checkpoint, because the instance is the daemon's living state. *)
 let run_mutate_slice ~instances ~cancel ~quantum (job : Job.t) ~instance
-    ~views ~q0 ~ops ~max_stages ~engine =
+    ~views ~q0 ~ops ~max_stages =
   match Job.parse_rules views q0 with
   | Error m -> job.Job.state <- Job.Faulted m
   | Ok (views, q0) -> (
-      match engine with
-      | `Stage | `Oblivious ->
-          job.Job.state <-
-            Job.Faulted "mutate: engine must be seminaive or par"
-      | (`Seminaive | `Par) as engine -> (
-          let deps = Tgd.Dep.t_q views in
-          let quantum =
-            match job.Job.quantum_override with
-            | Some s -> { quantum with stages = s }
-            | None -> quantum
-          in
-          let slice_budget =
-            max 1 (min quantum.stages (max_stages - job.Job.stages_done))
-          in
-          let governor =
-            if quantum.seconds > 0. then
-              G.make ~deadline_in:quantum.seconds ~cancel ()
-            else G.make ~cancel ()
-          in
-          match
-            let h, stats =
-              match find_instance instances instance with
-              | Some h ->
-                  ( h,
-                    M.continue_ ~governor ~max_stages:slice_budget h.h_maint )
-              | None ->
-                  let d = fst (Tgd.Greenred.green_canonical q0) in
-                  let m, stats =
-                    M.create ~engine ~jobs:1 ~governor
-                      ~max_stages:slice_budget deps d
-                  in
-                  let h =
-                    {
-                      h_maint = m;
-                      h_fresh = Hashtbl.create 4;
-                      h_applied = Hashtbl.create 4;
-                    }
-                  in
-                  add_instance instances instance h;
-                  (h, stats)
+      let deps = Tgd.Dep.t_q views in
+      let quantum =
+        match job.Job.quantum_override with
+        | Some s -> { quantum with stages = s }
+        | None -> quantum
+      in
+      let slice_budget =
+        max 1 (min quantum.stages (max_stages - job.Job.stages_done))
+      in
+      let governor =
+        if quantum.seconds > 0. then
+          G.make ~deadline_in:quantum.seconds ~cancel ()
+        else G.make ~cancel ()
+      in
+      match
+        let h, stats =
+          match find_instance instances instance with
+          | Some h ->
+              ( h,
+                M.continue_ ~governor ~max_stages:slice_budget h.h_maint )
+          | None ->
+              let d = fst (Tgd.Greenred.green_canonical q0) in
+              let m, stats =
+                M.create ~governor ~max_stages:slice_budget deps d
+              in
+              let h =
+                {
+                  h_maint = m;
+                  h_fresh = Hashtbl.create 4;
+                  h_applied = Hashtbl.create 4;
+                }
+              in
+              add_instance instances instance h;
+              (h, stats)
+        in
+        (* at fixpoint with the job's edit still out: apply it (the
+           cascade is cheap; its re-derive continuation gets the
+           same per-slice fuel) *)
+        let stats =
+          if
+            (not (M.pending h.h_maint))
+            && not (Hashtbl.mem h.h_applied job.Job.id)
+          then begin
+            let eops =
+              List.map (op_fact (M.structure h.h_maint) h.h_fresh) ops
             in
-            (* at fixpoint with the job's edit still out: apply it (the
-               cascade is cheap; its re-derive continuation gets the
-               same per-slice fuel) *)
-            let stats =
-              if
-                (not (M.pending h.h_maint))
-                && not (Hashtbl.mem h.h_applied job.Job.id)
-              then begin
-                let eops =
-                  List.map (op_fact (M.structure h.h_maint) h.h_fresh) ops
-                in
-                let es =
-                  M.apply_edit ~governor ~max_stages:slice_budget h.h_maint
-                    eops
-                in
-                Hashtbl.replace h.h_applied job.Job.id
-                  (es.M.e_killed, es.M.e_refired);
-                es.M.e_run
-              end
-              else stats
+            let es =
+              M.apply_edit ~governor ~max_stages:slice_budget h.h_maint
+                eops
             in
-            (h, stats)
-          with
-          | exception Invalid_argument m -> job.Job.state <- Job.Faulted m
-          | h, stats -> (
-              job.Job.stages_done <- stats.Tgd.Chase.stages;
-              job.Job.applications <- stats.Tgd.Chase.applications;
-              job.Job.considered <- stats.Tgd.Chase.triggers_considered;
-              match stats.Tgd.Chase.outcome with
-              | G.Fixpoint when Hashtbl.mem h.h_applied job.Job.id ->
-                  finish_mutate job h ~instance stats
-              | G.Fixpoint ->
-                  (* fixpoint but the edit phase needs its own slice *)
-                  job.Job.state <- Job.Queued
-              | G.Budget G.Stages when stats.Tgd.Chase.stages >= max_stages ->
-                  (* the job's own fuel: report what the instance holds *)
-                  finish_mutate job h ~instance stats
-              | G.Budget G.Stages | G.Deadline | G.Cancelled ->
-                  (* quantum exhausted (or drain) mid-run: the pending
-                     continuation lives in the held instance *)
-                  job.Job.state <- Job.Suspended
-              | G.Budget _ -> finish_mutate job h ~instance stats
-              | G.Faulted site -> job.Job.state <- Job.Faulted site)))
+            Hashtbl.replace h.h_applied job.Job.id
+              (es.M.e_killed, es.M.e_refired);
+            es.M.e_run
+          end
+          else stats
+        in
+        (h, stats)
+      with
+      | exception Invalid_argument m -> job.Job.state <- Job.Faulted m
+      | h, stats -> (
+          job.Job.stages_done <- stats.Tgd.Chase.stages;
+          job.Job.applications <- stats.Tgd.Chase.applications;
+          job.Job.considered <- stats.Tgd.Chase.triggers_considered;
+          match stats.Tgd.Chase.outcome with
+          | G.Fixpoint when Hashtbl.mem h.h_applied job.Job.id ->
+              finish_mutate job h ~instance stats
+          | G.Fixpoint ->
+              (* fixpoint but the edit phase needs its own slice *)
+              job.Job.state <- Job.Queued
+          | G.Budget G.Stages when stats.Tgd.Chase.stages >= max_stages ->
+              (* the job's own fuel: report what the instance holds *)
+              finish_mutate job h ~instance stats
+          | G.Budget G.Stages | G.Deadline | G.Cancelled ->
+              (* quantum exhausted (or drain) mid-run: the pending
+                 continuation lives in the held instance *)
+              job.Job.state <- Job.Suspended
+          | G.Budget _ -> finish_mutate job h ~instance stats
+          | G.Faulted site -> job.Job.state <- Job.Faulted site))
 
 (* --- dispatch ---------------------------------------------------------- *)
 
@@ -426,9 +422,9 @@ let run_slice ~store ~instances ~cancel ~quantum (job : Job.t) =
      | Job.Worm { machine; steps } -> run_worm ~cancel job ~machine ~steps
      | Job.Audit { seed; cases; max_stages; family; from_case } ->
          run_audit job ~seed ~cases ~max_stages ~family ~from_case
-     | Job.Mutate { instance; views; q0; ops; max_stages; engine } ->
+     | Job.Mutate { instance; views; q0; ops; max_stages; engine = _ } ->
          run_mutate_slice ~instances ~cancel ~quantum job ~instance ~views
-           ~q0 ~ops ~max_stages ~engine
+           ~q0 ~ops ~max_stages
    with e -> job.Job.state <- Job.Faulted (Printexc.to_string e));
   job.Job.slices <- job.Job.slices + 1;
   job.Job.wall_s <- job.Job.wall_s +. (Obs.Clock.now_s () -. t0)

@@ -655,14 +655,15 @@ let pp_engine ppf e =
     | `Oblivious -> "oblivious"
     | `Par -> "par")
 
-(* A resumable chase snapshot: the structure (a Marshal round-trip clone,
-   the only journal-order-preserving copy), the semi-naive watermark, the
-   per-TGD persistent dedup keys in canonical sorted order, and the
-   counters.  [snap_stage] is the last *completed* stage; resuming
-   continues at [snap_stage + 1] with absolute stage numbering, so a
-   prefix run + resume is bit-identical to one uninterrupted run. *)
+(* A resumable snapshot of a delta-pipeline run: the structure (a
+   Marshal round-trip clone, the only journal-order-preserving copy), the
+   semi-naive watermark, the per-TGD persistent dedup keys in canonical
+   sorted order, and the counters.  [snap_stage] is the last *completed*
+   stage; resuming continues at [snap_stage + 1] with absolute stage
+   numbering, so a prefix run + resume is bit-identical to one
+   uninterrupted run. *)
 type snapshot = {
-  snap_engine : engine;
+  snap_engine : [ `Seminaive | `Oblivious | `Par ];
   snap_stage : int;
   snap_wm : int;
   snap_seen : (int * int array list) list; (* TGD index -> sorted keys *)
@@ -683,17 +684,11 @@ type snapshot = {
    firing path (full-recheck sequential, delta-recheck replay, or staged
    parallel); [collect] is called once per stage, after the stage stamp,
    and shares the [considered]/[matches] refs with the final stats.
-   [make_snapshot] captures the engine's resumable state; snapshots are
-   built only when [on_snapshot] is given. *)
+   [snapshot ~stage ~applications] is the governor's snapshot hook. *)
 let run_engine ~span ~governor ~max_stages ~stop ~on_fire ~considered ~matches
-    ~collect ~apply ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
-    ~start_applications d =
+    ~collect ~apply ~snapshot_every ~snapshot ~start_stage ~start_applications
+    d =
   let applications = ref start_applications in
-  let snapshot i =
-    match on_snapshot with
-    | Some f -> f (make_snapshot ~stage:i ~applications:!applications)
-    | None -> ()
-  in
   let step i =
     Structure.set_stage d i;
     let triggers = G.with_scope governor collect in
@@ -706,7 +701,9 @@ let run_engine ~span ~governor ~max_stages ~stop ~on_fire ~considered ~matches
         G.run_stages governor ~span:"tgd.stage" ~start_stage ~max_stages
           ~sizes:(fun () -> (Structure.card d, Structure.size d))
           ~stop:(fun () -> stop d)
-          ~snapshot_every ~snapshot step)
+          ~snapshot_every
+          ~snapshot:(fun i -> snapshot ~stage:i ~applications:!applications)
+          step)
   in
   {
     stages;
@@ -724,31 +721,11 @@ let check_resume_deps deps snap =
   if snap.snap_deps <> deps_signature deps then
     invalid_arg "Chase.resume: dependency list differs from the snapshot's"
 
-let run_stage ?(governor = G.unlimited) ?(max_stages = max_int)
-    ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
-    ?on_snapshot ?from deps d =
-  (match from with Some s -> check_resume_deps deps s | None -> ());
+(* The reference: a full rescan every stage, with per-stage dedup tables.
+   It takes no snapshots, so it always starts at stage 0. *)
+let run_stage ~governor ~max_stages ~stop ~on_fire deps d =
   let cdeps = List.map (fun dep -> compile_dep dep) deps in
-  let start_stage, considered0, matches0, apps0 =
-    match from with
-    | Some s ->
-        (s.snap_stage, s.snap_considered, s.snap_matches, s.snap_applications)
-    | None -> (0, 0, 0, 0)
-  in
-  let considered = ref considered0 and matches = ref matches0 in
-  let make_snapshot ~stage ~applications =
-    {
-      snap_engine = `Stage;
-      snap_stage = stage;
-      snap_wm = Structure.watermark d;
-      snap_seen = [];
-      snap_considered = !considered;
-      snap_matches = !matches;
-      snap_applications = applications;
-      snap_deps = deps_signature deps;
-      snap_structure = Resilience.Checkpoint.clone d;
-    }
-  in
+  let considered = ref 0 and matches = ref 0 in
   let collect () =
     if !Obs.metrics_on then Obs.Metrics.observe h_delta (Structure.size d);
     collect_triggers
@@ -758,8 +735,9 @@ let run_stage ?(governor = G.unlimited) ?(max_stages = max_int)
   run_engine ~span:"tgd.chase(stage)" ~governor ~max_stages ~stop ~on_fire
     ~considered ~matches ~collect
     ~apply:(fun on_fire triggers -> apply_triggers ~on_fire triggers d)
-    ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
-    ~start_applications:apps0 d
+    ~snapshot_every:1
+    ~snapshot:(fun ~stage:_ ~applications:_ -> ())
+    ~start_stage:0 ~start_applications:0 d
 
 (* A dedup table's keys in canonical sorted order, as snapshots hold
    them. *)
@@ -827,18 +805,22 @@ let run_delta ~(engine : [ `Seminaive | `Oblivious | `Par ]) ?jobs
   (* Watermark of the previous stage's start; the first delta is the whole
      initial structure. *)
   let wm = ref wm0 in
-  let make_snapshot ~stage ~applications =
-    {
-      snap_engine = (engine :> engine);
-      snap_stage = stage;
-      snap_wm = !wm;
-      snap_seen = dump_seen ();
-      snap_considered = !considered;
-      snap_matches = !matches;
-      snap_applications = applications;
-      snap_deps = deps_signature deps;
-      snap_structure = Resilience.Checkpoint.clone d;
-    }
+  let snapshot ~stage ~applications =
+    match on_snapshot with
+    | None -> ()
+    | Some f ->
+        f
+          {
+            snap_engine = engine;
+            snap_stage = stage;
+            snap_wm = !wm;
+            snap_seen = dump_seen ();
+            snap_considered = !considered;
+            snap_matches = !matches;
+            snap_applications = applications;
+            snap_deps = deps_signature deps;
+            snap_structure = Resilience.Checkpoint.clone d;
+          }
   in
   let oblivious = engine = `Oblivious in
   let jobs =
@@ -877,7 +859,7 @@ let run_delta ~(engine : [ `Seminaive | `Oblivious | `Par ]) ?jobs
     | `Par -> "tgd.chase(par)"
   in
   run_engine ~span ~governor ~max_stages ~stop ~on_fire ~considered ~matches
-    ~collect ~apply ~make_snapshot ~snapshot_every ~on_snapshot ~start_stage
+    ~collect ~apply ~snapshot_every ~snapshot ~start_stage
     ~start_applications:apps0 d
 
 (* The engine front door.  Semi-naive is the default: it implements the
@@ -885,14 +867,12 @@ let run_delta ~(engine : [ `Seminaive | `Oblivious | `Par ]) ?jobs
    sequence) with per-stage work proportional to the delta rather than to
    the whole structure.  Every engine but [`Stage] is a variant of the
    delta pipeline; [jobs] bounds [`Par]'s worker count (ignored by the
-   other engines). *)
+   other engines).  [`Stage] takes no snapshots. *)
 let run ?(engine = `Seminaive) ?jobs ?tuning ?(governor = G.unlimited)
     ?(max_stages = max_int) ?(stop = fun _ -> false) ?(on_fire = no_fire)
     ?(snapshot_every = 1) ?on_snapshot deps d =
   match engine with
-  | `Stage ->
-      run_stage ~governor ~max_stages ~stop ~on_fire ~snapshot_every
-        ?on_snapshot deps d
+  | `Stage -> run_stage ~governor ~max_stages ~stop ~on_fire deps d
   | (`Seminaive | `Oblivious | `Par) as engine ->
       run_delta ~engine ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
         ~snapshot_every ~on_snapshot ~from:None deps d
@@ -906,16 +886,9 @@ let resume ?jobs ?tuning ?(governor = G.unlimited) ?(max_stages = max_int)
     ?(stop = fun _ -> false) ?(on_fire = no_fire) ?(snapshot_every = 1)
     ?on_snapshot deps snap =
   let d = snap.snap_structure in
-  let stats =
-    match snap.snap_engine with
-    | `Stage ->
-        run_stage ~governor ~max_stages ~stop ~on_fire ~snapshot_every
-          ?on_snapshot ~from:snap deps d
-    | (`Seminaive | `Oblivious | `Par) as engine ->
-        run_delta ~engine ?jobs ?tuning ~governor ~max_stages ~stop ~on_fire
-          ~snapshot_every ~on_snapshot ~from:(Some snap) deps d
-  in
-  (stats, d)
+  ( run_delta ~engine:snap.snap_engine ?jobs ?tuning ~governor ~max_stages
+      ~stop ~on_fire ~snapshot_every ~on_snapshot ~from:(Some snap) deps d,
+    d )
 
 (* Model checking by frontier key.
 
@@ -1230,8 +1203,6 @@ module Maint = struct
     m_dep_arr : Dep.t array;
     m_cdeps : cdep array;
     m_frnames : string array array; (* frontier vars, canonical order *)
-    m_engine : [ `Seminaive | `Par ];
-    m_jobs : int option;
     m_d : Structure.t;
     m_recs : (int array, record) Hashtbl.t array; (* per dep: key -> record *)
     m_seen : (int array, unit) Hashtbl.t array;
@@ -1479,7 +1450,7 @@ module Maint = struct
     let note di key = consider_log := (di, key) :: !consider_log in
     let snap =
       {
-        snap_engine = (t.m_engine :> engine);
+        snap_engine = `Seminaive;
         snap_stage = t.m_stage;
         snap_wm = t.m_wm;
         snap_seen = [] (* the live tables go in as [seen] *);
@@ -1494,10 +1465,8 @@ module Maint = struct
       if max_stages = max_int then max_int else t.m_stage + max_stages
     in
     let stats =
-      run_delta
-        ~engine:(t.m_engine :> [ `Seminaive | `Oblivious | `Par ])
-        ?jobs:t.m_jobs ~note ~cdeps:(Array.to_list t.m_cdeps) ~seen:t.m_seen
-        ~governor ~max_stages:abs_max
+      run_delta ~engine:`Seminaive ~note ~cdeps:(Array.to_list t.m_cdeps)
+        ~seen:t.m_seen ~governor ~max_stages:abs_max
         ~stop:(fun _ -> false)
         ~on_fire ~snapshot_every:1 ~on_snapshot:None ~from:(Some snap) t.m_deps
         d
@@ -1618,7 +1587,7 @@ module Maint = struct
 
   (* Chase the base structure to a fixpoint under maintenance tracking.
      Every fact already in [d] is a base fact. *)
-  let create ?(engine = `Seminaive) ?jobs ?governor ?max_stages deps d =
+  let create ?governor ?max_stages deps d =
     let dep_arr = Array.of_list deps in
     let t =
       {
@@ -1630,8 +1599,6 @@ module Maint = struct
             (fun dep ->
               Array.of_list (Term.Var_set.elements (Dep.frontier dep)))
             dep_arr;
-        m_engine = engine;
-        m_jobs = jobs;
         m_d = d;
         m_recs = Array.map (fun _ -> Hashtbl.create 64) dep_arr;
         m_seen = Array.map (fun _ -> Hashtbl.create 64) dep_arr;

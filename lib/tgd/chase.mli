@@ -72,15 +72,15 @@ type par_tuning = {
 
 val default_tuning : par_tuning
 
-(** A resumable chase snapshot: the structure (a journal-order-preserving
-    Marshal clone), the semi-naive watermark, the per-TGD persistent
-    dedup keys in canonical sorted order and the stat counters.
-    [snap_stage] is the last completed stage; {!resume} continues at
-    [snap_stage + 1] with absolute stage numbering.  The record is
-    closure-free, so [Resilience.Checkpoint.save]/[load] round-trips it
-    exactly. *)
+(** A resumable snapshot of a delta-pipeline run ([`Stage] takes none):
+    the structure (a journal-order-preserving Marshal clone), the
+    semi-naive watermark, the per-TGD persistent dedup keys in canonical
+    sorted order and the stat counters.  [snap_stage] is the last
+    completed stage; {!resume} continues at [snap_stage + 1] with
+    absolute stage numbering.  The record is closure-free, so
+    [Resilience.Checkpoint.save]/[load] round-trips it exactly. *)
 type snapshot = {
-  snap_engine : engine;
+  snap_engine : [ `Seminaive | `Oblivious | `Par ];
   snap_stage : int;
   snap_wm : int;
   snap_seen : (int * int array list) list;
@@ -107,7 +107,7 @@ val apply : Structure.t -> Dep.t -> Hom.binding -> unit
     firing sequence through it.  [jobs] bounds the [`Par] engine's worker
     count (default [Pool.default_jobs ()]; [`Seminaive] and [`Oblivious]
     always run one) and [tuning] its firing path (default
-    {!default_tuning}); [`Stage] ignores both.
+    {!default_tuning}); [`Stage] ignores both, and takes no snapshots.
 
     The [governor] (default [Resilience.Governor.unlimited]) bundles a
     wall-clock deadline, stage fuel, element/fact budgets and a
@@ -155,19 +155,6 @@ val resume :
   Dep.t list ->
   snapshot ->
   stats * Structure.t
-
-(** The stage engine: full re-enumeration each stage ([run ~engine:`Stage]). *)
-val run_stage :
-  ?governor:Resilience.Governor.t ->
-  ?max_stages:int ->
-  ?stop:(Structure.t -> bool) ->
-  ?on_fire:(stage:int -> Dep.t -> Hom.binding -> unit) ->
-  ?snapshot_every:int ->
-  ?on_snapshot:(snapshot -> unit) ->
-  ?from:snapshot ->
-  Dep.t list ->
-  Structure.t ->
-  stats
 
 (** {2 The delta pipeline}
 
@@ -283,13 +270,10 @@ module Maint : sig
   }
 
   (** [create deps d] chases [d] in place to a fixpoint under maintenance
-      tracking; every fact initially in [d] is a base fact.  [engine]
-      restricts to the delta engines (default [`Seminaive]); [jobs]
-      bounds [`Par] workers.  A [governor] may cut the initial run — it
-      stays resumable with {!continue_}. *)
+      tracking, with the [`Seminaive] engine; every fact initially in [d]
+      is a base fact.  A [governor] may cut the initial run — it stays
+      resumable with {!continue_}. *)
   val create :
-    ?engine:[ `Seminaive | `Par ] ->
-    ?jobs:int ->
     ?governor:Resilience.Governor.t ->
     ?max_stages:int ->
     Dep.t list ->

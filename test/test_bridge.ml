@@ -23,6 +23,30 @@ let test_greengraph_roundtrip () =
   let g' = Greengraph.Bridge.of_structure (Greengraph.Bridge.to_structure g) in
   check "green graph roundtrip" true (Greengraph.Graph.equal g g')
 
+(* Both directions copy edges in journal order, so a round trip keeps
+   the graph's edge journal entry for entry: on seed 42's graph cases,
+   as generated and after a budgeted chase (fresh vertices included). *)
+let test_journal_roundtrip () =
+  let module G = Greengraph.Graph in
+  let module B = Greengraph.Bridge in
+  let b = Oracle.Diff.default_budget in
+  let same_journal what g =
+    check (what ^ ": same edge journal") true
+      (G.delta_since (B.of_structure (B.to_structure g)) 0 = G.delta_since g 0)
+  in
+  for case = 0 to 599 do
+    let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:42 ~case) in
+    let g = Oracle.Gen.build_graph gc in
+    same_journal (Printf.sprintf "seed 42 case %d" case) g;
+    ignore
+      (Greengraph.Rule.chase ~max_stages:b.Oracle.Diff.max_stages
+         ~stop:(fun g ->
+           G.size g > b.Oracle.Diff.max_facts
+           || G.order g > b.Oracle.Diff.max_elems)
+         gc.Oracle.Gen.rules g);
+    same_journal (Printf.sprintf "seed 42 case %d, chased" case) g
+  done
+
 let test_roundtrip_property =
   QCheck.Test.make ~name:"green-graph bridge roundtrip (random)" ~count:40
     QCheck.(list_of_size (Gen.int_range 1 10)
@@ -172,6 +196,8 @@ let () =
         [
           Alcotest.test_case "swarm" `Quick test_swarm_roundtrip;
           Alcotest.test_case "green graph" `Quick test_greengraph_roundtrip;
+          Alcotest.test_case "green graph journals, seed 42 cases" `Quick
+            test_journal_roundtrip;
         ] );
       ( "greengraph",
         [

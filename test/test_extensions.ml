@@ -176,17 +176,6 @@ let test_lgraph_dot () =
   check "digraph header" true (contains dot "digraph g");
   check "edge present" true (contains dot "n0 -> n1")
 
-(* --- hom-search ablation flag stays sound ----------------------------------- *)
-
-let test_hom_unordered_agrees () =
-  let s = Structure.create () in
-  let vs = Array.init 6 (fun _ -> Structure.fresh s) in
-  for i = 0 to 4 do
-    Structure.add2 s edge vs.(i) vs.(i + 1)
-  done;
-  let q = Cq.Query.body (path_query 3) in
-  check_int "ordered = unordered" (Hom.count s q) (Hom.count ~ordered:false s q)
-
 let () =
   Alcotest.run "extensions"
     [
@@ -217,6 +206,5 @@ let () =
         [
           Alcotest.test_case "map_vertices" `Quick test_lgraph_map_vertices;
           Alcotest.test_case "dot export" `Quick test_lgraph_dot;
-          Alcotest.test_case "hom ordering ablation" `Quick test_hom_unordered_agrees;
         ] );
     ]

@@ -3,8 +3,10 @@
    (base elements pinned) to a from-scratch chase of the same base, with
    [models] true and the internal support audit clean.  Exercised on hand
    cases, the standing workloads (Tinf, E10, the grid collision) and a
-   seeded oracle campaign of random edit scripts, for both delta engines,
-   including retractions that kill and re-derive through nulls. *)
+   seeded oracle campaign of random edit scripts, including retractions
+   that kill and re-derive through nulls.  Maintenance runs one engine;
+   each case is checked against a from-scratch chase under each lazy
+   delta engine, [`Seminaive] and [`Par]. *)
 
 open Relational
 
@@ -41,7 +43,7 @@ let equiv ~base a b =
   Hom.exists_between ~init a b && Hom.exists_between ~init b a
 
 (* From-scratch baseline: the ops applied directly to a copy of the
-   pristine base, then chased with the same engine. *)
+   pristine base, then chased with [engine]. *)
 let scratch_base base ops =
   let d = Structure.copy base in
   List.iter
@@ -57,7 +59,7 @@ let scratch ~engine deps base ops =
   d
 
 let check_edit ?(msg = "edit") ~engine deps base scripts =
-  let m, _ = Tgd.Chase.Maint.create ~engine deps (Structure.copy base) in
+  let m, _ = Tgd.Chase.Maint.create deps (Structure.copy base) in
   List.iteri
     (fun i ops ->
       let _ = Tgd.Chase.Maint.apply_edit m ops in
@@ -126,7 +128,7 @@ let test_mixed engine () =
    sub-paths. *)
 let test_retract_through_nulls engine () =
   let base, vs = path_base 5 in
-  let m, s0 = Tgd.Chase.Maint.create ~engine deps2 (Structure.copy base) in
+  let m, s0 = Tgd.Chase.Maint.create deps2 (Structure.copy base) in
   check "initial chase reached fixpoint" true s0.fixpoint;
   check "chase derived through nulls" true
     (Structure.size (Tgd.Chase.Maint.structure m) > 5);
@@ -157,8 +159,10 @@ let test_mview engine () =
   for i = 0 to 4 do
     Structure.add2 base edge vs.(i) vs.(i + 1)
   done;
-  let mv, s0 = Determinacy.Mview.create ~engine inst base in
+  let mv, s0 = Determinacy.Mview.create inst base in
   check "initial chase reached fixpoint" true s0.fixpoint;
+  (* the red q0-answers over base elements of a from-scratch chase of
+     the painted, edited base *)
   let scratch_answers ops =
     let d = Structure.copy base in
     List.iter
@@ -166,8 +170,11 @@ let test_mview engine () =
         | Determinacy.Mview.Insert f -> ignore (Structure.add_fact d f)
         | Determinacy.Mview.Retract f -> ignore (Structure.retract_fact d f))
       ops;
-    let mv', _ = Determinacy.Mview.create ~engine inst d in
-    Determinacy.Mview.certain_answers_q0 mv'
+    let g = Structure.paint Symbol.Green d in
+    ignore (Tgd.Chase.run ~engine (Determinacy.Instance.tgds inst) g);
+    Cq.Eval.Tuple_set.filter
+      (fun tup -> Array.for_all (fun el -> Array.mem el vs) tup)
+      (Cq.Eval.answers (Cq.Query.paint Symbol.Red (path_query 4)) g)
   in
   let scripts =
     [
@@ -199,8 +206,9 @@ let test_mview engine () =
 (* --- green graphs --------------------------------------------------------- *)
 
 (* L₂ rules are maintained as TGDs over the bridge ([Greengraph.Bridge])
-   and judged by the dedicated graph engine: [Rule.chase] builds the
-   scratch side and [Rule.models] checks the maintained one. *)
+   and judged by [Rule.models].  The dedicated graph engine
+   ([Rule.chase]) builds the [`Seminaive] scratch side, the bridged
+   rules under [`Par] the other. *)
 
 module G = Greengraph.Graph
 module R = Greengraph.Rule
@@ -210,24 +218,30 @@ module M = Tgd.Chase.Maint
 
 let gfact l s d = Fact.make (B.symbol_of l) [| s; d |]
 
-let graph_maint ?max_stages ?(engine = `Seminaive) rules g =
-  M.create ~engine ?max_stages (B.tgds_of_rules rules) (B.to_structure g)
+let graph_maint ?max_stages rules g =
+  M.create ?max_stages (B.tgds_of_rules rules) (B.to_structure g)
 
 let maint_graph m = B.of_structure (M.structure m)
 
-let graph_scratch rules base ops =
-  let g = B.of_structure (scratch_base (B.to_structure base) ops) in
-  ignore (R.chase rules g);
-  B.to_structure g
+let graph_scratch ~engine rules base ops =
+  let d = scratch_base (B.to_structure base) ops in
+  match engine with
+  | `Seminaive ->
+      let g = B.of_structure d in
+      ignore (R.chase rules g);
+      B.to_structure g
+  | `Par ->
+      ignore (Tgd.Chase.run ~engine:`Par (B.tgds_of_rules rules) d);
+      d
 
 let check_graph_edit ?(msg = "gedit") ~engine rules base scripts =
-  let m, _ = graph_maint ~engine rules base in
+  let m, _ = graph_maint rules base in
   let sbase = B.to_structure base in
   List.iteri
     (fun i ops ->
       let _ = M.apply_edit m ops in
       let s =
-        graph_scratch rules base
+        graph_scratch ~engine rules base
           (List.concat (List.filteri (fun j _ -> j <= i) scripts))
       in
       let tag = Printf.sprintf "%s #%d" msg i in
@@ -254,14 +268,14 @@ let test_graph_edits engine () =
 let test_graph_retract_through_fresh engine () =
   let base, a, b = G.d_i () in
   let rules = [ R.amp (L.empty, L.empty) (L.l 1, L.l 2) ] in
-  let m, s0 = graph_maint ~engine rules base in
+  let m, s0 = graph_maint rules base in
   check "initial chase fired" true (s0.Tgd.Chase.applications >= 1);
   let cut = [ M.Retract (gfact L.empty a b) ] in
   let st = M.apply_edit m cut in
   check "cascade killed product edges" true (st.M.e_killed >= 2);
   check_int "graph back to empty base" 0 (Structure.size (M.structure m));
   Alcotest.(check (list string)) "audit clean" [] (M.check m);
-  let s = graph_scratch rules base cut in
+  let s = graph_scratch ~engine rules base cut in
   check "equivalent to scratch" true
     (equiv ~base:(B.to_structure base) (M.structure m) s)
 
@@ -309,13 +323,13 @@ let test_grid44_workload engine () =
   let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
   let rules = Separating.Tbox.rules in
   let cut = first_edge base in
-  let m, s0 = graph_maint ~engine rules base in
+  let m, s0 = graph_maint rules base in
   check "initial chase reached fixpoint" true s0.Tgd.Chase.fixpoint;
   (* the cut, fully checked *)
   let st = M.apply_edit m [ M.Retract cut ] in
   check "cut tore grid off the fold edge" true (st.M.e_killed >= 50);
   Alcotest.(check (list string)) "audit after cut" [] (M.check m);
-  let scr = graph_scratch rules base [ M.Retract cut ] in
+  let scr = graph_scratch ~engine rules base [ M.Retract cut ] in
   check "cut models" true (R.models rules (maint_graph m));
   check "cut equivalent to scratch" true
     (equiv ~base:(B.to_structure base) (M.structure m) scr);
@@ -324,7 +338,7 @@ let test_grid44_workload engine () =
   check "regrow reached fixpoint" true st2.M.e_run.Tgd.Chase.fixpoint;
   Alcotest.(check (list string)) "audit after regrow" [] (M.check m);
   let g = maint_graph m in
-  let scr2 = B.of_structure (graph_scratch rules base []) in
+  let scr2 = B.of_structure (graph_scratch ~engine rules base []) in
   check "regrow models" true (R.models rules g);
   check_int "regrown grid size" (G.size scr2) (G.size g);
   check "regrown 1-2 pattern agrees" (G.has_12_pattern scr2)

@@ -459,7 +459,7 @@ let test_structure_spec () =
   for case = 0 to 14 do
     let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:9 ~case) in
     let _, runs, _ = Oracle.Diff.diff_tgd budget inst in
-    check_int "five engine runs" 5 (List.length runs);
+    check_int "four engine runs" 4 (List.length runs);
     List.iter
       (fun (r : Oracle.Diff.engine_run) ->
         let d = r.Oracle.Diff.result in
@@ -952,10 +952,9 @@ let test_harness_clean () =
   let report = Oracle.Diff.run_cases ~seed:42 ~cases:60 () in
   check_int "no violations on clean code" 0
     (List.length report.Oracle.Diff.violations);
-  (* 5 TGD runs (stage, seminaive, oblivious, par, par+staged firing)
-     plus 2 graph runs (the graph engine and its bridged reference) per
-     case *)
-  check_int "seven engine runs per case" (7 * 60)
+  (* 4 TGD runs (stage, seminaive, oblivious, par+staged firing) plus 2
+     graph runs (the graph engine and its bridged reference) per case *)
+  check_int "six engine runs per case" (6 * 60)
     report.Oracle.Diff.engine_runs
 
 (* The audit workload's case universe, pinned to its exact outcome: a
@@ -963,8 +962,8 @@ let test_harness_clean () =
    the endings the same way. *)
 let test_harness_exact_outcome () =
   let report = Oracle.Diff.run_cases ~seed:42 ~from_case:0 ~cases:600 () in
-  check_int "engine runs" 4200 report.Oracle.Diff.engine_runs;
-  check_int "budget exceeded" 478 report.Oracle.Diff.budget_exceeded;
+  check_int "engine runs" 3600 report.Oracle.Diff.engine_runs;
+  check_int "budget exceeded" 428 report.Oracle.Diff.budget_exceeded;
   check_int "incomparable pairs" 0 report.Oracle.Diff.incomparable;
   check_int "cases with violations" 0
     (List.length report.Oracle.Diff.violations)

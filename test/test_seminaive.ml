@@ -126,7 +126,7 @@ let tq_fixture () =
 let test_tgd_engines_fixture () =
   let deps, seed = tq_fixture () in
   let d1 = seed () and d2 = seed () in
-  let s1 = Tgd.Chase.run_stage ~max_stages:5 deps d1 in
+  let s1 = Tgd.Chase.run ~engine:`Stage ~max_stages:5 deps d1 in
   let s2 = Tgd.Chase.run ~engine:`Seminaive ~max_stages:5 deps d2 in
   check "equal structures" true (Structure.equal_sets d1 d2);
   check_int "equal applications" s1.Tgd.Chase.applications
@@ -238,7 +238,7 @@ let tgd_engines_random_property =
         s
       in
       let d1 = seed () and d2 = seed () in
-      let s1 = Tgd.Chase.run_stage ~max_stages:3 deps d1 in
+      let s1 = Tgd.Chase.run ~engine:`Stage ~max_stages:3 deps d1 in
       let s2 = Tgd.Chase.run ~engine:`Seminaive ~max_stages:3 deps d2 in
       Structure.equal_sets d1 d2
       && s1.Tgd.Chase.applications = s2.Tgd.Chase.applications

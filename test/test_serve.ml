@@ -79,13 +79,67 @@ let divergent_spec stages =
     { views = divergent_views; q0 = divergent_q0; max_stages = stages;
       engine = `Seminaive }
 
+(* [spec] on the wire, with its engine field naming [name] *)
+let json_naming_engine name spec =
+  match Job.spec_to_json spec with
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function "engine", _ -> ("engine", Json.String name) | f -> f)
+           fields)
+  | j -> j
+
+let rm_rf dir =
+  if Sys.file_exists dir && Sys.is_directory dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let counter = ref 0
+
+let fresh_dir () =
+  incr counter;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "redspider-test-store-%d-%d" (Unix.getpid ()) !counter)
+  in
+  rm_rf d;
+  d
+
+(* Run [job] to a terminal state through [Runner.run_slice] in a private
+   store, as a daemon worker does but with no cache in front; [between]
+   sees the store and the job after every slice that left it
+   unfinished.  Returns the result digest. *)
+let run_uncached ?(quantum = 1_000_000) ?(between = fun _ _ -> ()) spec =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let store = Store.open_ dir in
+      let job = Job.make ~seq:1 spec in
+      let quantum = { Runner.stages = quantum; seconds = 0. } in
+      let instances = Runner.instances () in
+      let rec go () =
+        Runner.run_slice ~store ~instances
+          ~cancel:Resilience.Governor.Cancel.never ~quantum job;
+        if not (Job.terminal job) then begin
+          between store job;
+          go ()
+        end
+      in
+      go ();
+      match job.Job.state with
+      | Job.Done r -> (job, r.Job.digest)
+      | st -> Alcotest.failf "uncached run ended %s" (Job.state_name st))
+
 let test_spec_roundtrip () =
   let specs =
     [
       divergent_spec 9;
       Job.Determinacy
         { views = divergent_views; q0 = divergent_q0; max_stages = 16;
-          engine = `Par };
+          engine = `Oblivious };
       Job.Worm { machine = "creeper"; steps = 77 };
       Job.Audit { seed = 5; cases = 12; max_stages = 3; family = "incr"; from_case = 4 };
       Job.Mutate
@@ -99,7 +153,7 @@ let test_spec_roundtrip () =
               { Job.add = true; rel = "E"; args = [ 4; -1 ] };
             ];
           max_stages = 16;
-          engine = `Par;
+          engine = `Seminaive;
         };
     ]
   in
@@ -108,17 +162,27 @@ let test_spec_roundtrip () =
       check "spec json round-trips" true
         (Job.spec_of_json (Job.spec_to_json spec) = Ok spec))
     specs;
-  check "a spec naming the stage engine runs seminaive" true
-    (match Job.spec_to_json (divergent_spec 9) with
-    | Json.Obj fields ->
-        let staged =
-          List.map
-            (function
-              | "engine", _ -> ("engine", Json.String "stage") | f -> f)
-            fields
-        in
-        Job.spec_of_json (Json.Obj staged) = Ok (divergent_spec 9)
-    | _ -> false);
+  (* [stage] and [par] are aliases of [seminaive]: the same spec, so the
+     same cache key and the same result digest *)
+  let seminaive_digest = snd (run_uncached (divergent_spec 9)) in
+  List.iter
+    (fun name ->
+      match Job.spec_of_json (json_naming_engine name (divergent_spec 9)) with
+      | Error m -> Alcotest.failf "a spec naming the %s engine: %s" name m
+      | Ok spec ->
+          check
+            (Printf.sprintf "a spec naming the %s engine runs seminaive" name)
+            true
+            (spec = divergent_spec 9);
+          check
+            (Printf.sprintf "a %s spec keys with its seminaive twin" name)
+            true
+            (Job.cache_class spec = Job.cache_class (divergent_spec 9));
+          check_str
+            (Printf.sprintf "a %s spec digests as its seminaive twin" name)
+            seminaive_digest
+            (snd (run_uncached spec)))
+    [ "stage"; "par" ];
   check "unknown kind rejected" true
     (match Job.spec_of_json (Json.Obj [ ("kind", Json.String "frobnicate") ]) with
     | Error _ -> true
@@ -181,24 +245,6 @@ let test_manifest_roundtrip () =
         (j'.Job.quantum_override = Some 2)
 
 (* --- store -------------------------------------------------------------- *)
-
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let counter = ref 0
-
-let fresh_dir () =
-  incr counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "redspider-test-store-%d-%d" (Unix.getpid ()) !counter)
-  in
-  rm_rf d;
-  d
 
 let test_store_roundtrip () =
   let dir = fresh_dir () in
@@ -327,32 +373,6 @@ let uninterrupted ?(engine = `Seminaive) stages =
   let d = fst (Tgd.Greenred.green_canonical q0) in
   let stats = Tgd.Chase.run ~engine ~max_stages:stages deps d in
   (stats, Job.structure_digest d)
-
-(* Run [job] to a terminal state through [Runner.run_slice] in a private
-   store, as a daemon worker does but with no cache in front; [between]
-   sees the store and the job after every slice that left it
-   unfinished.  Returns the result digest. *)
-let run_uncached ?(quantum = 1_000_000) ?(between = fun _ _ -> ()) spec =
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let store = Store.open_ dir in
-      let job = Job.make ~seq:1 spec in
-      let quantum = { Runner.stages = quantum; seconds = 0. } in
-      let instances = Runner.instances () in
-      let rec go () =
-        Runner.run_slice ~store ~instances
-          ~cancel:Resilience.Governor.Cancel.never ~quantum job;
-        if not (Job.terminal job) then begin
-          between store job;
-          go ()
-        end
-      in
-      go ();
-      match job.Job.state with
-      | Job.Done r -> (job, r.Job.digest)
-      | st -> Alcotest.failf "uncached run ended %s" (Job.state_name st))
 
 (* --- live tests --------------------------------------------------------- *)
 
@@ -585,7 +605,7 @@ let test_mutate_jobs () =
   let views, q0 = ok_or_fail "parse" (Job.parse_rules mutate_views mutate_q0) in
   let deps = Tgd.Dep.t_q views in
   let base = fst (Tgd.Greenred.green_canonical q0) in
-  let m, _ = Tgd.Chase.Maint.create ~engine:`Seminaive ~jobs:1 deps base in
+  let m, _ = Tgd.Chase.Maint.create deps base in
   let ge = Relational.Symbol.make ~color:Relational.Symbol.Green "E" 2 in
   let edge =
     List.hd
@@ -696,15 +716,21 @@ let test_cache_hit_and_coalesce () =
           check_int "three duplicates answered without running" 3
             (cache_int stats "hits" + cache_int stats "coalesced");
           check "entry table populated" true (cache_int stats "entries" >= 1);
-          (* the key excludes the engine: the engines are proven
-             bit-identical, so a [`Par] submission is served by the
-             [`Seminaive] entry *)
+          (* a spec naming [par] runs [`Seminaive], so it is served by
+             the [`Seminaive] entry *)
           let id_par =
+            let spec =
+              json_naming_engine "par"
+                (Job.Chase
+                   { views = divergent_views; q0 = divergent_q0;
+                     max_stages = stages; engine = `Seminaive })
+            in
             ok_or_fail "submit par duplicate"
-              (Client.submit conn
-                 (Job.Chase
-                    { views = divergent_views; q0 = divergent_q0;
-                      max_stages = stages; engine = `Par }))
+              (Result.bind
+                 (Client.request_ok conn (Client.op "submit" [ ("spec", spec) ]))
+                 (fun reply ->
+                   Option.to_result ~none:"submit reply carried no id"
+                     (Json.mem_str "id" reply)))
           in
           let j_par =
             ok_or_fail "wait par duplicate" (Client.wait_terminal conn id_par)
@@ -758,7 +784,7 @@ let test_mutate_read_invalidation () =
   let views, q0 = ok_or_fail "parse" (Job.parse_rules mutate_views mutate_q0) in
   let deps = Tgd.Dep.t_q views in
   let base = fst (Tgd.Greenred.green_canonical q0) in
-  let m, _ = Tgd.Chase.Maint.create ~engine:`Seminaive ~jobs:1 deps base in
+  let m, _ = Tgd.Chase.Maint.create deps base in
   let ge = Relational.Symbol.make ~color:Relational.Symbol.Green "E" 2 in
   let edge =
     List.hd
