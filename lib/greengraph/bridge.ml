@@ -59,6 +59,7 @@ let of_structure st =
 
 (* An L₂ equivalence as two generic TGDs. *)
 let tgds_of_rule (r : Rule.t) =
+  let name = Rule.to_string r in
   let v = Term.var in
   let edge lab x y = Atom.app2 (symbol_of lab) (v x) (v y) in
   let pair (a, b) shared x x' =
@@ -67,11 +68,11 @@ let tgds_of_rule (r : Rule.t) =
     | Rule.Slash -> [ edge a shared x; edge b shared x' ]
   in
   [
-    Tgd.Dep.make ~name:(Fmt.str "%a:>" Rule.pp r)
+    Tgd.Dep.make ~name:(name ^ ":>")
       ~body:(pair (r.Rule.l1, r.Rule.l2) "y" "x" "x'")
       ~head:(pair (r.Rule.r1, r.Rule.r2) "y'" "x" "x'")
       ();
-    Tgd.Dep.make ~name:(Fmt.str "%a:<" Rule.pp r)
+    Tgd.Dep.make ~name:(name ^ ":<")
       ~body:(pair (r.Rule.r1, r.Rule.r2) "y" "x" "x'")
       ~head:(pair (r.Rule.l1, r.Rule.l2) "y'" "x" "x'")
       ();

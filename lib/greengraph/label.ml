@@ -30,6 +30,5 @@ let of_ideal s =
   then Some (Spider.Ideal.upper s : t)
   else None
 
-let pp ppf = function
-  | None -> Fmt.string ppf "∅"
-  | Some i -> Fmt.int ppf i
+let to_string = function None -> "∅" | Some i -> string_of_int i
+let pp ppf l = Fmt.string ppf (to_string l)

@@ -23,4 +23,5 @@ val to_ideal : t -> Spider.Ideal.t
 (** Back from a green upper-only ideal spider, if it is one. *)
 val of_ideal : Spider.Ideal.t -> t option
 
+val to_string : t -> string
 val pp : Format.formatter -> t -> unit

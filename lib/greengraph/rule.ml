@@ -25,11 +25,16 @@ let make ?(name = "") conn (l1, l2) (r1, r2) =
 let amp ?name (l1, l2) (r1, r2) = make ?name Amp (l1, l2) (r1, r2)
 let slash ?name (l1, l2) (r1, r2) = make ?name Slash (l1, l2) (r1, r2)
 
-let pp ppf t =
+(* Built without [Format]: the oracle names two bridged TGDs by it per
+   graph case. *)
+let to_string t =
   let c = match t.conn with Amp -> "&··" | Slash -> "/··" in
-  Fmt.pf ppf "%s%a %s %a ] %a %s %a"
-    (if t.name = "" then "" else t.name ^ ": ")
-    Label.pp t.l1 c Label.pp t.l2 Label.pp t.r1 c Label.pp t.r2
+  let lab = Label.to_string in
+  String.concat ""
+    [ (if t.name = "" then "" else t.name ^ ": "); lab t.l1; " "; c; " ";
+      lab t.l2; " ] "; lab t.r1; " "; c; " "; lab t.r2 ]
+
+let pp ppf t = Fmt.string ppf (to_string t)
 
 (* --- semantics -------------------------------------------------------- *)
 

@@ -20,6 +20,7 @@ val make : ?name:string -> conn -> Label.t * Label.t -> Label.t * Label.t -> t
 val amp : ?name:string -> Label.t * Label.t -> Label.t * Label.t -> t
 val slash : ?name:string -> Label.t * Label.t -> Label.t * Label.t -> t
 
+val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** {1 Semantics} *)

@@ -32,8 +32,17 @@ let compare a b =
       in
       go 0
 
-let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (Symbol.hash t.sym, t.args)
+let equal a b = Symbol.equal a.sym b.sym && a.args = b.args
+
+(* The symbol's stored hash folded with the arguments, then an xmx
+   finish: no allocation and no generic hashing. *)
+let hash t =
+  let h = ref (Symbol.hash t.sym) in
+  for i = 0 to Array.length t.args - 1 do
+    h := (!h * 0x100000001B3) lxor t.args.(i)
+  done;
+  let h = (!h lxor (!h lsr 32)) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
 
 let elements t = Array.to_list t.args
 

@@ -45,9 +45,9 @@ let n_facts t = t.n_facts
 
 (* The dense id of [sym], allocated on first use. *)
 let intern t sym =
-  match Symbol.Tbl.find_opt t.sym_ids sym with
-  | Some i -> i
-  | None ->
+  match Symbol.Tbl.find t.sym_ids sym with
+  | i -> i
+  | exception Not_found ->
       let i = t.n_syms in
       if i >= Array.length t.sym_objs then begin
         let a = Array.make (2 * Array.length t.sym_objs) sym in
@@ -55,19 +55,19 @@ let intern t sym =
         t.sym_objs <- a
       end;
       t.sym_objs.(i) <- sym;
-      Symbol.Tbl.replace t.sym_ids sym i;
+      Symbol.Tbl.add t.sym_ids sym i;
       t.n_syms <- i + 1;
       i
 
 (* The dense id of [sym] if it has been interned, [-1] otherwise.  A
    symbol without an id has no facts, so a [-1] pool is empty. *)
 let find_sym t sym =
-  match Symbol.Tbl.find_opt t.sym_ids sym with Some i -> i | None -> -1
+  match Symbol.Tbl.find t.sym_ids sym with i -> i | exception Not_found -> -1
 
 let sym_obj t i = t.sym_objs.(i)
 
-(* Append [f] (already known to be fresh) and return its dense id. *)
-let append t f =
+(* Append fresh [f], its symbol interned as [sid]; return its dense id. *)
+let append t f sid =
   let id = t.n_facts in
   if id >= Array.length t.fact_objs then begin
     (* the arena-exhaustion failpoint: growth "fails" before any state
@@ -78,7 +78,7 @@ let append t f =
     t.fact_objs <- a
   end;
   t.fact_objs.(id) <- f;
-  Intvec.push t.sym_of (intern t (Fact.sym f));
+  Intvec.push t.sym_of sid;
   Intvec.push t.offsets (Intvec.length t.data);
   Array.iter (fun e -> Intvec.push t.data e) (Fact.args f);
   t.n_facts <- id + 1;

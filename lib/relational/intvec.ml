@@ -21,6 +21,10 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Intvec.get";
   Array.unsafe_get t.data i
 
+let set t i x =
+  if i < 0 || i >= t.len then invalid_arg "Intvec.set";
+  Array.unsafe_set t.data i x
+
 (* Unchecked read for the join inner loop; caller guarantees [i < len]. *)
 let unsafe_get t i = Array.unsafe_get t.data i
 
@@ -42,15 +46,6 @@ let push t x =
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
-
-(* Newest-first iteration: the order the list-based buckets used to
-   present (they consed), preserved so enumeration orders — and therefore
-   [Hom.find] results — are bit-identical across the representation
-   change. *)
-let iter_rev f t =
-  for i = t.len - 1 downto 0 do
     f (Array.unsafe_get t.data i)
   done
 
@@ -92,9 +87,3 @@ let fold_left f acc t =
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (get t i :: acc) in
   go (t.len - 1) []
-
-(* Oldest entry first becomes head-last: the newest-first list shape of
-   the former cons-built buckets. *)
-let to_list_rev t =
-  let rec go i acc = if i >= t.len then acc else go (i + 1) (get t i :: acc) in
-  go 0 []

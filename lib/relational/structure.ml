@@ -15,47 +15,52 @@
    dense fact ids in insertion order, so their length is a field read and
    scans are cache-linear.
 
-   The hash is a proper avalanche mix of the three coordinates.  The old
-   table hashed [Hashtbl.hash (Symbol.hash s, p, e)] — generic hashing of
-   a tuple of already-hashed small ints, which folds the three values
-   through a byte-serializing hash that loses most of their entropy and
-   collides badly once pins number in the tens of thousands.  Here the
-   coordinates are combined with distinct odd multipliers and finished
-   with an xmx avalanche, so nearby (sym, pos, elem) triples spread over
-   the whole table. *)
+   A pin key is packed into one int — the element in bits 30–61, the
+   symbol id in bits 8–29, the position in bits 0–7 — so a probe
+   allocates nothing.  Inserting a key outside that range raises
+   [Invalid_argument] instead of colliding with another; a lookup of one
+   finds the empty bucket, since no such key was ever inserted.  The
+   table hashes the packed key with an xmx avalanche, so nearby keys
+   spread over the whole table. *)
+let packable sid pos e = sid lsr 22 = 0 && pos lsr 8 = 0 && e lsr 32 = 0
+let pack sid pos e = (e lsl 30) lor (sid lsl 8) lor pos
+
 module Pin_tbl = Hashtbl.Make (struct
-  type t = int * int * int
+  type t = int
 
-  let equal ((s1, p1, e1) : t) (s2, p2, e2) = s1 = s2 && p1 = p2 && e1 = e2
+  let equal (a : int) b = a = b
 
-  (* xxhash-style 32-bit primes and an xmx finalizer; OCaml native ints
-     wrap silently, which is exactly what a mixer wants. *)
-  let hash ((s, p, e) : t) =
-    let h = (s * 0x9E3779B1) lxor (p * 0x85EBCA77) lxor (e * 0xC2B2AE3D) in
-    let h = (h lxor (h lsr 33)) * 0x2545F4914F6CDD1D in
-    h lxor (h lsr 29)
+  let hash k =
+    let h = (k lxor (k lsr 33)) * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
 end)
 
 let empty_ids = Intvec.create ~capacity:1 ()
 
+(* The stage of a retracted arena id: no chase stage is this low. *)
+let dead_stage = min_int
+
+(* A registered element: its birth stage and the ids of the live facts
+   over it, once each. *)
+type elem = { birth : int; efacts : Intvec.t }
+
+(* One fact store: [ids] maps each live fact to its arena id, and the
+   arena id indexes everything else — its stage in [stages], its
+   symbol and arguments in the arena, its membership in the buckets. *)
 type t = {
   mutable next : int;                        (* next fresh element id *)
   consts : (string, int) Hashtbl.t;          (* constant name -> element *)
   const_of : (int, string) Hashtbl.t;        (* element -> constant name *)
   names : (int, string) Hashtbl.t;           (* optional debug labels *)
-  facts : int Fact.Tbl.t;                    (* fact -> stage added *)
   ids : int Fact.Tbl.t;                      (* live fact -> arena id *)
+  stages : Intvec.t;                         (* arena id -> stage, [dead_stage] once retracted *)
   arena : Fact_arena.t;                      (* interned flat fact store *)
   mutable by_sym : Intvec.t array;           (* sym id -> fact ids *)
-  by_elem : (int, Fact.t list ref) Hashtbl.t;
-  by_pin : Intvec.t Pin_tbl.t;               (* (sym id, pos, elem) -> ids *)
-  dom : (int, int) Hashtbl.t;                (* element -> birth stage *)
-  elem_refs : (int, int) Hashtbl.t;          (* element -> live facts using it *)
-  dead : (int, unit) Hashtbl.t;              (* retracted arena ids *)
+  by_pin : Intvec.t Pin_tbl.t;               (* packed pin key -> fact ids *)
+  dom : (int, elem) Hashtbl.t;               (* registered elements *)
   mutable retracted : (int * Fact.t) list;   (* retraction journal, newest first *)
   mutable nretracted : int;
   mutable stage : int;                       (* current provenance stage *)
-  mutable nfacts : int;                      (* live fact count *)
   dg : Digest128.t;                          (* incremental journal digest *)
   mutable dg_wm : int;                       (* journal ids fed so far *)
   mutable dg_valid : bool;                   (* false: refeed from id 0 *)
@@ -64,32 +69,37 @@ type t = {
 let create () =
   {
     next = 0;
-    consts = Hashtbl.create 16;
-    const_of = Hashtbl.create 16;
-    names = Hashtbl.create 64;
-    facts = Fact.Tbl.create 256;
-    ids = Fact.Tbl.create 256;
+    consts = Hashtbl.create 8;
+    const_of = Hashtbl.create 8;
+    names = Hashtbl.create 8;
+    ids = Fact.Tbl.create 16;
+    stages = Intvec.create ~capacity:16 ();
     arena = Fact_arena.create ();
-    by_sym = Array.make 8 empty_ids;
-    by_elem = Hashtbl.create 256;
-    by_pin = Pin_tbl.create 256;
-    dom = Hashtbl.create 256;
-    elem_refs = Hashtbl.create 256;
-    dead = Hashtbl.create 16;
+    by_sym = [||];
+    by_pin = Pin_tbl.create 16;
+    dom = Hashtbl.create 16;
     retracted = [];
     nretracted = 0;
     stage = 0;
-    nfacts = 0;
     dg = Digest128.create ();
     dg_wm = 0;
     dg_valid = true;
   }
 
 let set_stage t s = t.stage <- s
-let stage t = t.stage
 
-let register_elem t e =
-  if not (Hashtbl.mem t.dom e) then Hashtbl.replace t.dom e t.stage
+let new_elem birth = { birth; efacts = Intvec.create () }
+
+(* [e]'s entry, registering it at the current stage if it is new. *)
+let elem_entry t e =
+  match Hashtbl.find t.dom e with
+  | r -> r
+  | exception Not_found ->
+      let r = new_elem t.stage in
+      Hashtbl.add t.dom e r;
+      r
+
+let register_elem t e = ignore (elem_entry t e)
 
 (* Import an externally-allocated element id, keeping [fresh] clear of it. *)
 let reserve t e =
@@ -123,129 +133,112 @@ let name t e =
 
 let set_name t e n = Hashtbl.replace t.names e n
 
-let mem t f = Fact.Tbl.mem t.facts f
+let mem t f = Fact.Tbl.mem t.ids f
+
+(* Does [args.(i)] occur at an earlier position?  Elements index each
+   fact once, at their first occurrence. *)
+let repeated args i =
+  let e = args.(i) in
+  let rec go j = j < i && (args.(j) = e || go (j + 1)) in
+  go 0
 
 let add_fact t f =
-  if Fact.Tbl.mem t.facts f then false
+  if Fact.Tbl.mem t.ids f then false
   else begin
     (* the arena assigns the dense id; its id order IS the journal.  A
        re-added fact (inserted after a retraction) gets a *new* id: the
        journal is append-only, so the resurrection lands in the current
        delta and semi-naive discovery sees it like any other new fact.
-       The append comes first: an ["arena.grow"] fault raises from it,
-       and must leave no trace of the fact behind. *)
-    let id = Fact_arena.append t.arena f in
-    Fact.Tbl.replace t.facts f t.stage;
-    t.nfacts <- t.nfacts + 1;
-    Fact.Tbl.replace t.ids f id;
-    let sid = Fact_arena.sym t.arena id in
-    if sid >= Array.length t.by_sym then begin
-      let a = Array.make (2 * max (sid + 1) (Array.length t.by_sym)) empty_ids in
-      Array.blit t.by_sym 0 a 0 (Array.length t.by_sym);
-      t.by_sym <- a
-    end;
-    let svec =
-      if t.by_sym.(sid) == empty_ids then begin
-        let v = Intvec.create () in
-        t.by_sym.(sid) <- v;
-        v
-      end
-      else t.by_sym.(sid)
-    in
-    Intvec.push svec id;
-    let seen = Hashtbl.create 4 in
+       The pin keys are checked and the fact appended before anything
+       is indexed: an unpackable key, or an ["arena.grow"] fault raised
+       by the append, leaves no trace of the fact behind (at most its
+       symbol interned, which no reader sees without facts). *)
+    let args = Fact.args f in
+    let sid = Fact_arena.intern t.arena (Fact.sym f) in
     Array.iteri
       (fun i e ->
-        register_elem t e;
-        let key = (sid, i, e) in
+        if not (packable sid i e) then
+          invalid_arg "Structure.add_fact: unpackable pin")
+      args;
+    let id = Fact_arena.append t.arena f sid in
+    Intvec.push t.stages t.stage;
+    Fact.Tbl.add t.ids f id;
+    (* every slot owns its vector: a shared filler, tested by physical
+       equality, would come back from a Marshal round trip as one vector
+       shared by every unused slot *)
+    let n = Array.length t.by_sym in
+    if sid >= n then
+      t.by_sym <-
+        Array.init (2 * (sid + 1)) (fun i ->
+            if i < n then t.by_sym.(i) else Intvec.create ());
+    Intvec.push t.by_sym.(sid) id;
+    Array.iteri
+      (fun i e ->
+        let r = elem_entry t e in
+        let key = pack sid i e in
         let b =
-          match Pin_tbl.find_opt t.by_pin key with
-          | Some b -> b
-          | None ->
+          match Pin_tbl.find t.by_pin key with
+          | b -> b
+          | exception Not_found ->
               let b = Intvec.create () in
-              Pin_tbl.replace t.by_pin key b;
+              Pin_tbl.add t.by_pin key b;
               b
         in
         Intvec.push b id;
-        if not (Hashtbl.mem seen e) then begin
-          Hashtbl.replace seen e ();
-          Hashtbl.replace t.elem_refs e
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.elem_refs e));
-          let r =
-            match Hashtbl.find_opt t.by_elem e with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.replace t.by_elem e r;
-                r
-          in
-          r := f :: !r
-        end)
-      (Fact.args f);
+        if not (repeated args i) then Intvec.push r.efacts id)
+      args;
     true
   end
 
 (* Retract a live fact: physical, order-preserving removal from every
    index the homomorphism engine reads.  The arena keeps the dead entry —
    the journal is append-only and fact ids are never reused — but the id
-   leaves its [by_sym] and [by_pin] buckets (a sorted shift, so bucket
-   order, [lower_bound] tails and newest-first enumeration are exactly
-   what a structure that never held the fact would present) and the fact
-   leaves [facts]/[by_elem].  The retraction is recorded in its own
+   leaves its [by_sym], [by_pin] and element buckets (a sorted shift,
+   so bucket order, [lower_bound] tails and newest-first enumeration are
+   exactly what a structure that never held the fact would present) and
+   the fact leaves [ids].  The retraction is recorded in its own
    journal, newest first.
 
-   Elements are reference-counted by live facts: a non-constant element
-   whose count reaches zero and whose birth stage is past the base stage
-   (a chase-created null) leaves the domain — re-adding a fact over it
-   later re-registers it.  Base-stage elements stay: they belong to the
-   instance, facts or not. *)
+   Elements are reference-counted by live facts — the length of their
+   element bucket: a non-constant element whose count reaches zero and
+   whose birth stage is past the base stage (a chase-created null)
+   leaves the domain — re-adding a fact over it later re-registers it.
+   Base-stage elements stay: they belong to the instance, facts or not. *)
 let retract_fact t f =
-  match Fact.Tbl.find_opt t.ids f with
-  | None -> false
-  | Some id ->
-      Fact.Tbl.remove t.facts f;
+  match Fact.Tbl.find t.ids f with
+  | exception Not_found -> false
+  | id ->
       Fact.Tbl.remove t.ids f;
-      t.nfacts <- t.nfacts - 1;
       (* A retraction below the digest watermark falsifies the fed prefix;
          the next digest refeeds the whole journal (still streamed, no
          intermediate string).  At or above the watermark the entry was
          never fed — skipping dead ids at feed time suffices. *)
       if id < t.dg_wm then t.dg_valid <- false;
-      Hashtbl.replace t.dead id ();
+      Intvec.set t.stages id dead_stage;
       t.retracted <- (id, f) :: t.retracted;
       t.nretracted <- t.nretracted + 1;
       let sid = Fact_arena.sym t.arena id in
       ignore (Intvec.remove_sorted t.by_sym.(sid) id);
-      let seen = Hashtbl.create 4 in
+      let args = Fact.args f in
       Array.iteri
         (fun i e ->
-          (match Pin_tbl.find_opt t.by_pin (sid, i, e) with
-          | Some b -> ignore (Intvec.remove_sorted b id)
-          | None -> ());
-          if not (Hashtbl.mem seen e) then begin
-            Hashtbl.replace seen e ();
-            (match Hashtbl.find_opt t.by_elem e with
-            | Some r -> r := List.filter (fun g -> not (Fact.equal g f)) !r
-            | None -> ());
-            let refs =
-              Option.value ~default:1 (Hashtbl.find_opt t.elem_refs e) - 1
-            in
-            if refs <= 0 then begin
-              Hashtbl.remove t.elem_refs e;
-              if
-                (not (Hashtbl.mem t.const_of e))
-                && Option.value ~default:0 (Hashtbl.find_opt t.dom e) > 0
-              then begin
-                Hashtbl.remove t.dom e;
-                Hashtbl.remove t.by_elem e
-              end
-            end
-            else Hashtbl.replace t.elem_refs e refs
-          end)
-        (Fact.args f);
+          (match Pin_tbl.find t.by_pin (pack sid i e) with
+          | b -> ignore (Intvec.remove_sorted b id)
+          | exception Not_found -> ());
+          if not (repeated args i) then
+            match Hashtbl.find t.dom e with
+            | exception Not_found -> ()
+            | r ->
+                ignore (Intvec.remove_sorted r.efacts id);
+                if
+                  Intvec.length r.efacts = 0
+                  && (not (Hashtbl.mem t.const_of e))
+                  && r.birth > 0
+                then Hashtbl.remove t.dom e)
+        args;
       true
 
-let live_id t id = not (Hashtbl.mem t.dead id)
+let live_id t id = Intvec.get t.stages id <> dead_stage
 let retraction_count t = t.nretracted
 
 (* The retraction journal, oldest first: (arena id, fact) pairs. *)
@@ -254,19 +247,42 @@ let retractions t = List.rev t.retracted
 let add t sym args = ignore (add_fact t (Fact.make sym args))
 let add2 t sym a b = ignore (add_fact t (Fact.app2 sym a b))
 
-let fact_stage t f = Fact.Tbl.find_opt t.facts f
 let fact_id t f = Fact.Tbl.find_opt t.ids f
-let elem_stage t e = Hashtbl.find_opt t.dom e
+
+let fact_stage t f =
+  match Fact.Tbl.find t.ids f with
+  | id -> Some (Intvec.unsafe_get t.stages id)
+  | exception Not_found -> None
+
+let elem_stage t e =
+  match Hashtbl.find t.dom e with
+  | r -> Some r.birth
+  | exception Not_found -> None
 
 let card t = Hashtbl.length t.dom
-let size t = t.nfacts
+let size t = Fact.Tbl.length t.ids
 
-let iter_facts t f = Fact.Tbl.iter (fun fact _ -> f fact) t.facts
-let fold_facts t f acc = Fact.Tbl.fold (fun fact _ acc -> f fact acc) t.facts acc
+(* Live facts in journal order (ascending arena id), with their stage:
+   an order that no hash function or table size can move. *)
+let iter_staged t f =
+  for id = 0 to Fact_arena.n_facts t.arena - 1 do
+    let s = Intvec.unsafe_get t.stages id in
+    if s <> dead_stage then f (Fact_arena.fact t.arena id) s
+  done
+
+let iter_facts t f = iter_staged t (fun fact _ -> f fact)
+
+let fold_facts t f acc =
+  let acc = ref acc in
+  iter_facts t (fun fact -> acc := f fact !acc);
+  !acc
+
 let facts t = fold_facts t (fun f acc -> f :: acc) []
 
-let iter_elems t f = Hashtbl.iter (fun e _ -> f e) t.dom
-let elems t = Hashtbl.fold (fun e _ acc -> e :: acc) t.dom []
+(* Ascending ids: [union_into]'s renaming and [Hom.between]'s default
+   image follow this order, so no table size may move it. *)
+let elems t = List.sort Int.compare (Hashtbl.fold (fun e _ acc -> e :: acc) t.dom [])
+let iter_elems t f = List.iter f (elems t)
 
 (* {2 The dense-id hot-path view}
 
@@ -295,9 +311,11 @@ let ids_with_sym t sid =
   if sid < 0 || sid >= Array.length t.by_sym then empty_ids else t.by_sym.(sid)
 
 let ids_with_pin t sid pos e =
-  match Pin_tbl.find_opt t.by_pin (sid, pos, e) with
-  | Some b -> b
-  | None -> empty_ids
+  if not (packable sid pos e) then empty_ids
+  else
+    match Pin_tbl.find t.by_pin (pack sid pos e) with
+    | b -> b
+    | exception Not_found -> empty_ids
 
 let pin_count_id t sid pos e = Intvec.length (ids_with_pin t sid pos e)
 
@@ -307,7 +325,9 @@ let pin_buckets t = Pin_tbl.length t.by_pin
 
 let fold_pin_buckets t f acc =
   Pin_tbl.fold
-    (fun (sid, pos, e) ids acc -> f (Fact_arena.sym_obj t.arena sid) pos e ids acc)
+    (fun k ids acc ->
+      let sym = Fact_arena.sym_obj t.arena ((k lsr 8) land 0x3FFFFF) in
+      f sym (k land 0xFF) (k lsr 30) ids acc)
     t.by_pin acc
 
 (* {2 The boxed list view, derived from the id view} *)
@@ -319,7 +339,9 @@ let facts_of_ids t ids =
 let facts_with_sym t sym = facts_of_ids t (ids_with_sym t (sym_id t sym))
 
 let facts_with_elem t e =
-  match Hashtbl.find_opt t.by_elem e with Some r -> !r | None -> []
+  match Hashtbl.find t.dom e with
+  | r -> facts_of_ids t r.efacts
+  | exception Not_found -> []
 
 let facts_with_pin t sym pos e =
   let sid = sym_id t sym in
@@ -340,7 +362,7 @@ let delta_since t wm =
   let rec go id acc =
     if id < wm then acc
     else
-      go (id - 1) (if Hashtbl.mem t.dead id then acc else id_fact t id :: acc)
+      go (id - 1) (if live_id t id then id_fact t id :: acc else acc)
   in
   go (Fact_arena.n_facts t.arena - 1) []
 
@@ -386,7 +408,7 @@ let digest_hex t =
   end;
   let n = Fact_arena.n_facts t.arena in
   for id = t.dg_wm to n - 1 do
-    if not (Hashtbl.mem t.dead id) then feed_fact t.dg (id_fact t id)
+    if live_id t id then feed_fact t.dg (id_fact t id)
   done;
   t.dg_wm <- n;
   Digest128.hex ~salt:[ card t ] t.dg
@@ -401,25 +423,12 @@ let symbols t =
 
 let constants t = Hashtbl.fold (fun c _ acc -> c :: acc) t.consts []
 
-(* Deep copy: the copy allocates elements with the same identifiers and
-   shares nothing mutable with the original. *)
-let copy t =
-  let u = create () in
-  u.next <- t.next;
-  Hashtbl.iter (fun c e -> Hashtbl.replace u.consts c e) t.consts;
-  Hashtbl.iter (fun e c -> Hashtbl.replace u.const_of e c) t.const_of;
-  Hashtbl.iter (fun e n -> Hashtbl.replace u.names e n) t.names;
-  Hashtbl.iter (fun e s -> Hashtbl.replace u.dom e s) t.dom;
-  u.stage <- t.stage;
-  Fact.Tbl.iter
-    (fun f s ->
-      let saved = u.stage in
-      u.stage <- s;
-      ignore (add_fact u f);
-      u.stage <- saved)
-    t.facts;
-  u.stage <- t.stage;
-  u
+(* Add [f] as born at stage [s]. *)
+let add_staged u f s =
+  let saved = u.stage in
+  u.stage <- s;
+  ignore (add_fact u f);
+  u.stage <- saved
 
 (* [like t] is an empty structure sharing [t]'s constants (same element
    ids) and element allocator position, so facts built from [t]'s elements
@@ -431,54 +440,40 @@ let like t =
     (fun c e ->
       Hashtbl.replace u.consts c e;
       Hashtbl.replace u.const_of e c;
-      Hashtbl.replace u.dom e 0)
+      Hashtbl.replace u.dom e (new_elem 0))
     t.consts;
+  u
+
+(* [like t] with [t]'s element names: the start of every derived
+   structure below. *)
+let like_named t =
+  let u = like t in
+  Hashtbl.iter (fun e n -> Hashtbl.replace u.names e n) t.names;
+  u
+
+(* Deep copy: the copy allocates elements with the same identifiers and
+   shares nothing mutable with the original. *)
+let copy t =
+  let u = like_named t in
+  Hashtbl.iter (fun e r -> Hashtbl.replace u.dom e (new_elem r.birth)) t.dom;
+  u.stage <- t.stage;
+  iter_staged t (add_staged u);
   u
 
 (* [filter keep t] is the substructure of [t] containing the facts
    satisfying [keep].  Constants survive; elements only appearing in
    dropped facts are dropped (unless constants). *)
 let filter keep t =
-  let u = create () in
-  u.next <- t.next;
-  Hashtbl.iter
-    (fun c e ->
-      Hashtbl.replace u.consts c e;
-      Hashtbl.replace u.const_of e c;
-      Hashtbl.replace u.dom e 0)
-    t.consts;
-  Hashtbl.iter (fun e n -> Hashtbl.replace u.names e n) t.names;
-  Fact.Tbl.iter
-    (fun f s ->
-      if keep f then begin
-        let saved = u.stage in
-        u.stage <- s;
-        ignore (add_fact u f);
-        u.stage <- saved
-      end)
-    t.facts;
+  let u = like_named t in
+  iter_staged t (fun f s -> if keep f then add_staged u f s);
   u
 
 (* Color restriction D|G / D|R and daltonisation (Section IV.A). *)
 let restrict_color c t = filter (fun f -> Fact.color f = Some c) t
 
 let map_facts f t =
-  let u = create () in
-  u.next <- t.next;
-  Hashtbl.iter
-    (fun cst e ->
-      Hashtbl.replace u.consts cst e;
-      Hashtbl.replace u.const_of e cst;
-      Hashtbl.replace u.dom e 0)
-    t.consts;
-  Hashtbl.iter (fun e n -> Hashtbl.replace u.names e n) t.names;
-  Fact.Tbl.iter
-    (fun fact s ->
-      let saved = u.stage in
-      u.stage <- s;
-      ignore (add_fact u (f fact));
-      u.stage <- saved)
-    t.facts;
+  let u = like_named t in
+  iter_staged t (fun fact s -> add_staged u (f fact) s);
   u
 
 let dalt t = map_facts Fact.dalt t
@@ -487,21 +482,18 @@ let paint c t = map_facts (Fact.paint c) t
 (* [quotient f t] renames every element [e] to [f e], merging elements that
    share an image.  Constants must be fixed points of [f]. *)
 let quotient f t =
-  let u = create () in
-  u.next <- t.next;
   Hashtbl.iter
-    (fun cst e ->
-      if f e <> e then invalid_arg "Structure.quotient: constant not fixed";
-      Hashtbl.replace u.consts cst e;
-      Hashtbl.replace u.const_of e cst;
-      Hashtbl.replace u.dom e 0)
+    (fun _ e ->
+      if f e <> e then invalid_arg "Structure.quotient: constant not fixed")
     t.consts;
-  Fact.Tbl.iter (fun fact _ -> ignore (add_fact u (Fact.map_elements f fact))) t.facts;
+  let u = like t in
+  iter_facts t (fun fact -> ignore (add_fact u (Fact.map_elements f fact)));
   u
 
 (* [union_into ~into src] adds every fact of [src] to [into], identifying
-   constants by name and renaming the remaining elements of [src] to fresh
-   elements of [into].  Returns the renaming used. *)
+   constants by name and renaming the remaining elements of [src], in
+   ascending id order, to fresh elements of [into].  Returns the renaming
+   used. *)
 let union_into ~into src =
   let map = Hashtbl.create 64 in
   let rename e =

@@ -18,8 +18,6 @@ val create : unit -> t
     with it.  The chase sets stage [i] while computing [chase_i]. *)
 val set_stage : t -> int -> unit
 
-val stage : t -> int
-
 (** The stage at which a fact was added, if present. *)
 val fact_stage : t -> Fact.t -> int option
 
@@ -61,7 +59,12 @@ val constants : t -> string list
 
 val mem : t -> Fact.t -> bool
 
-(** [add_fact t f] adds [f]; returns [false] if it was already present. *)
+(** [add_fact t f] adds [f]; returns [false] if it was already present.
+    The pin index packs each (symbol id, position, element) into one int,
+    so elements must lie below 2{^32}, interned symbol ids below 2{^22}
+    and arities at most 2{^8}.
+    @raise Invalid_argument on a fact outside that range, before
+    anything is indexed. *)
 val add_fact : t -> Fact.t -> bool
 
 (** [add t sym args] adds [sym(args)], ignoring duplication. *)
@@ -81,7 +84,7 @@ val add2 : t -> Symbol.t -> int -> int -> unit
     resurrection lands in the current delta. *)
 val retract_fact : t -> Fact.t -> bool
 
-(** [live_id t id] — is journal entry [id] still a live fact? *)
+(** [live_id t id] — is journal entry [id] ([< nfacts]) still live? *)
 val live_id : t -> int -> bool
 
 (** The retraction journal, oldest first: (journal id, fact) pairs. *)
@@ -96,9 +99,12 @@ val card : t -> int
 (** Number of facts. *)
 val size : t -> int
 
+(** Live facts in journal order ([facts] lists them newest first). *)
 val iter_facts : t -> (Fact.t -> unit) -> unit
 val fold_facts : t -> (Fact.t -> 'a -> 'a) -> 'a -> 'a
 val facts : t -> Fact.t list
+
+(** Registered elements in ascending id order. *)
 val iter_elems : t -> (int -> unit) -> unit
 val elems : t -> int list
 
@@ -149,7 +155,7 @@ val id_arg : t -> int -> int -> int
 val ids_with_sym : t -> int -> Intvec.t
 
 (** [ids_with_pin t sid pos e] — fact ids of the [(sid, pos, e)] pin
-    bucket, insertion order. *)
+    bucket, insertion order; the empty vector for an unpackable pin. *)
 val ids_with_pin : t -> int -> int -> int -> Intvec.t
 
 (** Bucket size of [ids_with_pin], in O(1). *)
@@ -201,7 +207,7 @@ val digest_hex : t -> string
 
 (** {1 Whole-structure operations} *)
 
-(** Deep copy sharing nothing mutable. *)
+(** Deep copy sharing nothing mutable; live facts re-added in order. *)
 val copy : t -> t
 
 (** [like t] is an empty structure sharing [t]'s constants (same element
@@ -227,8 +233,9 @@ val paint : Symbol.color -> t -> t
 val quotient : (int -> int) -> t -> t
 
 (** Disjoint union of structures; constants are shared by name (the
-    Section IX constructions rely on this).  Also returns the per-part
-    renamings. *)
+    Section IX constructions rely on this).  Each part's other elements
+    become fresh elements, part by part in ascending id order.  Also
+    returns the per-part renamings. *)
 val disjoint_union : t list -> t * (int -> int option) list
 
 (** Equality as fact sets (same element identities). *)

@@ -7,26 +7,25 @@
 
 type color = Green | Red
 
-let color_compare a b =
-  match a, b with
-  | Green, Green | Red, Red -> 0
-  | Green, Red -> -1
-  | Red, Green -> 1
-
 let opposite = function Green -> Red | Red -> Green
 
 let pp_color ppf c =
   Fmt.string ppf (match c with Green -> "G" | Red -> "R")
 
-type t = { name : string; arity : int; color : color option }
+(* [nhash] is the hash of the name and arity, computed once when the
+   symbol is made and carried through painting: symbols key every fact
+   table, so [hash] and [equal] must not re-hash the name or allocate. *)
+type t = { name : string; arity : int; color : color option; nhash : int }
 
 let make ?color name arity =
   if arity < 0 then invalid_arg "Symbol.make: negative arity";
-  { name; arity; color }
+  { name; arity; color; nhash = (Hashtbl.hash name * 31) + arity }
 
 let name t = t.name
 let arity t = t.arity
 let color t = t.color
+
+let color_code = function None -> 0 | Some Green -> 1 | Some Red -> 2
 
 let compare a b =
   let c = String.compare a.name b.name in
@@ -34,12 +33,15 @@ let compare a b =
   else
     let c = Int.compare a.arity b.arity in
     if c <> 0 then c
-    else Option.compare color_compare a.color b.color
+    else Int.compare (color_code a.color) (color_code b.color)
 
-let equal a b = compare a b = 0
+let equal a b =
+  a == b
+  || a.nhash = b.nhash && a.arity = b.arity
+     && color_code a.color = color_code b.color
+     && String.equal a.name b.name
 
-let hash t =
-  Hashtbl.hash (t.name, t.arity, t.color)
+let hash t = (t.nhash * 3) + color_code t.color
 
 (* Painting and daltonisation (Section IV.A). *)
 

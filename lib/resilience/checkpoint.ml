@@ -2,12 +2,19 @@
 
    Format: one header line
 
-     REDSPIDER-CKPT-1 <kind> <md5-hex-of-payload> <payload-length>\n
+     REDSPIDER-CKPT-2 <kind> <md5-hex-of-payload> <payload-length>\n
 
-   followed by the Marshal payload.  Writes go to a *unique* temp file
-   next to [path] and are published with [Sys.rename], which is atomic
-   on POSIX: a reader of [path] sees either the previous checkpoint or
-   the new one, never a torn file.
+   followed by the Marshal payload.  The magic names the payload's
+   memory layout: Marshal output is only readable at the exact type it
+   was written at, so every change to the layout of a checkpointed type
+   ([Structure.t], [Symbol.t], the engine snapshot) bumps the version,
+   and [load] refuses a file of any other version with a clean error
+   naming it instead of unmarshalling it at the wrong type.  Version 1
+   predates the one-table fact store and the stored symbol hash.
+
+   Writes go to a *unique* temp file next to [path] and are published
+   with [Sys.rename], which is atomic on POSIX: a reader of [path] sees
+   either the previous checkpoint or the new one, never a torn file.
 
    Durability: the temp fd is fsynced before the rename and the
    containing directory is fsynced after it.  Without the first fsync a
@@ -29,14 +36,16 @@
 
    The payload is produced by [Marshal] without closures: every snapshot
    type in this repo (Structure.t, Graph.t, the engine snapshot records)
-   is closure-free data, and the round-trip preserves mutation order —
-   unlike [Structure.copy], which re-adds facts in hash order and would
-   destroy the delta journal a resumed semi-naive run depends on. *)
+   is closure-free data, and the round-trip preserves everything a
+   resumed run depends on — unlike [Structure.copy], which re-adds the
+   live facts under fresh ids, dropping the retraction journal and the
+   arena ids a snapshot's watermarks point into. *)
 
-let magic = "REDSPIDER-CKPT-1"
+let magic_prefix = "REDSPIDER-CKPT-"
+let magic = magic_prefix ^ "2"
 
-(* Marshal round-trip deep clone: the only journal-order-preserving way
-   to copy a live structure for a snapshot. *)
+(* Marshal round-trip deep clone: the only copy of a live structure that
+   keeps its arena ids and retraction journal, as a snapshot needs. *)
 let clone v = Marshal.from_string (Marshal.to_string v []) 0
 
 (* Process-wide temp-name counter; atomic because daemon pool workers
@@ -161,6 +170,12 @@ let load ~kind path =
                     if Digest.to_hex (Digest.string payload) <> digest then
                       Error "checkpoint digest mismatch (torn or corrupt file)"
                     else Ok (Marshal.from_string payload 0))
+        | m :: _ when String.starts_with ~prefix:magic_prefix m ->
+            Error
+              (Printf.sprintf
+                 "checkpoint format %s is not readable by this build, which \
+                  reads %s"
+                 m magic)
         | _ -> Error "bad checkpoint header")
   with
   | End_of_file -> Error "truncated checkpoint"

@@ -15,10 +15,10 @@
     path is untouched. *)
 
 val clone : 'a -> 'a
-(** Marshal round-trip deep clone.  Preserves mutation order — the only
-    safe way to copy a live [Structure.t]/[Graph.t] whose delta journal a
-    resumed run depends on ([Structure.copy] re-adds facts in hash
-    order). *)
+(** Marshal round-trip deep clone.  Preserves arena ids and the
+    retraction journal — the only safe way to copy a live
+    [Structure.t]/[Graph.t] a resumed run depends on ([Structure.copy]
+    re-adds the live facts under fresh ids). *)
 
 val save : kind:string -> string -> 'a -> (unit, string) result
 (** [save ~kind path v] atomically publishes [v] at [path].  [kind] is a
@@ -26,7 +26,9 @@ val save : kind:string -> string -> 'a -> (unit, string) result
 
 val load : kind:string -> string -> ('a, string) result
 (** Read back a checkpoint, verifying magic, kind, payload length and
-    digest.  The caller asserts the payload type through [kind]. *)
+    digest.  The caller asserts the payload type through [kind].  The
+    magic carries the format version (["REDSPIDER-CKPT-2"]); a file of
+    another version is an [Error] that names it, never unmarshalled. *)
 
 val write_atomic : string -> string -> (unit, string) result
 (** [write_atomic path content] publishes [content] at [path] with the

@@ -214,6 +214,7 @@ type cdep = {
   body_plan : Hom.Plan.t Lazy.t;
   body_family : Hom.Plan.family Lazy.t;
   head_plan : Hom.Plan.t Lazy.t;
+  head_probe : Hom.Plan.prepared Lazy.t;
   fire_plan : fire_plan Lazy.t;
   fr_stage : frontier_info Lazy.t;
   fr_delta : frontier_info Lazy.t;
@@ -222,12 +223,15 @@ type cdep = {
 let compile_dep dep =
   let body_plan = lazy (Hom.Plan.compile (Dep.body dep)) in
   let body_family = lazy (Hom.Plan.compile_family (Dep.body dep)) in
-  let head_plan = lazy (Hom.Plan.compile (Dep.head dep)) in
+  let head_plan =
+    lazy (Hom.Plan.compile ~bound:(Dep.frontier dep) (Dep.head dep))
+  in
   {
     dep;
     body_plan;
     body_family;
     head_plan;
+    head_probe = lazy (Hom.Plan.prepare (Lazy.force head_plan));
     fire_plan = lazy (compile_fire_plan dep);
     fr_stage =
       lazy
@@ -255,14 +259,18 @@ let binding_of_names names key =
 let binding_of_key fi key = binding_of_names fi.fr_names key
 
 (* Condition ­ straight from a frontier key: the head plan is seeded by
-   slot, skipping the binding round-trip. *)
+   slot, skipping the binding round-trip, and probed through the
+   dependency's prepared scratch.  Every caller probes from the domain
+   that runs the stage, never from a pool worker. *)
 let head_witnessed d cd fi key =
   if !Obs.metrics_on then Obs.Metrics.incr c_head_checks;
   let init = ref [] in
   Array.iteri
     (fun i s -> if s >= 0 then init := (s, key.(i)) :: !init)
     fi.fr_head;
-  Hom.Plan.exists_slots ~init:!init (Lazy.force cd.head_plan) d
+  let p = Lazy.force cd.head_probe in
+  Hom.Plan.retarget p d;
+  Hom.Plan.exists_prepared ~init:!init p
 
 (* Fire (T, b̄): create a fresh copy of A[Ψ] identified with D along b̄. *)
 let apply d dep fb =
@@ -980,7 +988,7 @@ let check_dep dep =
           }
           :: !comps)
     (components (Dep.body dep));
-  let head = Hom.Plan.compile (Dep.head dep) in
+  let head = Hom.Plan.compile ~bound:(Dep.frontier dep) (Dep.head dep) in
   {
     ck_dep = dep;
     ck_names = names;
@@ -1230,7 +1238,11 @@ module Maint = struct
 
   let structure t = t.m_d
   let pending t = t.m_pending
-  let base_facts t = Fact.Tbl.fold (fun f () acc -> f :: acc) t.m_base []
+  (* In journal order (newest first, as [Structure.facts]): the oracle
+     draws edit scripts from this list by index, so its order must not
+     follow [Fact.hash].  Base facts are always live. *)
+  let base_facts t =
+    List.filter (fun f -> Fact.Tbl.mem t.m_base f) (Structure.facts t.m_d)
 
   let di_of t dep =
     let n = Array.length t.m_dep_arr in

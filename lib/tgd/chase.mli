@@ -283,7 +283,7 @@ module Maint : sig
   (** The maintained structure (live view; do not mutate directly). *)
   val structure : t -> Structure.t
 
-  (** The current base facts. *)
+  (** The current base facts, in journal order (newest first). *)
   val base_facts : t -> Fact.t list
 
   (** Did the last run end short of the fixpoint (governor cut)?  Apply

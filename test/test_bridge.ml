@@ -47,6 +47,31 @@ let test_journal_roundtrip () =
     same_journal (Printf.sprintf "seed 42 case %d, chased" case) g
   done
 
+(* The bridged TGDs are named by [Rule.to_string]: the names of seed 42's
+   graph cases and of T∞'s and T□'s rule sets are pinned by count and
+   digest, as [Fmt.str "%a:>" Rule.pp] printed them before [Rule.pp] was
+   rebuilt on [to_string]. *)
+let test_tgd_names () =
+  let b = Buffer.create 4096 and n = ref 0 in
+  let add r =
+    List.iter
+      (fun d ->
+        incr n;
+        Buffer.add_string b (Tgd.Dep.name d);
+        Buffer.add_char b '\n')
+      (Greengraph.Bridge.tgds_of_rule r)
+  in
+  for case = 0 to 599 do
+    let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:42 ~case) in
+    List.iter add gc.Oracle.Gen.rules
+  done;
+  List.iter add (Separating.Tinf.rules @ Separating.Tbox.rules);
+  Alcotest.(check string) "first name" "g0: ∅ &·· 1 ] 5 &·· 0:>"
+    (List.hd (String.split_on_char '\n' (Buffer.contents b)));
+  Alcotest.(check int) "names" 2480 !n;
+  Alcotest.(check string) "names digest" "edbaacdbd3fd00a1c41c93eda00b2155"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_roundtrip_property =
   QCheck.Test.make ~name:"green-graph bridge roundtrip (random)" ~count:40
     QCheck.(list_of_size (Gen.int_range 1 10)
@@ -198,6 +223,8 @@ let () =
           Alcotest.test_case "green graph" `Quick test_greengraph_roundtrip;
           Alcotest.test_case "green graph journals, seed 42 cases" `Quick
             test_journal_roundtrip;
+          Alcotest.test_case "bridged TGD names, seed 42 cases" `Quick
+            test_tgd_names;
         ] );
       ( "greengraph",
         [

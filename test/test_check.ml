@@ -288,6 +288,79 @@ let test_head_checks () =
       if n >= n_spec then
         Alcotest.failf "%d head checks, not fewer than the spec's %d" n n_spec)
 
+(* Head probes are planned with the frontier bound.  Under
+   R(x,z) ⇒ ∃v,u. R(v,u) ∧ R(u,x), a probe for key x starts at R(u,x),
+   whose x-pin holds at most one fact of a path, and then R(v,u), pinned
+   by u: at most two candidates a probe.  Planned as if nothing were
+   bound, the probe starts at R(v,u) and scans every R-fact, so its
+   cost grows with the structure.  The probes answer yes or no, so the
+   number of head checks is what it was. *)
+let r_sym = Symbol.make "R" 2
+let r x y = Atom.make r_sym [ x; y ]
+let back_dep = dep "back" [ r (v "x") (v "z") ] [ r (v "v") (v "u"); r (v "u") (v "x") ]
+
+let r_path n =
+  let d = Structure.create () in
+  let es = Array.init (n + 1) (fun _ -> Structure.fresh d) in
+  for i = 0 to n - 1 do
+    Structure.add2 d r_sym es.(i) es.(i + 1)
+  done;
+  d
+
+(* (candidates scanned, head checks) of [f ()] *)
+let effort f =
+  let ((), scanned), checks =
+    delta "tgd.head_checks" (fun () -> delta "hom.candidates_scanned" f)
+  in
+  (scanned, checks)
+
+(* [scanned] pays the n body candidates of a path of n R-facts plus at
+   most two a head probe: no head probe's cost grows with n.  At the
+   unbound plans it was 1.5n a probe (6,238 scanned at n = 64). *)
+let bounded what n (scanned, checks) =
+  if scanned > n + (2 * checks) then
+    Alcotest.failf "%s, path %d: %d scanned for %d head checks" what n scanned
+      checks
+
+let test_head_plans () =
+  with_metrics (fun () ->
+      let chk = Tgd.Chase.Check.make [ back_dep ] in
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "active_triggers, path %d" n in
+          let ((scanned, checks) as e) =
+            effort (fun () -> ignore (Tgd.Chase.Check.active_triggers chk (r_path n)))
+          in
+          check_int (what ^ ": head checks") n checks;
+          (* keys 0 and 1 scan 0 and 1, every other key 2 *)
+          check_int (what ^ ": scanned") ((3 * n) - 3) scanned;
+          bounded what n e;
+          let what = Printf.sprintf "seminaive, path %d" n in
+          let apps = ref 0 in
+          let ((scanned, checks) as e) =
+            effort (fun () ->
+                let st =
+                  Tgd.Chase.run ~engine:`Seminaive ~jobs:1 ~max_stages:3
+                    [ back_dep ] (r_path n)
+                in
+                apps := st.Tgd.Chase.applications)
+          in
+          check_int (what ^ ": firings") 3 !apps;
+          check_int (what ^ ": head checks") (n + 10) checks;
+          check_int (what ^ ": scanned") ((2 * n) + 11) scanned;
+          bounded what n e)
+        [ 8; 64 ];
+      (* seed 42, case 285, oblivious: this head over a result of 254
+         keys, which the unbound plans probed at 92,812 candidates *)
+      let inst, r = run_case 285 `Oblivious None in
+      let chk = Tgd.Chase.Check.make inst.Oracle.Gen.deps in
+      let scanned, checks =
+        effort (fun () ->
+            ignore (Tgd.Chase.Check.active_triggers chk r.Oracle.Diff.result))
+      in
+      check_int "case 285: head checks" 254 checks;
+      check_int "case 285: scanned" 696 scanned)
+
 let () =
   Alcotest.run "check"
     [
@@ -301,5 +374,6 @@ let () =
         [
           Alcotest.test_case "compiles" `Quick test_compile_counts;
           Alcotest.test_case "head checks" `Quick test_head_checks;
+          Alcotest.test_case "head plans" `Quick test_head_plans;
         ] );
     ]

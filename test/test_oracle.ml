@@ -968,6 +968,35 @@ let test_harness_exact_outcome () =
   check_int "cases with violations" 0
     (List.length report.Oracle.Diff.violations)
 
+(* The same universe's chase effort, summed over the [`Stage],
+   [`Seminaive] and [`Oblivious] runs at one worker: the counters no
+   plan, key or store change may move.  A head probe answers yes or no
+   however it is planned, so only the [hom.*] counters beneath it may
+   change. *)
+let test_harness_tgd_counters () =
+  let names =
+    [ "tgd.body_matches"; "tgd.firings"; "tgd.head_checks";
+      "tgd.triggers_considered" ]
+  in
+  let value n = Obs.Metrics.value (Obs.Metrics.counter n) in
+  Obs.set_metrics true;
+  let before = List.map value names in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics false)
+    (fun () ->
+      for case = 0 to 599 do
+        let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:42 ~case) in
+        List.iter
+          (fun engine ->
+            ignore (Oracle.Diff.run_tgd Oracle.Diff.default_budget engine inst))
+          [ `Stage; `Seminaive; `Oblivious ]
+      done);
+  Alcotest.(check (list (pair string int)))
+    "tgd counters"
+    [ ("tgd.body_matches", 83446); ("tgd.firings", 26416);
+      ("tgd.head_checks", 27978); ("tgd.triggers_considered", 34528) ]
+    (List.map2 (fun n b -> (n, value n - b)) names before)
+
 let test_harness_catches_legacy_fold () =
   let report =
     Oracle.Diff.run_cases ~fold:legacy_fold_step ~seed:42 ~cases:200 ()
@@ -1024,5 +1053,7 @@ let () =
             test_harness_exact_outcome;
           Alcotest.test_case "catches the fold_step regression" `Quick
             test_harness_catches_legacy_fold;
+          Alcotest.test_case "tgd counters, seed 42, 600 cases" `Slow
+            test_harness_tgd_counters;
         ] );
     ]

@@ -106,6 +106,29 @@ let test_disjoint_union_shares_constants () =
   let a = Structure.constant u "a" in
   check_int "both edges at a" 2 (List.length (Structure.facts_with_elem u a))
 
+(* Each part's non-constant elements become fresh elements of the union
+   in ascending id order, part by part; constants are shared by name. *)
+let test_disjoint_union_renaming () =
+  let s1 = Structure.create () in
+  List.iter (Structure.reserve s1) [ 40; 7; 300; 12 ];
+  Structure.add2 s1 edge 300 7;
+  Structure.add2 s1 edge 12 40;
+  let s2 = Structure.create () in
+  let a = Structure.constant s2 "a" in
+  List.iter (Structure.reserve s2) [ 9; 2 ];
+  Structure.add2 s2 edge 9 a;
+  let u, maps = Structure.disjoint_union [ s1; s2 ] in
+  let image m e = Option.value ~default:(-1) (m e) in
+  Alcotest.(check (list int)) "part 1" [ 0; 1; 2; 3 ]
+    (List.map (image (List.nth maps 0)) [ 7; 12; 40; 300 ]);
+  Alcotest.(check (list int)) "part 2" [ 4; 5; 6 ]
+    (List.map (image (List.nth maps 1)) [ a; 2; 9 ]);
+  check_int "a is u's constant" 4 (Structure.constant u "a");
+  Alcotest.(check (list int)) "elements" [ 0; 1; 2; 3; 4; 5; 6 ] (Structure.elems u);
+  check "edges renamed" true
+    (Structure.mem u (Fact.app2 edge 3 0) && Structure.mem u (Fact.app2 edge 1 2)
+    && Structure.mem u (Fact.app2 edge 6 4))
+
 let test_hom_path_to_cycle () =
   (* a path maps into a cycle, a cycle does not map into a path *)
   let p, _ = path 5 in
@@ -187,6 +210,112 @@ let test_paint_roundtrip_property =
       && Symbol.is_green (Symbol.green s)
       && Symbol.is_red (Symbol.red s))
 
+(* --- keys ----------------------------------------------------------------- *)
+
+(* A symbol by one of several routes: made with its color, painted,
+   repainted, or painted and then daltonised.  Names come from a small
+   pool, so equal symbols from different routes are common. *)
+let gen_symbol =
+  QCheck.Gen.(
+    map3
+      (fun name arity route ->
+        let plain = Symbol.make name arity in
+        match route with
+        | 0 -> plain
+        | 1 -> Symbol.make ~color:Symbol.Green name arity
+        | 2 -> Symbol.green plain
+        | 3 -> Symbol.paint Symbol.Red (Symbol.green plain)
+        | 4 -> Symbol.red plain
+        | _ -> Symbol.dalt (Symbol.red plain))
+      (oneofl [ "E"; "F"; "EF"; "H_1" ])
+      (int_range 1 2) (int_bound 5))
+
+let test_symbol_keys =
+  QCheck.Test.make ~name:"Symbol.equal implies equal hashes" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_symbol gen_symbol))
+    (fun (a, b) ->
+      Symbol.equal a b = (Symbol.compare a b = 0)
+      && ((not (Symbol.equal a b)) || Symbol.hash a = Symbol.hash b))
+
+let gen_fact =
+  QCheck.Gen.(
+    gen_symbol >>= fun sym ->
+    map
+      (fun args -> Fact.make sym (Array.of_list args))
+      (list_repeat (Symbol.arity sym) (int_bound 2)))
+
+let test_fact_keys =
+  QCheck.Test.make ~name:"Fact.equal implies equal hashes" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_fact gen_fact))
+    (fun (a, b) ->
+      Fact.equal a b = (Fact.compare a b = 0)
+      && ((not (Fact.equal a b)) || Fact.hash a = Fact.hash b))
+
+(* A fact of arity [pos + 1] with element [e] at position [pos] (the
+   other positions small).  Positions below 2^8 and elements below 2^32
+   are packable. *)
+let wide_fact pos e =
+  Fact.make (Symbol.make "W" (pos + 1))
+    (Array.init (pos + 1) (fun i -> if i = pos then e else i))
+
+(* Pins round-trip through the index: each (position, element) of a
+   fact finds its id in its bucket, and [fold_pin_buckets] hands back
+   exactly the fact's (symbol, position, element) triples. *)
+let test_pin_keys_roundtrip =
+  QCheck.Test.make ~name:"pin keys round-trip" ~count:200
+    (QCheck.make
+       QCheck.Gen.(pair (int_bound 255) (map (fun x -> x land ((1 lsl 32) - 1)) int)))
+    (fun (pos, e) ->
+      let f = wide_fact pos e in
+      let s = Structure.create () in
+      ignore (Structure.add_fact s f);
+      let sym = Fact.sym f and sid = Structure.sym_id s (Fact.sym f) in
+      let pins = List.sort_uniq compare (List.mapi (fun i x -> (i, x)) (Array.to_list (Fact.args f))) in
+      let folded =
+        Structure.fold_pin_buckets s
+          (fun sym' pos' e' ids acc ->
+            if Symbol.equal sym' sym && Intvec.to_list ids = [ 0 ] then (pos', e') :: acc
+            else (-1, -1) :: acc)
+          []
+      in
+      Structure.pin_count s sym pos e = 1
+      && Intvec.to_list (Structure.ids_with_pin s sid pos e) = [ 0 ]
+      && List.sort compare folded = pins)
+
+let test_pin_key_range () =
+  let raises what f =
+    check (what ^ " raises Invalid_argument") true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  (* the widest packable pin *)
+  let s = Structure.create () in
+  let top = (1 lsl 32) - 1 in
+  check "position 255 over element 2^32 - 1" true
+    (Structure.add_fact s (wide_fact 255 top));
+  check_int "its pin" 1 (Structure.pin_count s (Fact.sym (wide_fact 255 top)) 255 top);
+  (* an unpackable pin is refused and leaves nothing behind *)
+  let s, vs = path 2 in
+  let digest = Structure.digest_hex s in
+  List.iter
+    (fun (what, f) -> raises ("adding a fact with " ^ what) (fun () -> Structure.add_fact s f))
+    [
+      ("element 2^32 + 1", Fact.app2 edge vs.(0) ((1 lsl 32) + vs.(1)));
+      ("element -1", Fact.app2 edge vs.(0) (-1));
+      ("position 256", wide_fact 256 0);
+    ];
+  check_int "size unchanged" 2 (Structure.size s);
+  check "journal unchanged" true (Structure.digest_hex s = digest);
+  let far = (1 lsl 32) + vs.(1) in
+  check "no fact over 2^32 + 1" false (Structure.mem s (Fact.app2 edge vs.(0) far));
+  check_int "its pin is empty, not element 1's" 0
+    (Structure.pin_count s edge 1 far);
+  check_int "element 1's pin still holds" 1 (Structure.pin_count s edge 1 vs.(1));
+  check_int "an unpackable lookup finds the empty bucket" 0
+    (Intvec.length (Structure.ids_with_pin s (Structure.sym_id s edge) 1 (-1)))
+
 let () =
   Alcotest.run "relational"
     [
@@ -201,6 +330,8 @@ let () =
           Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
           Alcotest.test_case "disjoint union shares constants" `Quick
             test_disjoint_union_shares_constants;
+          Alcotest.test_case "disjoint union renaming order" `Quick
+            test_disjoint_union_renaming;
         ] );
       ( "homomorphism",
         [
@@ -217,4 +348,8 @@ let () =
             test_hom_into_superstructure_property;
             test_paint_roundtrip_property;
           ] );
+      ( "keys",
+        Alcotest.test_case "pin key range" `Quick test_pin_key_range
+        :: List.map QCheck_alcotest.to_alcotest
+             [ test_symbol_keys; test_fact_keys; test_pin_keys_roundtrip ] );
     ]

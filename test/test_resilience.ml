@@ -323,6 +323,102 @@ let test_checkpoint_concurrent_save () =
             (l = List.init 2000 (fun i -> i * 3)
             || l = List.init 2000 (fun i -> i * 5)))
 
+(* A checkpoint of the retired version-1 format: a current file under
+   the old magic.  Version 1 payloads were laid out for the old
+   [Structure.t] and [Symbol.t]; whatever the payload, the loader must
+   refuse the file by its header, naming the version, and never
+   unmarshal it. *)
+let v1_magic = "REDSPIDER-CKPT-1"
+
+let save_v1 path =
+  let snap = ref None in
+  ignore
+    (Tgd.Chase.run ~engine:`Seminaive ~max_stages:2 ~snapshot_every:1
+       ~on_snapshot:(fun s -> snap := Some s)
+       (e10_deps ()) (e10_seed ()));
+  (match CK.save ~kind:"tgd-chase" path (Option.get !snap) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "checkpoint write failed: %s" m);
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  let sp = String.index full ' ' in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (v1_magic ^ String.sub full sp (String.length full - sp)))
+
+let names_v1 m =
+  let n = String.length v1_magic in
+  let rec at i =
+    i + n <= String.length m && (String.sub m i n = v1_magic || at (i + 1))
+  in
+  at 0
+
+(* the CLI, built next to this test (a dependency of the test stanza) *)
+let redspider =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/redspider.exe"
+
+let test_checkpoint_v1_refused () =
+  with_tmp (fun path ->
+      save_v1 path;
+      (match
+         (CK.load ~kind:"tgd-chase" path : (Tgd.Chase.snapshot, string) result)
+       with
+      | Error m -> check ("the loader names the version: " ^ m) true (names_v1 m)
+      | Ok _ -> Alcotest.fail "a v1 checkpoint was unmarshalled");
+      (* the CLI: [chase --resume] exits 2 *)
+      let pid =
+        Unix.create_process redspider
+          [| redspider; "chase"; "-v"; "p2(x,y) :- E(x,m), E(m,y)"; "-q";
+             "q0(x,y) :- E(x,a), E(a,b), E(b,y)"; "--resume"; path |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code -> check_int "chase --resume exit code" 2 code
+      | _ -> Alcotest.fail "chase --resume did not exit");
+  (* the daemon: the job resuming it faults *)
+  let dir = Filename.temp_file "redspider-test" ".store" in
+  Sys.remove dir;
+  let store = Serve.Store.open_ dir in
+  let job =
+    Serve.Job.make ~seq:1
+      (Serve.Job.Chase
+         { views = [ ("p2", "p2(x,y) :- E(x,m), E(m,y)") ];
+           q0 = "q0(x,y) :- E(x,a), E(a,b), E(b,y)"; max_stages = 6;
+           engine = `Seminaive })
+  in
+  let ckpt = Serve.Store.ckpt_path store job.Serve.Job.id in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      save_v1 ckpt;
+      Serve.Runner.run_slice ~store ~instances:(Serve.Runner.instances ())
+        ~cancel:G.Cancel.never
+        ~quantum:{ Serve.Runner.stages = 2; seconds = 0. }
+        job;
+      match job.Serve.Job.state with
+      | Serve.Job.Faulted m ->
+          check ("the daemon names the version: " ^ m) true (names_v1 m)
+      | st -> Alcotest.failf "job ended %s" (Serve.Job.state_name st))
+
+(* A structure back from a Marshal round trip keeps one symbol bucket
+   per symbol, also for symbols it first meets after the trip: unused
+   bucket slots must not come back as one shared vector. *)
+let test_clone_symbol_buckets () =
+  let sym name = Symbol.make name 1 in
+  let d = Structure.create () in
+  let x = Structure.fresh d in
+  Structure.add d (sym "A") [| x |];
+  let d' = CK.clone d in
+  Structure.add d' (sym "B") [| x |];
+  Structure.add d' (sym "C") [| x |];
+  List.iter
+    (fun name ->
+      check_int (name ^ " bucket") 1
+        (List.length (Structure.facts_with_sym d' (sym name))))
+    [ "A"; "B"; "C" ];
+  Alcotest.(check (list string)) "audit" [] (Oracle.Audit.structure d')
+
 (* --- governed chase ----------------------------------------------------- *)
 
 let run_e10 ?governor ?on_fire ~max_stages engine =
@@ -590,6 +686,10 @@ let () =
             test_checkpoint_bad_length;
           Alcotest.test_case "concurrent save" `Quick
             test_checkpoint_concurrent_save;
+          Alcotest.test_case "v1 format refused" `Quick
+            test_checkpoint_v1_refused;
+          Alcotest.test_case "clone keeps symbol buckets apart" `Quick
+            test_clone_symbol_buckets;
         ] );
       ( "governed chase",
         [
