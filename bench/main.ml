@@ -822,7 +822,7 @@ let incr_grid_pair () =
   let e = List.nth edges (List.length edges - 1) in
   let held = B.to_structure base in
   let w = Relational.Structure.fresh held in
-  let tail = Relational.Fact.make (B.symbol_of e.G.label) [| e.G.dst; w |] in
+  let tail = Relational.Fact.make (G.symbol_of e.G.label) [| e.G.dst; w |] in
   let m, _ = Tgd.Chase.Maint.create deps held in
   let incremental () =
     ignore (Tgd.Chase.Maint.apply_edit m [ Tgd.Chase.Maint.Insert tail ]);
@@ -831,7 +831,7 @@ let incr_grid_pair () =
   let scratch () =
     let d = B.to_structure base in
     let w' = Relational.Structure.fresh d in
-    Relational.Structure.add2 d (B.symbol_of e.G.label) e.G.dst w';
+    Relational.Structure.add2 d (G.symbol_of e.G.label) e.G.dst w';
     ignore (Tgd.Chase.run deps d);
     ignore (Tgd.Chase.run deps (B.to_structure base))
   in
@@ -964,7 +964,7 @@ let incr_smoke baseline_path =
    let base, _, _ = Separating.Paths.collision ~t:4 ~t':4 in
    let rules = Separating.Tbox.rules in
    let e = List.hd (G.edges base) in
-   let cut = Relational.Fact.make (B.symbol_of e.G.label) [| e.G.src; e.G.dst |] in
+   let cut = Relational.Fact.make (G.symbol_of e.G.label) [| e.G.src; e.G.dst |] in
    let m, s0 = M.create (B.tgds_of_rules rules) (B.to_structure base) in
    check "grid initial chase reached fixpoint" s0.Tgd.Chase.fixpoint;
    let size () = Relational.Structure.size (M.structure m) in
@@ -1717,7 +1717,8 @@ let smoke () =
   in
   let g2, _, _, s2 = Separating.Tinf.chase ~stages:8 () in
   assert (
-    Greengraph.Graph.delta_since g2 0 = Greengraph.Bridge.edge_journal d1);
+    Greengraph.Graph.delta_since g2 0
+    = Greengraph.Graph.delta_since (Greengraph.Bridge.of_structure d1) 0);
   assert (s1.Tgd.Chase.applications = s2.Greengraph.Rule.applications);
   let deps = Tgd.Dep.t_q [ ("p2", path_query 2); ("p3", path_query 3) ] in
   let d1 = fst (Tgd.Greenred.green_canonical (path_query 5)) in

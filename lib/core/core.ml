@@ -32,7 +32,6 @@ module Cq = Cq
 module Tgd = Tgd
 module Thue = Thue
 module Rainworm = Rainworm
-module Lgraph = Lgraph
 module Spider = Spider
 module Swarm = Swarm
 module Greengraph = Greengraph

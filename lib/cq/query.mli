@@ -25,7 +25,6 @@ val body : t -> Atom.t list
 val arity : t -> int
 
 val vars : t -> Term.Var_set.t
-val existential_vars : t -> Term.Var_set.t
 val constants : t -> string list
 
 (** [close q] quantifies all free variables — the notation [D ⊨ Q] of

@@ -1,6 +1,6 @@
 (* Green graphs (Section VI): edge-labelled digraphs over S̄. *)
 
-include Lgraph.Make (Label)
+include Relational.Graph_view.Make (Label)
 
 (* D_I (Section VII, Step 1): vertices a, b and the single edge H∅(a,b).
    a and b act as the constants of the construction. *)

@@ -32,3 +32,17 @@ let of_ideal s =
 
 let to_string = function None -> "∅" | Some i -> string_of_int i
 let pp ppf l = Fmt.string ppf (to_string l)
+
+(* The edge relation of a label over the Level-2 signature: H_o for ∅,
+   H_i for i. *)
+let symbol = function
+  | None -> Relational.Symbol.make "H_o" 2
+  | Some i -> Relational.Symbol.make (Printf.sprintf "H_%d" i) 2
+
+let of_symbol sym : t option =
+  let name = Relational.Symbol.name sym in
+  if name = "H_o" then Some None
+  else if String.length name > 2 && String.sub name 0 2 = "H_" then
+    int_of_string_opt (String.sub name 2 (String.length name - 2))
+    |> Option.map (fun i -> Some i)
+  else None

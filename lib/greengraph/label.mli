@@ -25,3 +25,10 @@ val of_ideal : Spider.Ideal.t -> t option
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+(** The binary relation symbol of a label's edges: [H_o] for ∅, [H_i]
+    for [i]. *)
+val symbol : t -> Relational.Symbol.t
+
+(** The inverse of [symbol]; [None] on any other symbol. *)
+val of_symbol : Relational.Symbol.t -> t option

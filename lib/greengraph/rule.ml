@@ -324,7 +324,7 @@ let chase ?(governor = G.unlimited) ?(max_stages = max_int)
   let stages, outcome =
     Obs.Trace.with_span "graph.chase(seminaive)" (fun () ->
         G.run_stages governor ~span:"graph.stage" ~start_stage:0 ~max_stages
-          ~sizes:(fun () -> (List.length (Graph.vertices g), Graph.size g))
+          ~sizes:(fun () -> (Graph.order g, Graph.size g))
           ~stop:(fun () -> stop g)
           ~snapshot_every:1 ~snapshot:ignore step)
   in

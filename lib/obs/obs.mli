@@ -12,10 +12,6 @@
     {!set_metrics} to flip it. *)
 val metrics_on : bool ref
 
-(** Tracing switch.  Span hooks read this ref directly; prefer
-    {!set_tracing} to flip it (it also stamps the trace epoch). *)
-val trace_on : bool ref
-
 val set_metrics : bool -> unit
 
 (** [set_tracing true] also stamps the trace epoch (the zero point of

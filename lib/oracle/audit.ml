@@ -1,23 +1,23 @@
 (* Ground-truth recomputation audits (see audit.mli).
 
    Style note: every check here is written against the plain
-   enumerations — [Structure.facts] (and the arena's [live_id] /
-   [id_fact] scan) for structures, [Graph.edges] for graphs — and never
-   against the indices it is auditing.  Redundancy is the point.
+   enumerations — [Structure.facts] and the arena's [live_id] /
+   [id_fact] scan — and never against the indices it is auditing.
+   Redundancy is the point.
 
-   Each audit numbers its enumeration once: facts (edges) become the
-   local ints [0, n), symbols (labels) local ids in their compare order,
-   elements (vertices) local ids in int order.  Every ground-truth
-   grouping is then one sort of (key, member) int pairs — a counting
-   sort per key digit, since every digit ranges over local ids — whose
-   runs are the groups, members ascending and distinct.  A bucket under
-   audit is read as local ints — one hash per boxed entry, one array
-   read per arena id — and held against its group by stamping the
-   group's members in a mark array, which is the sorted-array comparison
-   without the sort.  The buckets an index holds under keys the truth
-   lacks are found through its read-only folds (the key-set checks),
-   which run only when the index's bucket count exceeds the truth keys
-   it holds, so no check visits a key that has no fact (edge). *)
+   The audit numbers its enumeration once: facts become the local ints
+   [0, n), symbols local ids in their compare order, elements local ids
+   in int order.  Every ground-truth grouping is then one sort of (key,
+   member) int pairs — a counting sort per key digit, since every digit
+   ranges over local ids — whose runs are the groups, members ascending
+   and distinct.  A bucket under audit is read as local ints — one hash
+   per boxed entry, one array read per arena id — and held against its
+   group by stamping the group's members in a mark array, which is the
+   sorted-array comparison without the sort.  The buckets an index holds
+   under keys the truth lacks are found through its read-only folds
+   (the key-set checks), which run only when the index's bucket count
+   exceeds the truth keys it holds, so no check visits a key that has
+   no fact. *)
 
 open Relational
 
@@ -568,164 +568,6 @@ let audit_structure ~provenance d =
 
 let structure ?(provenance = false) d =
   Obs.Trace.with_span "oracle.audit" (fun () -> audit_structure ~provenance d)
-
-(* --- green graphs -------------------------------------------------------- *)
-
-(* The order of the label section: each label's bucket, then its
-   (vertex, label) pins by vertex, out before in. *)
-let compare_label_tag (l1, v1, d1) (l2, v2, d2) =
-  let c = Greengraph.Label.compare l1 l2 in
-  if c <> 0 then c
-  else
-    let c = Option.compare Int.compare v1 v2 in
-    if c <> 0 then c else Int.compare d1 d2
-
-let audit_graph g =
-  let module G = Greengraph.Graph in
-  let violations = ref [] in
-  let edges = Array.of_list (G.edges g) in
-  let n = Array.length edges in
-  if G.size g <> n then
-    fail violations "graph size=%d but %d edges enumerate" (G.size g) n;
-  (* local edge ids: positions in the enumeration *)
-  let local_tbl = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i e -> Hashtbl.add local_tbl e i) edges;
-  let local e = try Hashtbl.find local_tbl e with Not_found -> -1 in
-  (* local vertex ids over the registered vertices and every endpoint *)
-  let registered = Array.of_list (G.vertices g) in
-  let src = Array.map (fun (e : G.edge) -> e.G.src) edges in
-  let dst = Array.map (fun (e : G.edge) -> e.G.dst) edges in
-  let vs, local_vertex = number (Array.concat [ registered; src; dst ]) in
-  let nv = Array.length vs in
-  let is_reg = Array.make nv false in
-  Array.iter (fun v -> is_reg.(local_vertex v) <- true) registered;
-  let nreg = Array.fold_left (fun k b -> if b then k + 1 else k) 0 is_reg in
-  if G.order g <> nreg then
-    fail violations "graph order=%d but %d vertices enumerate" (G.order g) nreg;
-  let lsrc = Array.map local_vertex src and ldst = Array.map local_vertex dst in
-  (* local label ids in [Label.compare] order: the few distinct labels
-     are sorted, and each edge finds its own by a scan *)
-  let labels =
-    Array.of_list
-      (List.sort_uniq Greengraph.Label.compare
-         (Array.fold_left
-            (fun acc (e : G.edge) ->
-              if List.exists (Greengraph.Label.equal e.G.label) acc then acc
-              else e.G.label :: acc)
-            [] edges))
-  in
-  let nl = Array.length labels in
-  let local_label lab =
-    let rec find i =
-      if i >= nl then -1
-      else if Greengraph.Label.equal labels.(i) lab then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let llab = Array.map (fun (e : G.edge) -> local_label e.G.label) edges in
-  (* ground truth, one sort each: the edges grouped by source, by
-     target, by label, and by (label, source) and (label, target) *)
-  let ids = Array.init n Fun.id in
-  let by_src = group [ (nv, lsrc) ] ids and by_dst = group [ (nv, ldst) ] ids in
-  let by_label = group [ (nl, llab) ] ids in
-  let by_src_lab = group [ (nl, llab); (nv, lsrc) ] ids in
-  let by_dst_lab = group [ (nl, llab); (nv, ldst) ] ids in
-  let src_starts = starts by_src nv and dst_starts = starts by_dst nv in
-  let mk = marks n in
-  (* [what] describes the bucket; it is only formatted on a failure *)
-  let check_bucket what grp lo hi got =
-    if not (list_is mk local grp lo hi got) then
-      fail violations "%s: %d edges indexed, %d expected" (what ())
-        (List.length got) (hi - lo)
-  in
-  Array.iteri
-    (fun lv r ->
-      if r then begin
-        let v = vs.(lv) in
-        check_bucket
-          (fun () -> Printf.sprintf "out-bucket of %d" v)
-          by_src src_starts.(lv) src_starts.(lv + 1) (G.out_edges g v);
-        check_bucket
-          (fun () -> Printf.sprintf "in-bucket of %d" v)
-          by_dst dst_starts.(lv) dst_starts.(lv + 1) (G.in_edges g v)
-      end)
-    is_reg;
-  Array.iteri
-    (fun i (e : G.edge) ->
-      if not (is_reg.(lsrc.(i)) && is_reg.(ldst.(i))) then
-        fail violations "edge endpoints (%d, %d) not registered" e.G.src e.G.dst)
-    edges;
-  (* the label buckets and the (vertex, label) pin buckets: each truth
-     group against its bucket, then each index as a key set — every
-     non-empty bucket it holds must be a truth key, which is a count on
-     success.  Messages are tagged (label, vertex, direction) and
-     sorted, so a label's bucket comes before its pins. *)
-  let section = ref [] in
-  let tag t fmt = Format.kasprintf (fun s -> section := (t, s) :: !section) fmt in
-  let pp_lab = Greengraph.Label.pp in
-  (* holds the run against the bucket; true when the bucket is non-empty *)
-  let check_tagged t what grp lo hi got =
-    if not (list_is mk local grp lo hi got) then
-      tag t "%s: %d edges indexed, %d expected" (what ()) (List.length got)
-        (hi - lo);
-    got != []
-  in
-  let held_labels = ref 0 in
-  iter_groups by_label (fun ll lo hi ->
-      let lab = labels.(ll) in
-      if
-        check_tagged (lab, None, 0)
-          (fun () -> Format.asprintf "label bucket %a" pp_lab lab)
-          by_label lo hi (G.with_label g lab)
-      then incr held_labels);
-  let n_labels, n_out, n_in = G.bucket_counts g in
-  if n_labels > !held_labels then
-    G.fold_label_buckets g
-      (fun lab es () ->
-        if es != [] && not (has_key by_label (local_label lab)) then
-          tag (lab, None, 0) "label bucket %a: %d edges indexed, 0 expected"
-            pp_lab lab (List.length es))
-      ();
-  let pins grp dir name bucket fold count =
-    let held = ref 0 in
-    iter_groups grp (fun k lo hi ->
-        let lab = labels.(k / nv) and v = vs.(k mod nv) in
-        if
-          check_tagged (lab, Some v, dir)
-            (fun () -> Format.asprintf "(%d, %a) %s" v pp_lab lab name)
-            grp lo hi (bucket g v lab)
-        then incr held);
-    if count > !held then
-      fold g
-        (fun v lab es () ->
-          let lv = local_vertex v and ll = local_label lab in
-          if es != [] && (lv < 0 || ll < 0 || not (has_key grp ((ll * nv) + lv)))
-          then
-            tag (lab, Some v, dir) "(%d, %a) %s: %d edges indexed, 0 expected" v
-              pp_lab lab name (List.length es))
-        ()
-  in
-  pins by_src_lab 0 "out-pin" G.out_edges_with G.fold_out_pins n_out;
-  pins by_dst_lab 1 "in-pin" G.in_edges_with G.fold_in_pins n_in;
-  emit_sorted violations compare_label_tag !section;
-  (* journal and watermark; the journal group is each edge exactly once *)
-  if G.watermark g <> n then
-    fail violations "graph watermark=%d but size=%d" (G.watermark g) n;
-  let journal = G.delta_since g 0 in
-  let len = List.length journal in
-  if len <> n then
-    fail violations "edge journal has %d entries for %d edges" len n;
-  let seen = Array.make n false in
-  let once e =
-    let le = local e in
-    le >= 0 && (not seen.(le)) && (seen.(le) <- true; true)
-  in
-  if len <> n || not (List.for_all once journal) then
-    fail violations "edge journal is not a permutation of the edge set";
-  List.rev !violations
-
-let graph g = Obs.Trace.with_span "oracle.audit_graph" (fun () -> audit_graph g)
 
 (* --- independent core-minimality witness ---------------------------------- *)
 

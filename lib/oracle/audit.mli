@@ -1,8 +1,9 @@
-(** Invariant audits: cross-check a structure's (or green graph's)
-    incremental indices — pin buckets, symbol/element buckets, delta
-    journal, watermark — against ground-truth recomputation from the
-    plain fact (edge) set, plus provenance-stage monotonicity for
-    chase-produced structures.
+(** Invariant audits: cross-check a structure's incremental indices —
+    pin buckets, symbol/element buckets, delta journal, watermark —
+    against ground-truth recomputation from the plain fact set, plus
+    provenance-stage monotonicity for chase-produced structures.  A
+    swarm or green graph is a structure ([Graph.structure]), so the
+    same audit covers its edge journal and (vertex, label) buckets.
 
     Every check returns human-readable violation descriptions; an empty
     list means the audit passed.  The audits deliberately recompute
@@ -11,18 +12,16 @@
     against, in the same spirit as the paper's hand proofs being
     re-checked mechanically on bounded instances.
 
-    Cost: an audit numbers its enumeration once — facts (edges) as
-    local ints, symbols (labels) and elements (vertices) as local ids —
-    and derives each ground-truth grouping with one counting sort per
-    key digit.  Every bucket is read once and held against its group,
-    and the buckets an index holds under keys no fact (edge) has are
-    found by a key-set check: an O(1) bucket count, and a fold over the
-    index only when that count exceeds the truth keys.  A structure
-    audit is O(N·a + V + S·a) for N facts of arity at most a, V
-    elements and S symbols; a graph audit O(E + V + L) for E edges, V
-    vertices and L labels, since no (vertex, label) pair without an
-    edge is visited.  Element (vertex) ids far sparser than their count
-    are numbered by a sort instead, adding a log factor. *)
+    Cost: an audit numbers its enumeration once — facts as local ints,
+    symbols and elements as local ids — and derives each ground-truth
+    grouping with one counting sort per key digit.  Every bucket is
+    read once and held against its group, and the buckets an index
+    holds under keys no fact has are found by a key-set check: an O(1)
+    bucket count, and a fold over the index only when that count
+    exceeds the truth keys.  A structure audit is O(N·a + V + S·a) for
+    N facts of arity at most a, V elements and S symbols.  Element ids
+    far sparser than their count are numbered by a sort instead, adding
+    a log factor. *)
 
 open Relational
 
@@ -41,12 +40,6 @@ open Relational
     require journal stages to be non-decreasing and every fact's stage to
     be at least the birth stage of each of its elements. *)
 val structure : ?provenance:bool -> Structure.t -> string list
-
-(** Audit a green graph's indices: edge/vertex coherence, the out/in
-    adjacency buckets, the label buckets, the (vertex, label) pin
-    buckets (every non-empty label or pin bucket must be a truth key),
-    the edge journal and the watermark. *)
-val graph : Greengraph.Graph.t -> string list
 
 (** An independent minimality witness: a proper endomorphism of A[q]
     fixing the free variables pointwise, whose image (together with the

@@ -246,6 +246,15 @@ let diff_tgd budget inst =
 
 (* --- green-graph diff ----------------------------------------------------- *)
 
+(* A graph output is a structure and is audited as one.  Same overshoot
+   guard as diff_tgd: a run that blew far past the budget is not
+   audited. *)
+let audit_graph_output budget g =
+  let module G = Greengraph.Graph in
+  if G.size g <= 4 * budget.max_facts && G.order g <= 4 * budget.max_elems then
+    List.map (( ^ ) "[graph output] ") (Audit.structure (G.structure g))
+  else []
+
 (* The graph engine against its reference, the bridged rules under
    [diff_tgd]'s reference engine ([Greengraph.Bridge.reference_chase]):
    every edge, fresh vertex ids included, must come out at the same
@@ -275,7 +284,9 @@ let diff_graph budget gc =
       fail violations "graph run ended %a, reference %a"
         Resilience.Governor.pp_outcome s.R.outcome
         Resilience.Governor.pp_outcome rs.Tgd.Chase.outcome;
-    (match first_mismatch (G.delta_since g 0) (B.edge_journal d) with
+    (match
+       first_mismatch (G.delta_since g 0) (G.delta_since (B.of_structure d) 0)
+     with
     | Some (i, (e : G.edge)) ->
         fail violations
           "graph/reference edge journals diverge at entry %d (%a %d->%d)" i
@@ -291,12 +302,7 @@ let diff_graph budget gc =
       fail violations "graph considered more pairs than the reference (%d > %d)"
         s.R.triggers_considered rs.Tgd.Chase.triggers_considered
   end;
-  (* same overshoot guard as diff_tgd: a run that blew far past the
-     budget is not audited *)
-  if G.size g <= 4 * budget.max_facts && G.order g <= 4 * budget.max_elems then
-    List.iter
-      (fun v -> fail violations "[graph output] %s" v)
-      (Audit.graph g);
+  List.iter (fun v -> fail violations "%s" v) (audit_graph_output budget g);
   (* a graph fixpoint is a model of the rules *)
   if s.R.fixpoint && not (R.models gc.Gen.rules g) then
     fail violations "graph fixpoint is not a model of its rules";

@@ -145,7 +145,7 @@ module GG = Greengraph.Graph
 module GR = Greengraph.Rule
 module B = Greengraph.Bridge
 
-let edge_fact (l, s, d) = Fact.make (B.symbol_of l) [| s; d |]
+let edge_fact (l, s, d) = Fact.make (GG.symbol_of l) [| s; d |]
 
 (* Inserted endpoints come from the pristine base's own vertices — a
    raw id range could collide with a chase-invented vertex on the

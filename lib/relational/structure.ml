@@ -101,6 +101,8 @@ let elem_entry t e =
 
 let register_elem t e = ignore (elem_entry t e)
 
+let elem_bound t = t.next
+
 (* Import an externally-allocated element id, keeping [fresh] clear of it. *)
 let reserve t e =
   register_elem t e;
@@ -301,6 +303,7 @@ let sym_id t sym = Fact_arena.find_sym t.arena sym
 
 let id_fact t id = Fact_arena.fact t.arena id
 let id_sym t id = Fact_arena.sym t.arena id
+let sym_of_id t sid = Fact_arena.sym_obj t.arena sid
 let id_arg t id pos = Fact_arena.arg t.arena id pos
 
 (* Number of interned symbol ids: every [id_sym] is below this, so it
@@ -318,6 +321,11 @@ let ids_with_pin t sid pos e =
     | exception Not_found -> empty_ids
 
 let pin_count_id t sid pos e = Intvec.length (ids_with_pin t sid pos e)
+
+let ids_with_elem t e =
+  match Hashtbl.find t.dom e with
+  | r -> r.efacts
+  | exception Not_found -> empty_ids
 
 (* The pin index as it stands, buckets a retraction emptied included:
    what an audit holds against its recomputed truth. *)
@@ -338,10 +346,7 @@ let facts_of_ids t ids =
 
 let facts_with_sym t sym = facts_of_ids t (ids_with_sym t (sym_id t sym))
 
-let facts_with_elem t e =
-  match Hashtbl.find t.dom e with
-  | r -> facts_of_ids t r.efacts
-  | exception Not_found -> []
+let facts_with_elem t e = facts_of_ids t (ids_with_elem t e)
 
 let facts_with_pin t sym pos e =
   let sid = sym_id t sym in

@@ -34,8 +34,13 @@ val elem_stage : t -> int -> int option
 val fresh : ?name:string -> t -> int
 
 (** Import an externally-allocated element id, keeping [fresh] clear of
-    it (used when mirroring graph vertices into structures). *)
+    it (graph views register their edge endpoints this way). *)
 val reserve : t -> int -> unit
+
+(** The id [fresh] allocates next.  Every element allocated by [fresh]
+    or imported by [reserve] is below it; [add_fact] alone does not move
+    it. *)
+val elem_bound : t -> int
 
 (** The interpretation of constant [c], allocated on first use. *)
 val constant : t -> string -> int
@@ -143,6 +148,9 @@ val id_fact : t -> int -> Fact.t
 (** The interned symbol id of fact [id]. *)
 val id_sym : t -> int -> int
 
+(** The symbol interned as [sid] ([0 <= sid < n_sym_ids t]). *)
+val sym_of_id : t -> int -> Symbol.t
+
 (** Number of interned symbol ids — every {!id_sym} is below this; sizes
     dense sym-id-indexed tables. *)
 val n_sym_ids : t -> int
@@ -160,6 +168,10 @@ val ids_with_pin : t -> int -> int -> int -> Intvec.t
 
 (** Bucket size of [ids_with_pin], in O(1). *)
 val pin_count_id : t -> int -> int -> int -> int
+
+(** The ids of the live facts mentioning element [e], each once, in
+    insertion order: the id view of {!facts_with_elem}. *)
+val ids_with_elem : t -> int -> Intvec.t
 
 (** The number of buckets the pin index holds, including the buckets a
     retraction emptied, which stay in the index; O(1). *)

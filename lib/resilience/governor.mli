@@ -89,10 +89,6 @@ val interrupted : t -> outcome option
 (** The stage-boundary poll: [Some Cancelled] if the token tripped, else
     [Some Deadline] if the deadline passed, else [None]. *)
 
-val has_size_budget : t -> bool
-(** Is either size budget finite?  Engines whose element/fact counts are
-    O(n) to compute (the graph chase) skip counting when this is false. *)
-
 val over_budget : t -> elems:int -> facts:int -> outcome option
 (** Element/fact budget check, also polled at stage boundaries. *)
 
@@ -118,7 +114,7 @@ val run_stages :
     nothing ([Fixpoint]); stage [min max_stages g.max_stages] is done
     ([Budget Stages]); {!interrupted} at a stage boundary; a size budget,
     checked on [sizes ()] (elements, facts) after each stage and only
-    when {!has_size_budget}; [stop ()] after a stage ([Budget Stop]).
+    when either size budget is finite; [stop ()] after a stage ([Budget Stop]).
     A step raising {!Cancel.Cancelled} or [Failpoint.Injected] ends the
     run at stage [i - 1] with [Cancelled] or [Faulted] and no snapshot,
     since the step may have left state ahead of the last boundary.

@@ -75,6 +75,23 @@ let code t =
   let idx = function None -> "o" | Some i -> string_of_int i in
   Printf.sprintf "%s%s_%s" letter (idx t.upper) (idx t.lower)
 
+let of_code c =
+  let idx = function
+    | "o" -> Some None
+    | i -> Option.map Option.some (int_of_string_opt i)
+  in
+  let base = function 'G' -> Some Symbol.Green | 'R' -> Some Symbol.Red | _ -> None in
+  if c = "" then None
+  else
+    match (base c.[0], String.split_on_char '_' (String.sub c 1 (String.length c - 1))) with
+    | Some base, [ u; l ] -> (
+        match (idx u, idx l) with
+        | Some upper, Some lower ->
+            let t = { base; upper; lower } in
+            if code t = c then Some t else None
+        | _ -> None)
+    | _ -> None
+
 module Ord = struct
   type nonrec t = t
   let compare = compare

@@ -44,6 +44,9 @@ val pp : Format.formatter -> t -> unit
 (** A flat, signature-safe code, e.g. ["G1_o"]. *)
 val code : t -> string
 
+(** The inverse of [code]: [None] on a string no spider codes to. *)
+val of_code : string -> t option
+
 module Ord : sig
   type nonrec t = t
 

@@ -1,49 +1,17 @@
 (* Swarms as relational structures.
 
    A swarm is a structure over the Level-1 signature: one binary relation
-   H_S per ideal spider S (Section VI).  The bridge lets the generic TGD
-   machinery (chase, model check, homomorphisms) run on swarms, and the
-   test suite uses it to cross-validate the dedicated swarm engine against
-   the generic one. *)
+   H_S per ideal spider S (Section VI), which is what [Graph.structure]
+   holds.  The bridge lets the generic TGD machinery (chase, model check,
+   homomorphisms) run on swarms through L₁ rules as TGDs, and the test
+   suite holds the dedicated swarm engine to the generic one. *)
 
 open Relational
 
-(* The relation symbol of an ideal spider. *)
-let symbol_of ideal = Symbol.make ("H_" ^ Spider.Ideal.code ideal) 2
+(* A copy of [g]'s structure, edge journal and vertex ids included. *)
+let to_structure g = Structure.copy (Graph.structure g)
 
-(* Decode a Level-1 symbol back into its spider, if it is one. *)
-let ideal_of_symbol ~s sym =
-  let name = Symbol.name sym in
-  if String.length name < 3 || String.sub name 0 2 <> "H_" then None
-  else
-    let code = String.sub name 2 (String.length name - 2) in
-    List.find_opt
-      (fun ideal -> String.equal (Spider.Ideal.code ideal) code)
-      (Spider.Ideal.all ~s)
-
-let to_structure g =
-  let st = Structure.create () in
-  List.iter
-    (fun v ->
-      Structure.reserve st v;
-      Structure.set_name st v (Graph.name g v))
-    (List.sort compare (Graph.vertices g));
-  Graph.iter_edges g (fun e ->
-      Structure.add2 st (symbol_of e.Graph.label) e.Graph.src e.Graph.dst);
-  st
-
-let of_structure ~s st =
-  let g = Graph.create () in
-  List.iter
-    (fun v ->
-      Graph.register g v;
-      Graph.set_name g v (Structure.name st v))
-    (Structure.elems st);
-  Structure.iter_facts st (fun f ->
-      match ideal_of_symbol ~s (Fact.sym f) with
-      | Some ideal -> ignore (Graph.add_edge g ideal (Fact.arg f 0) (Fact.arg f 1))
-      | None -> ());
-  g
+let of_structure = Graph.of_structure
 
 (* A swarm rule as a pair of generic TGDs over the Level-1 signature:
    Definition 7's big conjunction, one TGD per subset choice and color.
@@ -70,7 +38,7 @@ let tgds_of_rule (rule : Rule.t) =
                       | None -> None
                       | Some (p1, p2) ->
                           let v = Term.var in
-                          let edge sym x y = Atom.app2 (symbol_of sym) (v x) (v y) in
+                          let edge sym x y = Atom.app2 (Graph.symbol_of sym) (v x) (v y) in
                           let body, head =
                             match conn with
                             | Spider.Query.Amp ->

@@ -47,19 +47,35 @@ let edges_at_shared g conn y =
   | Spider.Query.Amp -> Graph.in_edges g y
   | Spider.Query.Slash -> Graph.out_edges g y
 
-(* An active trigger: a pair of edges matching the rule's left-hand side
-   whose demanded witnesses are absent. *)
+(* Are the demanded witnesses present: an edge labelled [p1] at free
+   endpoint [free1] whose shared endpoint carries an edge labelled [p2]
+   to [free2]?  The partner edge is fully determined by the first one's
+   shared endpoint, so one membership test finds it. *)
 let witness_exists g conn (p1, free1) (p2, free2) =
-  List.exists
-    (fun (e1 : Graph.edge) ->
-      free_of conn e1 = free1
-      && List.exists
-           (fun (e2 : Graph.edge) ->
-             Spider.Ideal.equal e2.Graph.label p2 && free_of conn e2 = free2)
-           (edges_at_shared g conn (shared_of conn e1)))
-    (Graph.with_label g p1)
+  match conn with
+  | Spider.Query.Amp ->
+      List.exists
+        (fun (w1 : Graph.edge) ->
+          Graph.mem_edge g { label = p2; src = free2; dst = w1.Graph.dst })
+        (Graph.out_edges_with g free1 p1)
+  | Spider.Query.Slash ->
+      List.exists
+        (fun (w1 : Graph.edge) ->
+          Graph.mem_edge g { label = p2; src = w1.Graph.src; dst = free2 })
+        (Graph.in_edges_with g free1 p1)
 
 let triggers rule g =
+  (* each shared endpoint's edges, read once per call: the graph does
+     not change while its triggers are collected *)
+  let at_shared = Hashtbl.create 16 in
+  let edges_at y =
+    match Hashtbl.find at_shared y with
+    | es -> es
+    | exception Not_found ->
+        let es = edges_at_shared g rule.conn y in
+        Hashtbl.add at_shared y es;
+        es
+  in
   List.concat_map
     (fun (e1 : Graph.edge) ->
       List.filter_map
@@ -73,7 +89,7 @@ let triggers rule g =
               let f1 = free_of rule.conn e1 and f2 = free_of rule.conn e2 in
               if witness_exists g rule.conn (p1, f1) (p2, f2) then None
               else Some ((p1, f1), (p2, f2)))
-        (edges_at_shared g rule.conn (shared_of rule.conn e1)))
+        (edges_at (shared_of rule.conn e1)))
     (Graph.edges g)
 
 (* Fire one trigger: create the fresh shared endpoint and the two edges. *)

@@ -1,15 +1,14 @@
 (* Executable specification, over the public API.
 
-   [Oracle.Audit.structure] and [Oracle.Audit.graph] as they stood
-   before the audits moved to flat local ids: ground truth grouped into
-   a [Map] of boxed (symbol, position, element) keys and hash tables of
-   fact (edge) lists, buckets compared as [Fact.compare]- and
-   polymorphically-sorted lists, and every (vertex, label) pair of a
-   graph visited.  Kept verbatim as the specification the rewrite is
-   held to: it must report the same violations, in the same order.
-   The one deliberate difference is the rewrite's key-set check, which
-   also flags a non-empty index bucket under a key no fact (edge)
-   accounts for; this copy only visits the truth keys. *)
+   [Oracle.Audit.structure] as it stood before the audit moved to flat
+   local ids: ground truth grouped into a [Map] of boxed (symbol,
+   position, element) keys and hash tables of fact lists, buckets
+   compared as [Fact.compare]-sorted lists.  Kept verbatim as the
+   specification the rewrite is held to: it must report the same
+   violations, in the same order.  The one deliberate difference is the
+   rewrite's key-set check, which also flags a non-empty index bucket
+   under a key no fact accounts for; this copy only visits the truth
+   keys. *)
 
 open Relational
 
@@ -266,90 +265,4 @@ let structure ?(provenance = false) d =
               (Fact.elements f))
       journal
   end;
-  List.rev !violations
-
-(* --- green graphs -------------------------------------------------------- *)
-
-let graph g =
-  let module G = Greengraph.Graph in
-  let violations = ref [] in
-  let edges = G.edges g in
-  let n = List.length edges in
-  if G.size g <> n then
-    fail violations "graph size=%d but %d edges enumerate" (G.size g) n;
-  let vertices = Int_set.of_list (G.vertices g) in
-  if G.order g <> Int_set.cardinal vertices then
-    fail violations "graph order=%d but %d vertices enumerate" (G.order g)
-      (Int_set.cardinal vertices);
-  let sorted es = List.sort compare es in
-  (* [what] describes the bucket; it is only formatted on a failure *)
-  let check_bucket what expected got =
-    if sorted got <> sorted expected then
-      fail violations "%s: %d edges indexed, %d expected" (what ())
-        (List.length got) (List.length expected)
-  in
-  (* ground truth: the edges grouped by every bucket key, in one pass,
-     into tables sized once from the counts *)
-  let nv = Int_set.cardinal vertices in
-  let by_src = Hashtbl.create nv and by_dst = Hashtbl.create nv in
-  let by_label = Hashtbl.create 8 in
-  let by_src_lab = Hashtbl.create n and by_dst_lab = Hashtbl.create n in
-  let group tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
-  let push tbl k e = Hashtbl.replace tbl k (e :: group tbl k) in
-  List.iter
-    (fun (e : G.edge) ->
-      push by_src e.G.src e;
-      push by_dst e.G.dst e;
-      push by_label e.G.label e;
-      push by_src_lab (e.G.src, e.G.label) e;
-      push by_dst_lab (e.G.dst, e.G.label) e)
-    edges;
-  Int_set.iter
-    (fun v ->
-      check_bucket
-        (fun () -> Printf.sprintf "out-bucket of %d" v)
-        (group by_src v) (G.out_edges g v);
-      check_bucket
-        (fun () -> Printf.sprintf "in-bucket of %d" v)
-        (group by_dst v) (G.in_edges g v))
-    vertices;
-  List.iter
-    (fun (e : G.edge) ->
-      if not (Int_set.mem e.G.src vertices && Int_set.mem e.G.dst vertices) then
-        fail violations "edge endpoints (%d, %d) not registered" e.G.src e.G.dst)
-    edges;
-  (* label buckets and the (vertex, label) pin buckets, over the labels
-     that actually occur *)
-  let labels =
-    List.sort Greengraph.Label.compare
-      (Hashtbl.fold (fun lab _ acc -> lab :: acc) by_label [])
-  in
-  List.iter
-    (fun lab ->
-      check_bucket
-        (fun () -> Format.asprintf "label bucket %a" Greengraph.Label.pp lab)
-        (group by_label lab) (G.with_label g lab);
-      Int_set.iter
-        (fun v ->
-          check_bucket
-            (fun () ->
-              Format.asprintf "(%d, %a) out-pin" v Greengraph.Label.pp lab)
-            (group by_src_lab (v, lab))
-            (G.out_edges_with g v lab);
-          check_bucket
-            (fun () ->
-              Format.asprintf "(%d, %a) in-pin" v Greengraph.Label.pp lab)
-            (group by_dst_lab (v, lab))
-            (G.in_edges_with g v lab))
-        vertices)
-    labels;
-  (* journal and watermark *)
-  if G.watermark g <> n then
-    fail violations "graph watermark=%d but size=%d" (G.watermark g) n;
-  let journal = G.delta_since g 0 in
-  if List.length journal <> n then
-    fail violations "edge journal has %d entries for %d edges"
-      (List.length journal) n;
-  if sorted journal <> sorted edges then
-    fail violations "edge journal is not a permutation of the edge set";
   List.rev !violations

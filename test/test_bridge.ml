@@ -14,7 +14,7 @@ let test_swarm_roundtrip () =
   let x = Swarm.Graph.fresh g and y = Swarm.Graph.fresh g in
   ignore (Swarm.Graph.add_edge g (Spider.Ideal.green ~upper:1 ()) x y);
   ignore (Swarm.Graph.add_edge g (Spider.Ideal.red ~lower:2 ()) y x);
-  let g' = Swarm.Bridge.of_structure ~s:3 (Swarm.Bridge.to_structure g) in
+  let g' = Swarm.Bridge.of_structure (Swarm.Bridge.to_structure g) in
   check "swarm roundtrip" true (Swarm.Graph.equal g g')
 
 let test_greengraph_roundtrip () =
@@ -23,9 +23,10 @@ let test_greengraph_roundtrip () =
   let g' = Greengraph.Bridge.of_structure (Greengraph.Bridge.to_structure g) in
   check "green graph roundtrip" true (Greengraph.Graph.equal g g')
 
-(* Both directions copy edges in journal order, so a round trip keeps
-   the graph's edge journal entry for entry: on seed 42's graph cases,
-   as generated and after a budgeted chase (fresh vertices included). *)
+(* A round trip keeps a graph's edge journal entry for entry, on both
+   bridges: seed 42's green-graph cases, as generated and after a
+   budgeted chase (fresh vertices included), and the swarms decompiled
+   from each stage of the Level-0 chase of T_Q(T∞) at s = 10. *)
 let test_journal_roundtrip () =
   let module G = Greengraph.Graph in
   let module B = Greengraph.Bridge in
@@ -45,7 +46,27 @@ let test_journal_roundtrip () =
            || G.order g > b.Oracle.Diff.max_elems)
          gc.Oracle.Gen.rules g);
     same_journal (Printf.sprintf "seed 42 case %d, chased" case) g
-  done
+  done;
+  let module S = Swarm.Graph in
+  let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
+  let ctx = p.Greengraph.Precompile.ctx in
+  let st = Relational.Structure.create () in
+  let x = Relational.Structure.fresh st and y = Relational.Structure.fresh st in
+  ignore (Spider.Real.realize ctx st ~tail:x ~antenna:y Spider.Ideal.full_green);
+  let stage = ref 0 in
+  let decompiled st =
+    let sw = Swarm.Compile.decompile ctx st in
+    check
+      (Printf.sprintf "T_Q(T∞) stage %d: same swarm journal" !stage)
+      true
+      (S.delta_since (Swarm.Bridge.of_structure (Swarm.Bridge.to_structure sw)) 0
+      = S.delta_since sw 0);
+    incr stage;
+    false
+  in
+  ignore (decompiled st);
+  ignore (Tgd.Chase.run ~max_stages:6 ~stop:decompiled p.Greengraph.Precompile.tgds st);
+  check_int "swarms checked" 7 !stage
 
 (* The bridged TGDs are named by [Rule.to_string]: the names of seed 42's
    graph cases and of T∞'s and T□'s rule sets are pinned by count and
@@ -145,7 +166,7 @@ let same_seminaive_chase ?(stop = fun _ _ -> false) ~max_stages what rules g =
   check (what ^ ": same edges and vertex ids") true
     (G.edges g = G.edges (B.of_structure d));
   check (what ^ ": same edge journal") true
-    (G.delta_since g 0 = B.edge_journal d);
+    (G.delta_since g 0 = G.delta_since (B.of_structure d) 0);
   check_int (what ^ ": same stages") gs.Greengraph.Rule.stages
     ts.Tgd.Chase.stages;
   check_int (what ^ ": same applications") gs.Greengraph.Rule.applications
@@ -180,7 +201,7 @@ let test_swarm_bootstrap_generic () =
   let st = Swarm.Bridge.to_structure g in
   let deps = Swarm.Bridge.tgds_of_rules Greengraph.Precompile.base_rules in
   let has_red st =
-    Swarm.Graph.has_full_red (Swarm.Bridge.of_structure ~s:4 st)
+    Swarm.Graph.has_full_red (Swarm.Bridge.of_structure st)
   in
   let _ = Tgd.Chase.run ~max_stages:5 ~stop:has_red deps st in
   check "full red spider via generic chase" true (has_red st)

@@ -216,7 +216,7 @@ module L = Greengraph.Label
 module B = Greengraph.Bridge
 module M = Tgd.Chase.Maint
 
-let gfact l s d = Fact.make (B.symbol_of l) [| s; d |]
+let gfact l s d = Fact.make (G.symbol_of l) [| s; d |]
 
 let graph_maint ?max_stages rules g =
   M.create ?max_stages (B.tgds_of_rules rules) (B.to_structure g)

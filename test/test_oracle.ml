@@ -280,91 +280,12 @@ module Spec = struct
         journal
     end;
     List.rev !violations
-
-  (* --- green graphs -------------------------------------------------------- *)
-
-  let graph g =
-    let module G = Greengraph.Graph in
-    let violations = ref [] in
-    let edges = G.edges g in
-    let n = List.length edges in
-    if G.size g <> n then
-      fail violations "graph size=%d but %d edges enumerate" (G.size g) n;
-    let vertices = Int_set.of_list (G.vertices g) in
-    if G.order g <> Int_set.cardinal vertices then
-      fail violations "graph order=%d but %d vertices enumerate" (G.order g)
-        (Int_set.cardinal vertices);
-    let sorted es = List.sort compare es in
-    let check_bucket what expected got =
-      if sorted got <> sorted expected then
-        fail violations "%s: %d edges indexed, %d expected" what (List.length got)
-          (List.length expected)
-    in
-    Int_set.iter
-      (fun v ->
-        check_bucket
-          (Printf.sprintf "out-bucket of %d" v)
-          (List.filter (fun (e : G.edge) -> e.G.src = v) edges)
-          (G.out_edges g v);
-        check_bucket
-          (Printf.sprintf "in-bucket of %d" v)
-          (List.filter (fun (e : G.edge) -> e.G.dst = v) edges)
-          (G.in_edges g v))
-      vertices;
-    List.iter
-      (fun (e : G.edge) ->
-        if not (Int_set.mem e.G.src vertices && Int_set.mem e.G.dst vertices) then
-          fail violations "edge endpoints (%d, %d) not registered" e.G.src e.G.dst)
-      edges;
-    (* label buckets and the (vertex, label) pin buckets, over the labels
-       that actually occur *)
-    let labels =
-      List.sort_uniq Greengraph.Label.compare
-        (List.map (fun (e : G.edge) -> e.G.label) edges)
-    in
-    List.iter
-      (fun lab ->
-        check_bucket
-          (Format.asprintf "label bucket %a" Greengraph.Label.pp lab)
-          (List.filter (fun (e : G.edge) -> Greengraph.Label.equal e.G.label lab) edges)
-          (G.with_label g lab);
-        Int_set.iter
-          (fun v ->
-            check_bucket
-              (Format.asprintf "(%d, %a) out-pin" v Greengraph.Label.pp lab)
-              (List.filter
-                 (fun (e : G.edge) ->
-                   e.G.src = v && Greengraph.Label.equal e.G.label lab)
-                 edges)
-              (G.out_edges_with g v lab);
-            check_bucket
-              (Format.asprintf "(%d, %a) in-pin" v Greengraph.Label.pp lab)
-              (List.filter
-                 (fun (e : G.edge) ->
-                   e.G.dst = v && Greengraph.Label.equal e.G.label lab)
-                 edges)
-              (G.in_edges_with g v lab))
-          vertices)
-      labels;
-    (* journal and watermark *)
-    if G.watermark g <> n then
-      fail violations "graph watermark=%d but size=%d" (G.watermark g) n;
-    let journal = G.delta_since g 0 in
-    if List.length journal <> n then
-      fail violations "edge journal has %d entries for %d edges"
-        (List.length journal) n;
-    if sorted journal <> sorted edges then
-      fail violations "edge journal is not a permutation of the edge set";
-    List.rev !violations
 end
 
 let check_violations = Alcotest.(check (list string))
 
 let generated_structure seed case =
   Oracle.Gen.build (Oracle.Gen.instance (Oracle.Gen.case_rng ~seed ~case))
-
-let generated_graph seed case =
-  Oracle.Gen.build_graph (Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed ~case))
 
 (* The oldest live fact of [d], retracted for good, and the next one
    retracted and re-added: a dead id, and a fact whose live id is not
@@ -379,18 +300,6 @@ let edited_structure seed case =
   | _ -> ());
   d
 
-(* The graph analog: one edge removed, another removed and re-added. *)
-let edited_graph seed case =
-  let module G = Greengraph.Graph in
-  let g = generated_graph seed case in
-  (match G.delta_since g 0 with
-  | e1 :: e2 :: _ ->
-      ignore (G.remove_edge g e1.G.label e1.G.src e1.G.dst);
-      ignore (G.remove_edge g e2.G.label e2.G.src e2.G.dst);
-      ignore (G.add_edge g e2.G.label e2.G.src e2.G.dst)
-  | _ -> ());
-  g
-
 (* The same instances over element (vertex) ids a million apart: the
    audits number sparse ids by sorting instead of a direct table. *)
 let spread e = e * 1_000_003
@@ -403,9 +312,6 @@ let sparse_structure seed case =
       ignore (Structure.add_fact s (Fact.map_elements spread f)));
   s
 
-let sparse_graph seed case =
-  Greengraph.Graph.map_vertices spread (generated_graph seed case)
-
 let test_audit_clean_structure () =
   for case = 0 to 24 do
     let d = generated_structure 11 case in
@@ -413,15 +319,6 @@ let test_audit_clean_structure () =
       (Printf.sprintf "no violations on generated structure %d" case)
       0
       (List.length (Oracle.Audit.structure d))
-  done
-
-let test_audit_clean_graph () =
-  for case = 0 to 24 do
-    let g = generated_graph 12 case in
-    check_int
-      (Printf.sprintf "no violations on generated graph %d" case)
-      0
-      (List.length (Oracle.Audit.graph g))
   done
 
 (* Both specifications: the quadratic one, and the verbatim copy of the
@@ -433,11 +330,6 @@ let check_structure_spec what ?provenance d =
   check_violations (what ^ ", verbatim copy")
     (Audit_spec.structure ?provenance d)
     got
-
-let check_graph_spec what g =
-  let got = Oracle.Audit.graph g in
-  check_violations what (Spec.graph g) got;
-  check_violations (what ^ ", verbatim copy") (Audit_spec.graph g) got
 
 let test_structure_spec () =
   check_structure_spec "empty structure" (Structure.create ());
@@ -472,27 +364,6 @@ let test_structure_spec () =
                r.Oracle.Diff.engine)
             ~provenance:true d)
       runs
-  done
-
-let test_graph_spec () =
-  check_graph_spec "empty graph" (Greengraph.Graph.create ());
-  for case = 0 to 24 do
-    check_graph_spec
-      (Printf.sprintf "generated graph %d" case)
-      (generated_graph 12 case);
-    check_graph_spec
-      (Printf.sprintf "edited graph %d" case)
-      (edited_graph 14 case);
-    check_graph_spec
-      (Printf.sprintf "sparse graph %d" case)
-      (sparse_graph 12 case);
-    let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:12 ~case) in
-    let g = Oracle.Gen.build_graph gc in
-    ignore
-      (Greengraph.Rule.chase ~max_stages:4
-         ~stop:(fun g -> Greengraph.Graph.size g > 500)
-         gc.Oracle.Gen.rules g);
-    check_graph_spec (Printf.sprintf "case %d, chase output" case) g
   done
 
 (* Corruptions of the live id buckets of a structure: [ids_with_pin] and
@@ -622,94 +493,17 @@ let test_corrupted_structures () =
         true (!applied > 0))
     corruptions
 
-(* The graph analog of [Pin_phantom]: a live edge put into a label,
-   out-pin or in-pin bucket that a removal emptied.  The graph hands out
-   its buckets as immutable lists, so the fault is written into the
-   index tables themselves.  [phantom g kind] corrupts the buckets of the
-   first journal edge that is no longer live and returns the violation
-   the audit must report, or [None] when that bucket is not empty. *)
-type graph_phantom = Label_phantom | Out_phantom | In_phantom
-
-let phantom g kind =
-  let module G = Greengraph.Graph in
-  let dead =
-    List.find_opt
-      (fun e -> not (G.mem_edge g e))
-      (List.init g.G.journal_len (fun i -> g.G.journal.(i).G.je))
-  in
-  match (dead, G.edges g) with
-  | None, _ | _, [] -> None
-  | Some e, live :: _ -> (
-      let refill r = if !r = [] then (r := [ live ]; true) else false in
-      let pp = Greengraph.Label.pp in
-      match kind with
-      | Label_phantom -> (
-          match G.Label_tbl.find_opt g.G.by_label e.G.label with
-          | Some r when refill r ->
-              Some
-                (Format.asprintf "label bucket %a: 1 edges indexed, 0 expected"
-                   pp e.G.label)
-          | _ -> None)
-      | Out_phantom -> (
-          match G.Vlab_tbl.find_opt g.G.by_src_lab (e.G.src, e.G.label) with
-          | Some r when refill r ->
-              Some
-                (Format.asprintf "(%d, %a) out-pin: 1 edges indexed, 0 expected"
-                   e.G.src pp e.G.label)
-          | _ -> None)
-      | In_phantom -> (
-          match G.Vlab_tbl.find_opt g.G.by_dst_lab (e.G.dst, e.G.label) with
-          | Some r when refill r ->
-              Some
-                (Format.asprintf "(%d, %a) in-pin: 1 edges indexed, 0 expected"
-                   e.G.dst pp e.G.label)
-          | _ -> None))
-
-let test_phantom_graph_buckets () =
-  let module G = Greengraph.Graph in
-  (* a -1-> b, b -2-> c, then a -1-> b removed: its label, out-pin and
-     in-pin buckets are all left empty *)
-  let handmade () =
-    let g = G.create () in
-    let a = G.fresh g and b = G.fresh g and c = G.fresh g in
-    ignore (G.add_edge g (Greengraph.Label.l 1) a b);
-    ignore (G.add_edge g (Greengraph.Label.l 2) b c);
-    ignore (G.remove_edge g (Greengraph.Label.l 1) a b);
-    g
-  in
-  List.iter
-    (fun (kind, name) ->
-      let applied = ref 0 in
-      let try_one what g =
-        match phantom g kind with
-        | None -> ()
-        | Some expected ->
-            incr applied;
-            let got = Oracle.Audit.graph g in
-            check
-              (Printf.sprintf "%s, %s: reports %S" name what expected)
-              true (List.mem expected got)
-      in
-      try_one "hand-made graph" (handmade ());
-      for case = 0 to 24 do
-        try_one (Printf.sprintf "edited graph %d" case) (edited_graph 14 case)
-      done;
-      check (name ^ " was injected at least once") true (!applied > 0))
-    [ (Label_phantom, "label phantom"); (Out_phantom, "out-pin phantom");
-      (In_phantom, "in-pin phantom") ]
-
 (* The audits against the verbatim copy on the audit workload's case
    universe: every in-slack result of seed 42 cases 0..599 under the
-   five TGD runs, and every in-slack output of the graph run (the CQ
-   checks run in between, as in [run_cases], so each graph case is drawn
-   from the same stream). *)
+   five TGD runs.  (A graph output is a structure and is audited as
+   one: [test_corrupted_graph_buckets].) *)
 let test_spec_seed42 () =
   let budget = Oracle.Diff.default_budget in
   let slack size card =
     size <= 4 * budget.Oracle.Diff.max_facts
     && card <= 4 * budget.Oracle.Diff.max_elems
   in
-  let results = ref 0 and graphs = ref 0 in
+  let results = ref 0 in
   let agree what spec got =
     if spec <> got then
       Alcotest.failf "%s: verbatim copy [%s], audit [%s]" what
@@ -717,8 +511,7 @@ let test_spec_seed42 () =
   in
   let staged = { Tgd.Chase.default_tuning with Tgd.Chase.par_fire = `Staged } in
   for case = 0 to 599 do
-    let r = Oracle.Gen.case_rng ~seed:42 ~case in
-    let inst = Oracle.Gen.instance r in
+    let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:42 ~case) in
     List.iter
       (fun (engine, tuning) ->
         let d = (Oracle.Diff.run_tgd ?tuning budget engine inst).Oracle.Diff.result in
@@ -730,25 +523,41 @@ let test_spec_seed42 () =
             (Oracle.Audit.structure ~provenance:true d)
         end)
       [ (`Stage, None); (`Seminaive, None); (`Oblivious, None); (`Par, None);
-        (`Par, Some staged) ];
-    ignore (Oracle.Diff.cq_checks r inst.Oracle.Gen.signature (Oracle.Gen.build inst));
-    let gc = Oracle.Gen.graph_case r in
-    let module G = Greengraph.Graph in
+        (`Par, Some staged) ]
+  done;
+  check_int "results within the slack" 2989 !results
+
+(* A graph is a view over a structure, and [diff_graph] audits each
+   graph output as that structure: a pin bucket of a chased graph's
+   structure, corrupted as [test_corrupted_structures] corrupts a
+   structure's, is flagged by [diff_graph]'s output audit. *)
+let test_corrupted_graph_buckets () =
+  let module G = Greengraph.Graph in
+  let budget = Oracle.Diff.default_budget in
+  let applied = ref 0 in
+  for case = 0 to 24 do
+    let gc = Oracle.Gen.graph_case (Oracle.Gen.case_rng ~seed:12 ~case) in
     let g = Oracle.Gen.build_graph gc in
     ignore
       (Greengraph.Rule.chase ~max_stages:budget.Oracle.Diff.max_stages
-         ~stop:(fun g ->
-           G.size g > budget.Oracle.Diff.max_facts
-           || G.order g > budget.Oracle.Diff.max_elems)
+         ~stop:(fun g -> G.size g > budget.Oracle.Diff.max_facts)
          gc.Oracle.Gen.rules g);
-    if slack (G.size g) (G.order g) then begin
-      incr graphs;
-      agree (Printf.sprintf "graph case %d" case) (Audit_spec.graph g)
-        (Oracle.Audit.graph g)
-    end
+    let name = Printf.sprintf "chased graph %d" case in
+    check_violations (name ^ ": clean") []
+      (Oracle.Diff.audit_graph_output budget g);
+    List.iter
+      (fun c ->
+        let g = G.copy g in
+        if corrupt (G.structure g) c then begin
+          incr applied;
+          check
+            (Printf.sprintf "%s, %s: flagged" name (corruption_name c))
+            true
+            (Oracle.Diff.audit_graph_output budget g <> [])
+        end)
+      [ Pin_drop; Pin_dup; Pin_foreign ]
   done;
-  check_int "results within the slack" 2989 !results;
-  check_int "graphs within the slack" 597 !graphs
+  check "some graph was corrupted" true (!applied > 0)
 
 (* [facts_with_sym] is the image of [ids_with_sym], so an id dropped from
    a symbol bucket vanishes from both: the old check compared the bucket
@@ -1015,18 +824,16 @@ let () =
       ( "audit",
         [
           Alcotest.test_case "structures" `Quick test_audit_clean_structure;
-          Alcotest.test_case "graphs" `Quick test_audit_clean_graph;
           Alcotest.test_case "structures match the spec" `Quick
             test_structure_spec;
-          Alcotest.test_case "graphs match the spec" `Quick test_graph_spec;
           Alcotest.test_case "corrupted buckets flagged" `Quick
             test_corrupted_structures;
           Alcotest.test_case "ids_with_sym check is not circular" `Quick
             test_ids_with_sym_not_circular;
           Alcotest.test_case "verbatim copy, seed 42, 600 cases" `Slow
             test_spec_seed42;
-          Alcotest.test_case "phantom graph buckets flagged" `Quick
-            test_phantom_graph_buckets;
+          Alcotest.test_case "corrupted graph buckets flagged" `Quick
+            test_corrupted_graph_buckets;
         ] );
       ( "cores",
         [

@@ -301,7 +301,7 @@ let bridged_reference ?(pattern_stop = false) ~max_stages rules g =
    reference. *)
 let same_as_reference what (d, (rs : Tgd.Chase.stats)) g (s : GR.stats) =
   check (what ^ ": equal edge journals") true
-    (GG.delta_since g 0 = B.edge_journal d);
+    (GG.delta_since g 0 = GG.delta_since (B.of_structure d) 0);
   check_int (what ^ ": equal stages") rs.Tgd.Chase.stages s.GR.stages;
   check_int (what ^ ": equal applications") rs.Tgd.Chase.applications
     s.GR.applications;
