@@ -64,6 +64,5 @@ let to_level0 ?s (rules : Rule.t list) =
   let ctx = Spider.Ctx.create s in
   let swarm_rules = precompile rules in
   let binaries = Swarm.Rule.compile_set swarm_rules in
-  let queries = Spider.Query.queries_of_binaries ctx binaries in
-  let tgds = Spider.Query.tgds_of_binaries ctx binaries in
+  let queries, tgds = Spider.Query.compile_binaries ctx binaries in
   { ctx; swarm_rules; binaries; queries; tgds }

@@ -345,10 +345,10 @@ let audit_structure ~provenance d =
     let strays =
       Structure.fold_pin_buckets d
         (fun sym pos e ids acc ->
-          if Intvec.length ids > 0 && not (is_key sym pos e) then
+          if Structure.bucket_length d ids > 0 && not (is_key sym pos e) then
             ( (sym, pos, e),
               Format.asprintf "pin bucket (%a,%d,%d): %d facts indexed, 0 expected"
-                Symbol.pp sym pos e (Intvec.length ids) )
+                Symbol.pp sym pos e (Structure.bucket_length d ids) )
             :: acc
           else acc)
         []
@@ -469,10 +469,10 @@ let audit_structure ~provenance d =
           Array.length image)
       end
     in
-    Intvec.length ids = hi - lo
+    Structure.bucket_length d ids = hi - lo
     && begin
          stamp mk g lo hi;
-         Intvec.fold_left
+         Structure.fold_bucket d
            (fun ok id -> ok && take mk (if id >= 0 && id < nids then loc.(id) else -1))
            true ids
        end

@@ -85,7 +85,7 @@ module Make (Label : LABEL) = struct
 
   (* Bucket ids as edges, newest first. *)
   let edges_of_ids t ids =
-    Intvec.fold_left (fun acc id -> edge_of_id t id :: acc) [] ids
+    Structure.fold_bucket t.st (fun acc id -> edge_of_id t id :: acc) [] ids
 
   let fresh ?name t = Structure.fresh ?name t.st
   let register t v = Structure.reserve t.st v
@@ -140,14 +140,14 @@ module Make (Label : LABEL) = struct
   let vertices t = Structure.elems t.st
 
   let with_label t lab =
-    Intvec.fold_left
+    Structure.fold_bucket t.st
       (fun acc id ->
         let src = Structure.id_arg t.st id 0 and dst = Structure.id_arg t.st id 1 in
         { label = lab; src; dst } :: acc)
       [] (Structure.ids_with_sym t.st (sid_of t lab))
 
   let incident t pos v =
-    Intvec.fold_left
+    Structure.fold_bucket t.st
       (fun acc id ->
         if Structure.id_arg t.st id pos = v then edge_of_id t id :: acc else acc)
       [] (Structure.ids_with_elem t.st v)

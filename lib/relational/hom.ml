@@ -394,10 +394,15 @@ module Plan = struct
   let c_compilations = Obs.Metrics.counter "plan.compilations"
 
   (* A plan: the body's slot table and its atoms in evaluation order —
-     the connectivity-greedy order, frozen at compile time. *)
-  type t = { vars : vars; atoms : patom array }
+     the connectivity-greedy order, frozen at compile time.  [pos] maps
+     each atom to its entry in the evaluation scratch: the identity for
+     a plan of its own, the atom's body position in a family's rest-plan,
+     so every plan of a family reads one scratch resolved once. *)
+  type t = { vars : vars; atoms : patom array; pos : int array }
 
-  type family = { fvars : vars; pivots : (patom * t) array }
+  (* [patoms] in body order; pivot [j]'s atom is [patoms.(j)] and its
+     rest-plan is [rests.(j)]. *)
+  type family = { fvars : vars; patoms : patom array; rests : t array }
 
   (* Renumber the slots of [vars] — and, in place, of the [patoms]
      interned against it — into first-appearance order along [seq] (atom
@@ -428,9 +433,9 @@ module Plan = struct
     Hashtbl.filter_map_inplace (fun _ s -> Some remap.(s)) vars.tbl
 
   (* One plan over [atoms], ticking [plan.compilations]. *)
-  let plan_of vars atoms =
+  let plan_of vars atoms pos =
     if !Obs.metrics_on then Obs.Metrics.incr c_compilations;
-    { vars; atoms }
+    { vars; atoms; pos }
 
   (* The connectivity-greedy order is applied here, once.  Slots are
      numbered by first appearance in evaluation order. *)
@@ -448,14 +453,14 @@ module Plan = struct
       end
       else patoms
     in
-    plan_of vars patoms
+    plan_of vars patoms (Array.init (Array.length patoms) Fun.id)
 
   (* One plan per pivot position, all sharing one slot table and one
      compiled atom per body position: a pivot plan's [atoms] point at the
-     family's patoms.  Each rest-plan is ordered with the pivot's slots
-     seeded as bound, exactly as the interpreted delta decomposition does.
-     Slots are numbered by first appearance along pivot 0 then its
-     rest-plan. *)
+     family's patoms, and its [pos] are their body positions.  Each
+     rest-plan is ordered with the pivot's slots seeded as bound, exactly
+     as the interpreted delta decomposition does.  Slots are numbered by
+     first appearance along pivot 0 then its rest-plan. *)
   let compile_family atoms =
     let vars = vars_create () in
     let patoms = Array.of_list (List.map (compile_atom vars) atoms) in
@@ -475,110 +480,120 @@ module Plan = struct
         Array.init n (fun j ->
             Array.init (n - 1) (fun k -> if k < j then k else k + 1))
     in
-    let pivots =
-      Array.mapi
-        (fun j order ->
-          (patoms.(j), plan_of vars (Array.map (Array.get patoms) order)))
+    let rests =
+      Array.map
+        (fun order -> plan_of vars (Array.map (Array.get patoms) order) order)
         orders
     in
-    { fvars = vars; pivots }
+    { fvars = vars; patoms; rests }
 
   let nslots plan = plan.vars.n
   let slot plan x = Hashtbl.find_opt plan.vars.tbl x
   let family_nslots fam = fam.fvars.n
   let family_slot fam x = Hashtbl.find_opt fam.fvars.tbl x
-
   let family_layout fam =
-    let position pa =
-      let rec go k =
-        if k >= Array.length fam.pivots then -1
-        else if fst fam.pivots.(k) == pa then k
-        else go (k + 1)
-      in
-      go 0
-    in
-    Array.map (fun (_, plan) -> Array.map position plan.atoms) fam.pivots
+    Array.map
+      (fun plan ->
+        Array.mapi
+          (fun i k -> if plan.atoms.(i) == fam.patoms.(k) then k else -1)
+          plan.pos)
+      fam.rests
 
-  (* Per-atom evaluation scratch, preallocated once per entry point: the
-     chosen pins and the slots bound by the current candidate (for
-     backtracking, since slots are mutated in place). *)
+  (* Per-atom evaluation scratch: the chosen pins and the slots bound by
+     the current candidate (for backtracking, since slots are mutated in
+     place). *)
   type frame = {
     pin_pos : int array;
     pin_elem : int array;
-    pin_pool : Intvec.t array;
+    pin_pool : Structure.bucket array;
     undo : int array;
   }
 
-  (* Resolve the plan's symbols and constants against [target] into the
-     given arrays: per atom its symbol id, per position its constant's
-     element ([-1] at variables), and whether a constant is missing. *)
-  let resolve_into plan target sids cst_elems dead =
-    for i = 0 to Array.length plan.atoms - 1 do
-      let pa = plan.atoms.(i) in
-      sids.(i) <- Structure.sym_id target pa.psym;
-      dead.(i) <- false;
-      let ce = cst_elems.(i) in
-      Array.iteri
-        (fun p c ->
-          if c = "" then ce.(p) <- -1
-          else
-            match Structure.constant_opt target c with
-            | Some e -> ce.(p) <- e
-            | None ->
-                ce.(p) <- -1;
-                dead.(i) <- true)
-        pa.cst_of_pos
-    done
+  (* The scratch of one evaluation, one entry per atom ([pos] indexes
+     it): per atom its symbol id, per position its constant's element
+     ([-1] at variables), whether a constant is missing, and its frame.
+     The frames of an evaluation must not alias, so every entry point
+     builds its own. *)
+  type scratch = {
+    sids : int array;
+    csts : int array array;
+    dead : bool array;
+    frames : frame array;
+  }
 
-  (* Resolve once per evaluation entry. *)
+  let scratch_of (atoms : patom array) sids =
+    {
+      sids;
+      csts = Array.map (fun pa -> Array.make pa.arity (-1)) atoms;
+      dead = Array.make (Array.length atoms) false;
+      frames =
+        Array.map
+          (fun pa ->
+            let a = pa.arity in
+            {
+              pin_pos = Array.make a 0;
+              pin_elem = Array.make a 0;
+              pin_pool = Array.make a Structure.empty_bucket;
+              undo = Array.make a 0;
+            })
+          atoms;
+    }
+
+  (* Resolve the constants of [atoms] against [target] into [sc]. *)
+  let resolve_csts (atoms : patom array) target sc =
+    Array.iteri
+      (fun i pa ->
+        sc.dead.(i) <- false;
+        let ce = sc.csts.(i) in
+        Array.iteri
+          (fun p c ->
+            if c = "" then ce.(p) <- -1
+            else
+              match Structure.constant_opt target c with
+              | Some e -> ce.(p) <- e
+              | None ->
+                  ce.(p) <- -1;
+                  sc.dead.(i) <- true)
+          pa.cst_of_pos)
+      atoms
+
+  let resolve_into (atoms : patom array) target sc =
+    Array.iteri (fun i pa -> sc.sids.(i) <- Structure.sym_id target pa.psym) atoms;
+    resolve_csts atoms target sc
+
+  (* A plan's own scratch, resolved against [target]. *)
   let resolve plan target =
-    let n = Array.length plan.atoms in
-    let sids = Array.make n (-1) in
-    let cst_elems =
-      Array.init n (fun i -> Array.make plan.atoms.(i).arity (-1))
-    in
-    let dead = Array.make n false in
-    resolve_into plan target sids cst_elems dead;
-    (sids, cst_elems, dead)
+    let sc = scratch_of plan.atoms (Array.make (Array.length plan.atoms) (-1)) in
+    resolve_into plan.atoms target sc;
+    sc
 
-  (* The core evaluator.  [slots] is the shared mutable binding array
-     (slot -> element, -1 unbound); the frames of a family evaluation must
-     not alias, so every entry point builds its own.  The atom at index
-     [skip] is left out entirely (the delta pivot of {!exists_since}).
+  (* One evaluation's fixed context: the recursion below closes over
+     nothing, so a step allocates nothing. *)
+  type env = {
+    sc : scratch;
+    plan : t;
+    target : Structure.t;
+    skip : int;
+    slots : int array;
+    emit : int array -> unit;
+  }
 
-     Counter and enumeration-order parity with the interpreted path: pools
-     are scanned newest-first (the cons order of the former list
-     buckets); [c_candidates] ticks per bucket entry before
-     the residual pin filter, [c_unify] once per candidate surviving it,
-     and [c_backtracks] when the bind/check pass fails. *)
-  let no_pool = Intvec.create ()
-
-  (* Per-atom scratch frames for one evaluation; reusable across
-     consecutive calls on the same plan within one caller (a family
-     evaluation hoists them out of its per-candidate loop). *)
-  let frames_of plan =
-    Array.init (Array.length plan.atoms) (fun i ->
-        let a = plan.atoms.(i).arity in
-        {
-          pin_pos = Array.make a 0;
-          pin_elem = Array.make a 0;
-          pin_pool = Array.make a no_pool;
-          undo = Array.make a 0;
-        })
-
-  let eval_core_in frames plan target sids cst_elems dead ~skip slots emit =
-    let n = Array.length plan.atoms in
-    let rec go i =
-      (* cooperative cancellation: a read-only scan may abort here (one
-         disarmed ref read, the [Obs.metrics_on] overhead discipline) *)
-      Resilience.Governor.Cancel.poll ();
-      if i >= n then emit slots
-      else if i = skip then go (i + 1)
-      else if dead.(i) then () (* an unresolved constant: no candidates *)
+  let rec go env i =
+    (* cooperative cancellation: a read-only scan may abort here (one
+       disarmed ref read, the [Obs.metrics_on] overhead discipline) *)
+    Resilience.Governor.Cancel.poll ();
+    let plan = env.plan in
+    if i >= Array.length plan.atoms then env.emit env.slots
+    else if i = env.skip then go env (i + 1)
+    else
+      let k = plan.pos.(i) in
+      let sc = env.sc in
+      if sc.dead.(k) then () (* an unresolved constant: no candidates *)
       else begin
-          let pa = plan.atoms.(i) in
-          let fr = frames.(i) in
-          let ce = cst_elems.(i) in
+        let pa = plan.atoms.(i) in
+        let fr = sc.frames.(k) in
+        let ce = sc.csts.(k) in
+        let slots = env.slots and target = env.target in
         (* Collect the pins — constants first, then bound variables, each
            in position order: the interpreted [pinned @ bound_positions]. *)
         let np = ref 0 in
@@ -598,62 +613,23 @@ module Plan = struct
           end
         done;
         let n_pins = !np in
-        let sid = sids.(i) in
-        (* [pin_skip] is the pin already enforced by the bucket choice. *)
-        let try_candidate pin_skip id =
-          let ok = ref true in
-          let p = ref 0 in
-          while !ok && !p < n_pins do
-            if
-              !p <> pin_skip
-              && Structure.id_arg target id fr.pin_pos.(!p) <> fr.pin_elem.(!p)
-            then ok := false;
-            incr p
-          done;
-          if !ok then begin
-            if !Obs.metrics_on then Obs.Metrics.incr c_unify;
-            let nb = ref 0 in
-            let fail = ref false in
-            let q = ref 0 in
-            while (not !fail) && !q < pa.arity do
-              let s = pa.slot_of_pos.(!q) in
-              if s >= 0 then begin
-                let fa = Structure.id_arg target id !q in
-                let v = slots.(s) in
-                if v < 0 then begin
-                  slots.(s) <- fa;
-                  fr.undo.(!nb) <- s;
-                  incr nb
-                end
-                else if v <> fa then fail := true
-              end;
-              incr q
-            done;
-            if !fail then begin
-              if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
-            end
-            else go (i + 1);
-            for b = 0 to !nb - 1 do
-              slots.(fr.undo.(b)) <- -1
-            done
-          end
-        in
+        let sid = sc.sids.(k) in
         if n_pins = 0 then begin
           if sid >= 0 then begin
             let pool = Structure.ids_with_sym target sid in
-            let len = Intvec.length pool in
+            let len = Structure.bucket_length target pool in
             if len > 0 then begin
               if !Obs.metrics_on then Obs.Metrics.add c_candidates len;
-              for k = len - 1 downto 0 do
-                try_candidate (-1) (Intvec.unsafe_get pool k)
+              for j = len - 1 downto 0 do
+                try_candidate env i pa fr 0 (-1) (Structure.bucket_get target pool j)
               done
             end
           end
         end
         else begin
           (* First strict minimum over the pins, like the interpreted
-             fold.  Fetching the pools (their length is O(1)) instead of
-             asking for counts saves the second hash lookup on the
+             fold.  Fetching the buckets (their length is O(1)) instead
+             of asking for counts saves the second lookup on the
              winner — half the pin-table traffic at the common single-pin
              joins. *)
           let best = ref 0 in
@@ -663,7 +639,7 @@ module Plan = struct
               Structure.ids_with_pin target sid fr.pin_pos.(p) fr.pin_elem.(p)
             in
             fr.pin_pool.(p) <- pool;
-            let c = Intvec.length pool in
+            let c = Structure.bucket_length target pool in
             if c < !best_n then begin
               best := p;
               best_n := c
@@ -673,21 +649,68 @@ module Plan = struct
             let pool = fr.pin_pool.(!best) in
             if !Obs.metrics_on then Obs.Metrics.add c_candidates !best_n;
             for j = !best_n - 1 downto 0 do
-              try_candidate !best (Intvec.unsafe_get pool j)
+              try_candidate env i pa fr n_pins !best (Structure.bucket_get target pool j)
             done
           end
         end
       end
-    in
-    go 0
 
-  let eval_core plan target sids cst_elems dead ~skip slots emit =
-    eval_core_in (frames_of plan) plan target sids cst_elems dead ~skip slots
-      emit
+  (* Candidate [id] for atom [i]: the residual pins ([pin_skip] is the
+     one the bucket choice already enforces), then bind or check every
+     variable position, recurse, and undo the bindings. *)
+  and try_candidate env i pa fr n_pins pin_skip id =
+    let target = env.target and slots = env.slots in
+    let ok = ref true in
+    let p = ref 0 in
+    while !ok && !p < n_pins do
+      if
+        !p <> pin_skip
+        && Structure.id_arg target id fr.pin_pos.(!p) <> fr.pin_elem.(!p)
+      then ok := false;
+      incr p
+    done;
+    if !ok then begin
+      if !Obs.metrics_on then Obs.Metrics.incr c_unify;
+      let nb = ref 0 in
+      let fail = ref false in
+      let q = ref 0 in
+      while (not !fail) && !q < pa.arity do
+        let s = pa.slot_of_pos.(!q) in
+        if s >= 0 then begin
+          let fa = Structure.id_arg target id !q in
+          let v = slots.(s) in
+          if v < 0 then begin
+            slots.(s) <- fa;
+            fr.undo.(!nb) <- s;
+            incr nb
+          end
+          else if v <> fa then fail := true
+        end;
+        incr q
+      done;
+      if !fail then begin
+        if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
+      end
+      else go env (i + 1);
+      for b = 0 to !nb - 1 do
+        slots.(fr.undo.(b)) <- -1
+      done
+    end
+
+  (* The core evaluator.  [slots] is the shared mutable binding array
+     (slot -> element, -1 unbound).  The atom at plan index [skip] is
+     left out entirely (the delta pivot of {!exists_since}).
+
+     Counter and enumeration-order parity with the interpreted path: pools
+     are scanned newest-first (the cons order of the former list
+     buckets); [c_candidates] ticks per bucket entry before
+     the residual pin filter, [c_unify] once per candidate surviving it,
+     and [c_backtracks] when the bind/check pass fails. *)
+  let eval_core sc plan target ~skip slots emit =
+    go { sc; plan; target; skip; slots; emit } 0
 
   let eval plan target slots emit =
-    let sids, cst_elems, dead = resolve plan target in
-    eval_core plan target sids cst_elems dead ~skip:(-1) slots emit
+    eval_core (resolve plan target) plan target ~skip:(-1) slots emit
 
   let seed_slots nslots init =
     let slots = Array.make (max nslots 1) (-1) in
@@ -737,27 +760,20 @@ module Plan = struct
   type prepared = {
     pplan : t;
     mutable ptarget : Structure.t option;
-    psids : int array;
-    pcsts : int array array;
-    pdead : bool array;
-    pframes : frame array;
+    psc : scratch;
     pslots : int array;
   }
 
   let prepare plan =
-    let n = Array.length plan.atoms in
     {
       pplan = plan;
       ptarget = None;
-      psids = Array.make n (-1);
-      pcsts = Array.init n (fun i -> Array.make plan.atoms.(i).arity (-1));
-      pdead = Array.make n false;
-      pframes = frames_of plan;
+      psc = scratch_of plan.atoms (Array.make (Array.length plan.atoms) (-1));
       pslots = Array.make (max (nslots plan) 1) (-1);
     }
 
   let retarget p target =
-    resolve_into p.pplan target p.psids p.pcsts p.pdead;
+    resolve_into p.pplan.atoms target p.psc;
     p.ptarget <- Some target
 
   (* An early exit leaves slots bound, so every evaluation starts by
@@ -770,8 +786,7 @@ module Plan = struct
           p.pslots.(s) <- -1
         done;
         List.iter (fun (s, e) -> p.pslots.(s) <- e) init;
-        eval_core_in p.pframes p.pplan target p.psids p.pcsts p.pdead
-          ~skip:(-1) p.pslots emit
+        eval_core p.psc p.pplan target ~skip:(-1) p.pslots emit
 
   let iter_prepared p emit = eval_prepared ~init:[] p emit
 
@@ -805,26 +820,26 @@ module Plan = struct
     let n = Array.length plan.atoms in
     if n = 0 then false
     else begin
-      let sids, cst_elems, dead = resolve plan target in
+      let sc = resolve plan target in
       let alive = ref true in
       for i = 0 to n - 1 do
-        if dead.(i) || sids.(i) < 0 then alive := false
+        if sc.dead.(i) || sc.sids.(i) < 0 then alive := false
       done;
       !alive
       && begin
            let slots = seed_slots (nslots plan) init in
-           let bpool = Array.make n no_pool in
+           let bpool = Array.make n Structure.empty_bucket in
            let blb = Array.make n 0 in
            let total = ref 0 in
            for j = 0 to n - 1 do
              let pa = plan.atoms.(j) in
-             let sid = sids.(j) in
-             let ce = cst_elems.(j) in
+             let sid = sc.sids.(j) in
+             let ce = sc.csts.(j) in
              let pool = Structure.ids_with_sym target sid in
-             let lb = Intvec.lower_bound pool min_id in
+             let lb = Structure.bucket_lower_bound target pool min_id in
              let best_pool = ref pool in
              let best_lb = ref lb in
-             let best_n = ref (Intvec.length pool - lb) in
+             let best_n = ref (Structure.bucket_length target pool - lb) in
              for p = 0 to pa.arity - 1 do
                let e =
                  if ce.(p) >= 0 then ce.(p)
@@ -834,8 +849,8 @@ module Plan = struct
                in
                if e >= 0 then begin
                  let b = Structure.ids_with_pin target sid p e in
-                 let blb' = Intvec.lower_bound b min_id in
-                 let tail = Intvec.length b - blb' in
+                 let blb' = Structure.bucket_lower_bound target b min_id in
+                 let tail = Structure.bucket_length target b - blb' in
                  if tail < !best_n then begin
                    best_pool := b;
                    best_lb := blb';
@@ -852,8 +867,7 @@ module Plan = struct
              (* full seeded search, exact under the caller's invariant *)
              let found = ref false in
              (try
-                eval_core plan target sids cst_elems dead ~skip:(-1) slots
-                  (fun _ ->
+                eval_core sc plan target ~skip:(-1) slots (fun _ ->
                     found := true;
                     raise Exit)
               with Exit -> ());
@@ -864,15 +878,16 @@ module Plan = struct
              (try
                 for j = 0 to n - 1 do
                   let pa = plan.atoms.(j) in
-                  let ce = cst_elems.(j) in
+                  let ce = sc.csts.(j) in
                   let pool = bpool.(j) in
-                  let len = Intvec.length pool in
+                  let len = Structure.bucket_length target pool in
                   if len > blb.(j) && !Obs.metrics_on then
                     Obs.Metrics.add c_candidates (len - blb.(j));
-                  let undo = Array.make (max pa.arity 1) 0 in
+                  (* the pivot's own frame: [eval_core] skips it *)
+                  let undo = sc.frames.(j).undo in
                   for k = blb.(j) to len - 1 do
                     Resilience.Governor.Cancel.poll ();
-                    let id = Intvec.unsafe_get pool k in
+                    let id = Structure.bucket_get target pool k in
                     let ok = ref true in
                     for p = 0 to pa.arity - 1 do
                       if !ok then begin
@@ -906,8 +921,7 @@ module Plan = struct
                         end
                       done;
                       if not !fail then
-                        eval_core plan target sids cst_elems dead ~skip:j
-                          slots (fun _ ->
+                        eval_core sc plan target ~skip:j slots (fun _ ->
                             found := true;
                             raise Exit);
                       for b = 0 to !nb - 1 do
@@ -953,6 +967,14 @@ module Plan = struct
      sub-range — the work-stealing chunks of the parallel collector; the
      default is the whole index.
 
+     The structure is frozen during a scan, so the family's atoms are
+     resolved — symbols, constants, frames — once per call, by body
+     position, and every rest-plan reads that one scratch through its
+     [pos].  A pivot's own frame is free while its rest runs and holds
+     the pivot's undo list.  Nothing is resolved past the symbols until
+     some pivot has delta facts.  The scratch is the call's own: the
+     parallel collector runs one family from several domains at once.
+
      Each full match is emitted once, by the first pivot whose atom it
      maps to a delta fact.  One pivot never emits a match twice (every
      atom's candidate is its image), so a match found at pivot [j] is
@@ -962,117 +984,94 @@ module Plan = struct
      fact lies in the range, so disjoint ranges partition the matches. *)
   let iter_family_ids ?(init = []) ?(lo = 0) ?(hi = max_int) fam target
       (dix : delta_index) emit =
-    let slots = seed_slots (family_nslots fam) init in
+    let patoms = fam.patoms in
+    let sids = Array.map (fun pa -> Structure.sym_id target pa.psym) patoms in
     let buckets =
       Array.map
-        (fun (pivot, _) ->
-          let sid = Structure.sym_id target pivot.psym in
-          if sid >= 0 && sid < Array.length dix then dix.(sid) else no_ids)
-        fam.pivots
+        (fun sid -> if sid >= 0 && sid < Array.length dix then dix.(sid) else no_ids)
+        sids
     in
-    (* per pivot, its constants by position (-1 elsewhere), or [None]
-       when one is missing from the structure: the pivot matches nothing *)
-    let consts =
-      Array.map
-        (fun (pivot, _) ->
-          let ce = Array.make pivot.arity (-1) in
-          let dead = ref false in
-          Array.iteri
-            (fun p c ->
-              if c <> "" then
-                match Structure.constant_opt target c with
-                | Some e -> ce.(p) <- e
-                | None -> dead := true)
-            pivot.cst_of_pos;
-          if !dead then None else Some ce)
-        fam.pivots
-    in
-    let in_delta i =
-      let bucket = buckets.(i) in
-      let len = Intvec.length bucket in
-      match consts.(i) with
-      | Some ce when len > 0 -> (
-          let pivot, _ = fam.pivots.(i) in
-          let args =
-            Array.mapi
-              (fun p s -> if s >= 0 then slots.(s) else ce.(p))
-              pivot.slot_of_pos
-          in
-          match Structure.fact_id target (Fact.make pivot.psym args) with
-          | Some id ->
-              id >= Intvec.unsafe_get bucket 0
-              && id <= Intvec.unsafe_get bucket (len - 1)
-          | None -> false)
-      | _ -> false
-    in
-    let rec repeat j i = i < j && (in_delta i || repeat j (i + 1)) in
-    Array.iteri
-      (fun j (pivot, rest_plan) ->
-        let bucket = buckets.(j) in
+    if Array.exists (fun b -> Intvec.length b > 0) buckets then begin
+      let sc = scratch_of patoms sids in
+      resolve_csts patoms target sc;
+      let slots = seed_slots (family_nslots fam) init in
+      (* the fact an earlier pivot's atom maps to, built in [key] *)
+      let key = Array.make (Array.fold_left (fun m pa -> max m pa.arity) 0 patoms) 0 in
+      let in_delta i =
+        let bucket = buckets.(i) in
         let len = Intvec.length bucket in
-        if len > 0 then begin
-          match consts.(j) with
-          | None -> ()
-          | Some ce ->
-              let emit' slots = if not (repeat j 0) then emit slots in
-              (* Hoisted per-pivot evaluation state: the structure is
-                 frozen during a discovery scan, so the rest-plan's
-                 symbol/constant resolution and its scratch frames are
-                 computed once per stage instead of once per pivot
-                 candidate. *)
-              let rsids, rcst, rdead = resolve rest_plan target in
-              let rframes = frames_of rest_plan in
-              let eval_rest () =
-                eval_core_in rframes rest_plan target rsids rcst rdead
-                  ~skip:(-1) slots emit'
-              in
-              let undo = Array.make (max pivot.arity 1) 0 in
-              let k = ref (if lo <= 0 then 0 else Intvec.lower_bound bucket lo) in
-              let continue = ref true in
-              while !continue && !k < len do
-                let id = Intvec.unsafe_get bucket !k in
-                if id >= hi then continue := false
-                else begin
-                  Resilience.Governor.Cancel.poll ();
-                  (* constant filter, unmetered like the interpreted
-                     pivot's [pinned] check *)
-                  let ok = ref true in
-                  for p = 0 to pivot.arity - 1 do
-                    if ce.(p) >= 0 && Structure.id_arg target id p <> ce.(p)
-                    then ok := false
+        len > 0
+        && (not sc.dead.(i))
+        && begin
+             let pivot = patoms.(i) in
+             let ce = sc.csts.(i) in
+             for p = 0 to pivot.arity - 1 do
+               let s = pivot.slot_of_pos.(p) in
+               key.(p) <- (if s >= 0 then slots.(s) else ce.(p))
+             done;
+             let id = Structure.find_id target sids.(i) key in
+             id >= 0
+             && id >= Intvec.unsafe_get bucket 0
+             && id <= Intvec.unsafe_get bucket (len - 1)
+           end
+      in
+      let rec repeat j i = i < j && (in_delta i || repeat j (i + 1)) in
+      Array.iteri
+        (fun j pivot ->
+          let bucket = buckets.(j) in
+          let len = Intvec.length bucket in
+          if len > 0 && not sc.dead.(j) then begin
+            let ce = sc.csts.(j) in
+            let rest_plan = fam.rests.(j) in
+            let emit' slots = if not (repeat j 0) then emit slots in
+            let undo = sc.frames.(j).undo in
+            let k = ref (if lo <= 0 then 0 else Intvec.lower_bound bucket lo) in
+            let continue = ref true in
+            while !continue && !k < len do
+              let id = Intvec.unsafe_get bucket !k in
+              if id >= hi then continue := false
+              else begin
+                Resilience.Governor.Cancel.poll ();
+                (* constant filter, unmetered like the interpreted
+                   pivot's [pinned] check *)
+                let ok = ref true in
+                for p = 0 to pivot.arity - 1 do
+                  if ce.(p) >= 0 && Structure.id_arg target id p <> ce.(p)
+                  then ok := false
+                done;
+                if !ok then begin
+                  if !Obs.metrics_on then Obs.Metrics.incr c_unify;
+                  let nb = ref 0 in
+                  let fail = ref false in
+                  let q = ref 0 in
+                  while (not !fail) && !q < pivot.arity do
+                    let s = pivot.slot_of_pos.(!q) in
+                    if s >= 0 then begin
+                      let fa = Structure.id_arg target id !q in
+                      let v = slots.(s) in
+                      if v < 0 then begin
+                        slots.(s) <- fa;
+                        undo.(!nb) <- s;
+                        incr nb
+                      end
+                      else if v <> fa then fail := true
+                    end;
+                    incr q
                   done;
-                  if !ok then begin
-                    if !Obs.metrics_on then Obs.Metrics.incr c_unify;
-                    let nb = ref 0 in
-                    let fail = ref false in
-                    let q = ref 0 in
-                    while (not !fail) && !q < pivot.arity do
-                      let s = pivot.slot_of_pos.(!q) in
-                      if s >= 0 then begin
-                        let fa = Structure.id_arg target id !q in
-                        let v = slots.(s) in
-                        if v < 0 then begin
-                          slots.(s) <- fa;
-                          undo.(!nb) <- s;
-                          incr nb
-                        end
-                        else if v <> fa then fail := true
-                      end;
-                      incr q
-                    done;
-                    if !fail then begin
-                      if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
-                    end
-                    else eval_rest ();
-                    for b = 0 to !nb - 1 do
-                      slots.(undo.(b)) <- -1
-                    done
+                  if !fail then begin
+                    if !Obs.metrics_on then Obs.Metrics.incr c_backtracks
                   end
-                end;
-                incr k
-              done
-        end)
-      fam.pivots
+                  else eval_core sc rest_plan target ~skip:(-1) slots emit';
+                  for b = 0 to !nb - 1 do
+                    slots.(undo.(b)) <- -1
+                  done
+                end
+              end;
+              incr k
+            done
+          end)
+        patoms
+    end
 end
 
 (* Enumerate every homomorphism from [atoms] into [target] extending

@@ -80,7 +80,7 @@ val count :
 
     A plan fixes a body's atom order and binding-slot layout once; the
     evaluator is then a backtracking scan over the structure's dense fact
-    ids and [Intvec] pin buckets, with a mutable [int array] of slots in
+    ids and pin buckets, with a mutable [int array] of slots in
     place of persistent maps.  The chase compiles each TGD body once per
     run and re-evaluates the plan every stage. *)
 module Plan : sig
@@ -122,9 +122,9 @@ module Plan : sig
 
   (** [family_layout fam] — per pivot, the body positions of its
       rest-plan's atoms in evaluation order (introspection for tests).
-      A position is found by physical identity with the family's
-      compiled atoms, so [-1] would mark an atom compiled apart from
-      them. *)
+      The evaluation scratch is indexed by these positions, so each is
+      checked by physical identity with the family's compiled atoms:
+      [-1] would mark an atom compiled apart from them. *)
   val family_layout : family -> int array array
 
   (** [iter_slots ?init plan target emit] — the raw evaluator.  [init]
@@ -197,7 +197,10 @@ module Plan : sig
       the full structure.  Each full match is emitted once, by the first
       pivot whose atom it maps to a delta fact.  [lo]/[hi] restrict the
       pivot ids to [\[lo, hi)] (the parallel collector's chunks), so
-      disjoint ranges partition the matches. *)
+      disjoint ranges partition the matches.  The family's atoms are
+      resolved against [target] once per call, and only when some pivot
+      has delta facts; the scratch is the call's own, so one family may
+      be evaluated from several domains at once. *)
   val iter_family_ids :
     ?init:(int * int) list ->
     ?lo:int ->

@@ -1,14 +1,10 @@
-(* Growable vectors of unboxed ints: the backbone of the fact arena and
-   of every index bucket on the homomorphism hot path.
+(* Growable vectors of unboxed ints: the fact arena's columns, the
+   stage column of a structure, and the chase's per-stage delta index.
 
-   A bucket used to be a [Fact.t list ref] — one boxed cons cell and one
-   pointer chase per entry.  An [Intvec.t] stores the same information as
-   a contiguous [int array] slice: appends are amortized O(1), scans are
-   cache-linear, and the length is a field read.
-
-   Entries are appended in insertion order, so a bucket of fact ids is
-   automatically sorted ascending — the property the parallel merge and
-   the delta journal rely on. *)
+   An [Intvec.t] stores a contiguous [int array] slice: appends are
+   amortized O(1), scans are cache-linear, and the length is a field
+   read.  A vector of fact ids appended in allocation order is sorted
+   ascending, which [lower_bound] relies on. *)
 
 type t = { mutable data : int array; mutable len : int }
 
@@ -44,16 +40,15 @@ let push t x =
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
+(* Remove and return the last entry. *)
+let pop t =
+  if t.len = 0 then invalid_arg "Intvec.pop";
+  t.len <- t.len - 1;
+  Array.unsafe_get t.data t.len
 
 (* First index whose entry is >= [x], assuming the entries are sorted
-   ascending — which bucket vectors are, since fact ids are appended in
-   allocation order.  Returns [length t] when every entry is below [x].
-   This is how the delta-restricted scans (apply-time head re-checks,
-   chunked parallel discovery) find the tail of new facts in O(log n). *)
+   ascending.  Returns [length t] when every entry is below [x]: how a
+   parallel discovery chunk finds its start in a delta bucket. *)
 let lower_bound t x =
   let lo = ref 0 and hi = ref t.len in
   while !lo < !hi do
@@ -61,29 +56,3 @@ let lower_bound t x =
     if Array.unsafe_get t.data mid < x then lo := mid + 1 else hi := mid
   done;
   !lo
-
-(* Remove one occurrence of [x] from a sorted vector, preserving the
-   ascending order of the survivors: binary search, then shift the tail
-   left by one.  Returns [false] when [x] is absent.  This is the
-   retraction path of the index buckets — removal keeps every invariant
-   the hot paths rely on ([lower_bound] tails, newest-first enumeration),
-   it only makes the retracted id invisible. *)
-let remove_sorted t x =
-  let i = lower_bound t x in
-  if i < t.len && Array.unsafe_get t.data i = x then begin
-    Array.blit t.data (i + 1) t.data i (t.len - i - 1);
-    t.len <- t.len - 1;
-    true
-  end
-  else false
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (Array.unsafe_get t.data i)
-  done;
-  !acc
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (get t i :: acc) in
-  go (t.len - 1) []

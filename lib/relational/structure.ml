@@ -11,53 +11,40 @@
    [chase^L] need. *)
 
 (* The (symbol id, argument position, element) fact index: the unit of
-   selectivity for the homomorphism engine.  Buckets are [Intvec.t]s of
-   dense fact ids in insertion order, so their length is a field read and
-   scans are cache-linear.
+   selectivity for the homomorphism engine.
 
    A pin key is packed into one int — the element in bits 30–61, the
    symbol id in bits 8–29, the position in bits 0–7 — so a probe
    allocates nothing.  Inserting a key outside that range raises
    [Invalid_argument] instead of colliding with another; a lookup of one
-   finds the empty bucket, since no such key was ever inserted.  The
-   table hashes the packed key with an xmx avalanche, so nearby keys
-   spread over the whole table. *)
+   finds the empty bucket, since no such key was ever inserted. *)
 let packable sid pos e = sid lsr 22 = 0 && pos lsr 8 = 0 && e lsr 32 = 0
 let pack sid pos e = (e lsl 30) lor (sid lsl 8) lor pos
-
-module Pin_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-
-  let hash k =
-    let h = (k lxor (k lsr 33)) * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land max_int
-end)
-
-let empty_ids = Intvec.create ~capacity:1 ()
 
 (* The stage of a retracted arena id: no chase stage is this low. *)
 let dead_stage = min_int
 
-(* A registered element: its birth stage and the ids of the live facts
-   over it, once each. *)
-type elem = { birth : int; efacts : Intvec.t }
+type bucket = int
 
-(* One fact store: [ids] maps each live fact to its arena id, and the
-   arena id indexes everything else — its stage in [stages], its
-   symbol and arguments in the arena, its membership in the buckets. *)
+(* One fact store, all of it flat.  The arena holds each fact once — its
+   symbol id and arguments — and keys the live ones by content; the arena
+   id indexes everything else: its stage in [stages], its membership in
+   the buckets.  Buckets are {!Buckets} ints sharing one [pool]: [by_sym]
+   holds one per symbol id, [pins] one per packed pin key, [dom] a birth
+   stage and one per registered element.  A one-fact bucket, the common
+   case, lives in its table entry.  No field is a physical-identity
+   sentinel, so a structure survives a Marshal round trip. *)
 type t = {
   mutable next : int;                        (* next fresh element id *)
   consts : (string, int) Hashtbl.t;          (* constant name -> element *)
   const_of : (int, string) Hashtbl.t;        (* element -> constant name *)
   names : (int, string) Hashtbl.t;           (* optional debug labels *)
-  ids : int Fact.Tbl.t;                      (* live fact -> arena id *)
   stages : Intvec.t;                         (* arena id -> stage, [dead_stage] once retracted *)
-  arena : Fact_arena.t;                      (* interned flat fact store *)
-  mutable by_sym : Intvec.t array;           (* sym id -> fact ids *)
-  by_pin : Intvec.t Pin_tbl.t;               (* packed pin key -> fact ids *)
-  dom : (int, elem) Hashtbl.t;               (* registered elements *)
+  arena : Fact_arena.t;                      (* facts, interned and keyed by content *)
+  pool : Buckets.pool;                       (* the buckets of more than one fact *)
+  mutable by_sym : bucket array;             (* sym id -> fact ids *)
+  pins : Int_table.t;                        (* packed pin key -> fact ids *)
+  dom : Int_table.t;                         (* element -> birth stage, fact ids *)
   mutable retracted : (int * Fact.t) list;   (* retraction journal, newest first *)
   mutable nretracted : int;
   mutable stage : int;                       (* current provenance stage *)
@@ -66,18 +53,23 @@ type t = {
   mutable dg_valid : bool;                   (* false: refeed from id 0 *)
 }
 
+(* Value fields of the [pins] and [dom] entries. *)
+let f_bucket = 1
+let f_birth = 1
+let f_facts = 2
+
 let create () =
   {
     next = 0;
     consts = Hashtbl.create 8;
     const_of = Hashtbl.create 8;
     names = Hashtbl.create 8;
-    ids = Fact.Tbl.create 16;
     stages = Intvec.create ~capacity:16 ();
     arena = Fact_arena.create ();
+    pool = Buckets.create_pool ();
     by_sym = [||];
-    by_pin = Pin_tbl.create 16;
-    dom = Hashtbl.create 16;
+    pins = Int_table.create ~stride:2 16;
+    dom = Int_table.create ~stride:3 16;
     retracted = [];
     nretracted = 0;
     stage = 0;
@@ -88,16 +80,14 @@ let create () =
 
 let set_stage t s = t.stage <- s
 
-let new_elem birth = { birth; efacts = Intvec.create () }
-
-(* [e]'s entry, registering it at the current stage if it is new. *)
-let elem_entry t e =
-  match Hashtbl.find t.dom e with
-  | r -> r
-  | exception Not_found ->
-      let r = new_elem t.stage in
-      Hashtbl.add t.dom e r;
+(* [e]'s entry in [dom], registering it at [birth] if it is new. *)
+let elem_entry ?birth t e =
+  match Int_table.find t.dom e with
+  | -1 ->
+      let r = Int_table.add t.dom e in
+      Int_table.set t.dom r f_birth (Option.value birth ~default:t.stage);
       r
+  | r -> r
 
 let register_elem t e = ignore (elem_entry t e)
 
@@ -135,7 +125,7 @@ let name t e =
 
 let set_name t e n = Hashtbl.replace t.names e n
 
-let mem t f = Fact.Tbl.mem t.ids f
+let mem t f = Fact_arena.find_fact t.arena f >= 0
 
 (* Does [args.(i)] occur at an earlier position?  Elements index each
    fact once, at their first occurrence. *)
@@ -144,8 +134,46 @@ let repeated args i =
   let rec go j = j < i && (args.(j) = e || go (j + 1)) in
   go 0
 
+(* Bucket edits, shared by the store and {!Unsafe}. *)
+let pin_push t key id =
+  let b =
+    match Int_table.find t.pins key with -1 -> Int_table.add t.pins key | b -> b
+  in
+  Int_table.set t.pins b f_bucket
+    (Buckets.push t.pool (Int_table.get t.pins b f_bucket) id)
+
+(* An emptied pin bucket leaves the table. *)
+let pin_remove t key id =
+  match Int_table.find t.pins key with
+  | -1 -> false
+  | b ->
+      let old = Int_table.get t.pins b f_bucket in
+      let n = Buckets.length t.pool old in
+      let v = Buckets.remove t.pool old id in
+      if v = Buckets.empty then Int_table.remove t.pins b
+      else Int_table.set t.pins b f_bucket v;
+      Buckets.length t.pool v < n
+
+let sym_push t sid id =
+  let n = Array.length t.by_sym in
+  if sid >= n then begin
+    let a = Array.make (2 * (sid + 1)) Buckets.empty in
+    Array.blit t.by_sym 0 a 0 n;
+    t.by_sym <- a
+  end;
+  t.by_sym.(sid) <- Buckets.push t.pool t.by_sym.(sid) id
+
+let sym_remove t sid id =
+  sid < Array.length t.by_sym
+  &&
+  let n = Buckets.length t.pool t.by_sym.(sid) in
+  t.by_sym.(sid) <- Buckets.remove t.pool t.by_sym.(sid) id;
+  Buckets.length t.pool t.by_sym.(sid) < n
+
 let add_fact t f =
-  if Fact.Tbl.mem t.ids f then false
+  let args = Fact.args f in
+  let known = Fact_arena.find_sym t.arena (Fact.sym f) in
+  if known >= 0 && Fact_arena.find t.arena known args >= 0 then false
   else begin
     (* the arena assigns the dense id; its id order IS the journal.  A
        re-added fact (inserted after a retraction) gets a *new* id: the
@@ -155,39 +183,24 @@ let add_fact t f =
        is indexed: an unpackable key, or an ["arena.grow"] fault raised
        by the append, leaves no trace of the fact behind (at most its
        symbol interned, which no reader sees without facts). *)
-    let args = Fact.args f in
-    let sid = Fact_arena.intern t.arena (Fact.sym f) in
+    let sid = if known >= 0 then known else Fact_arena.intern t.arena (Fact.sym f) in
     Array.iteri
       (fun i e ->
         if not (packable sid i e) then
           invalid_arg "Structure.add_fact: unpackable pin")
       args;
-    let id = Fact_arena.append t.arena f sid in
+    let id = Fact_arena.append t.arena sid args in
     Intvec.push t.stages t.stage;
-    Fact.Tbl.add t.ids f id;
-    (* every slot owns its vector: a shared filler, tested by physical
-       equality, would come back from a Marshal round trip as one vector
-       shared by every unused slot *)
-    let n = Array.length t.by_sym in
-    if sid >= n then
-      t.by_sym <-
-        Array.init (2 * (sid + 1)) (fun i ->
-            if i < n then t.by_sym.(i) else Intvec.create ());
-    Intvec.push t.by_sym.(sid) id;
+    sym_push t sid id;
     Array.iteri
       (fun i e ->
+        pin_push t (pack sid i e) id;
         let r = elem_entry t e in
-        let key = pack sid i e in
-        let b =
-          match Pin_tbl.find t.by_pin key with
-          | b -> b
-          | exception Not_found ->
-              let b = Intvec.create () in
-              Pin_tbl.add t.by_pin key b;
-              b
-        in
-        Intvec.push b id;
-        if not (repeated args i) then Intvec.push r.efacts id)
+        if not (repeated args i) then
+          Int_table.set t.dom r f_facts
+            (Buckets.push t.pool (Int_table.get t.dom r f_facts) id);
+        (* the allocator stays past every element, as [reserve] keeps it *)
+        if e >= t.next then t.next <- e + 1)
       args;
     true
   end
@@ -195,11 +208,11 @@ let add_fact t f =
 (* Retract a live fact: physical, order-preserving removal from every
    index the homomorphism engine reads.  The arena keeps the dead entry —
    the journal is append-only and fact ids are never reused — but the id
-   leaves its [by_sym], [by_pin] and element buckets (a sorted shift,
-   so bucket order, [lower_bound] tails and newest-first enumeration are
-   exactly what a structure that never held the fact would present) and
-   the fact leaves [ids].  The retraction is recorded in its own
-   journal, newest first.
+   leaves the content index and its symbol, pin and element buckets (a
+   sorted shift, so bucket order, [lower_bound] tails and newest-first
+   enumeration are exactly what a structure that never held the fact
+   would present; a pin bucket left empty leaves the table).  The
+   retraction is recorded in its own journal, newest first.
 
    Elements are reference-counted by live facts — the length of their
    element bucket: a non-constant element whose count reaches zero and
@@ -207,10 +220,10 @@ let add_fact t f =
    leaves the domain — re-adding a fact over it later re-registers it.
    Base-stage elements stay: they belong to the instance, facts or not. *)
 let retract_fact t f =
-  match Fact.Tbl.find t.ids f with
-  | exception Not_found -> false
+  match Fact_arena.find_fact t.arena f with
+  | -1 -> false
   | id ->
-      Fact.Tbl.remove t.ids f;
+      Fact_arena.unindex t.arena id;
       (* A retraction below the digest watermark falsifies the fed prefix;
          the next digest refeeds the whole journal (still streamed, no
          intermediate string).  At or above the watermark the entry was
@@ -220,23 +233,22 @@ let retract_fact t f =
       t.retracted <- (id, f) :: t.retracted;
       t.nretracted <- t.nretracted + 1;
       let sid = Fact_arena.sym t.arena id in
-      ignore (Intvec.remove_sorted t.by_sym.(sid) id);
+      ignore (sym_remove t sid id);
       let args = Fact.args f in
       Array.iteri
         (fun i e ->
-          (match Pin_tbl.find t.by_pin (pack sid i e) with
-          | b -> ignore (Intvec.remove_sorted b id)
-          | exception Not_found -> ());
+          ignore (pin_remove t (pack sid i e) id);
           if not (repeated args i) then
-            match Hashtbl.find t.dom e with
-            | exception Not_found -> ()
+            match Int_table.find t.dom e with
+            | -1 -> ()
             | r ->
-                ignore (Intvec.remove_sorted r.efacts id);
+                let v = Buckets.remove t.pool (Int_table.get t.dom r f_facts) id in
+                Int_table.set t.dom r f_facts v;
                 if
-                  Intvec.length r.efacts = 0
+                  v = Buckets.empty
                   && (not (Hashtbl.mem t.const_of e))
-                  && r.birth > 0
-                then Hashtbl.remove t.dom e)
+                  && Int_table.get t.dom r f_birth > 0
+                then Int_table.remove t.dom r)
         args;
       true
 
@@ -249,20 +261,21 @@ let retractions t = List.rev t.retracted
 let add t sym args = ignore (add_fact t (Fact.make sym args))
 let add2 t sym a b = ignore (add_fact t (Fact.app2 sym a b))
 
-let fact_id t f = Fact.Tbl.find_opt t.ids f
+let fact_id t f =
+  match Fact_arena.find_fact t.arena f with -1 -> None | id -> Some id
 
 let fact_stage t f =
-  match Fact.Tbl.find t.ids f with
+  match Fact_arena.find_fact t.arena f with
+  | -1 -> None
   | id -> Some (Intvec.unsafe_get t.stages id)
-  | exception Not_found -> None
 
 let elem_stage t e =
-  match Hashtbl.find t.dom e with
-  | r -> Some r.birth
-  | exception Not_found -> None
+  match Int_table.find t.dom e with
+  | -1 -> None
+  | r -> Some (Int_table.get t.dom r f_birth)
 
-let card t = Hashtbl.length t.dom
-let size t = Fact.Tbl.length t.ids
+let card t = Int_table.length t.dom
+let size t = Fact_arena.n_live t.arena
 
 (* Live facts in journal order (ascending arena id), with their stage:
    an order that no hash function or table size can move. *)
@@ -283,14 +296,19 @@ let facts t = fold_facts t (fun f acc -> f :: acc) []
 
 (* Ascending ids: [union_into]'s renaming and [Hom.between]'s default
    image follow this order, so no table size may move it. *)
-let elems t = List.sort Int.compare (Hashtbl.fold (fun e _ acc -> e :: acc) t.dom [])
+let elems t =
+  let acc = ref [] in
+  Int_table.iter t.dom (fun r -> acc := Int_table.get t.dom r 0 :: !acc);
+  List.sort Int.compare !acc
+
 let iter_elems t f = List.iter f (elems t)
 
 (* {2 The dense-id hot-path view}
 
    The homomorphism evaluator works on fact ids, interned symbol ids and
    the flat argument arena — never on boxed [Fact.t]s.  Buckets are
-   returned as shared [Intvec.t]s; callers must not mutate them. *)
+   immediate ints read through the [bucket_*] functions: a lookup
+   allocates nothing. *)
 
 (* Dense-id bound: every live id is below this.  With retractions the
    arena length and the live count diverge; the hot path iterates ids via
@@ -305,44 +323,59 @@ let id_fact t id = Fact_arena.fact t.arena id
 let id_sym t id = Fact_arena.sym t.arena id
 let sym_of_id t sid = Fact_arena.sym_obj t.arena sid
 let id_arg t id pos = Fact_arena.arg t.arena id pos
+let find_id t sid args = if sid < 0 then -1 else Fact_arena.find t.arena sid args
 
 (* Number of interned symbol ids: every [id_sym] is below this, so it
    sizes dense sym-id-indexed tables (the chase's per-stage delta index). *)
 let n_sym_ids t = Fact_arena.n_syms t.arena
 
 let ids_with_sym t sid =
-  if sid < 0 || sid >= Array.length t.by_sym then empty_ids else t.by_sym.(sid)
+  if sid < 0 || sid >= Array.length t.by_sym then Buckets.empty else t.by_sym.(sid)
 
 let ids_with_pin t sid pos e =
-  if not (packable sid pos e) then empty_ids
+  if not (packable sid pos e) then Buckets.empty
   else
-    match Pin_tbl.find t.by_pin (pack sid pos e) with
-    | b -> b
-    | exception Not_found -> empty_ids
-
-let pin_count_id t sid pos e = Intvec.length (ids_with_pin t sid pos e)
+    match Int_table.find t.pins (pack sid pos e) with
+    | -1 -> Buckets.empty
+    | b -> Int_table.get t.pins b f_bucket
 
 let ids_with_elem t e =
-  match Hashtbl.find t.dom e with
-  | r -> r.efacts
-  | exception Not_found -> empty_ids
+  match Int_table.find t.dom e with
+  | -1 -> Buckets.empty
+  | r -> Int_table.get t.dom r f_facts
 
-(* The pin index as it stands, buckets a retraction emptied included:
-   what an audit holds against its recomputed truth. *)
-let pin_buckets t = Pin_tbl.length t.by_pin
+let empty_bucket = Buckets.empty
+let bucket_length t b = Buckets.length t.pool b
+let bucket_get t b k = Buckets.get t.pool b k
+let bucket_lower_bound t b x = Buckets.lower_bound t.pool b x
+let fold_bucket t f acc b = Buckets.fold_left t.pool f acc b
+let bucket_ids t b = List.rev (fold_bucket t (fun acc id -> id :: acc) [] b)
+
+let pin_count_id t sid pos e = bucket_length t (ids_with_pin t sid pos e)
+
+(* The pin index as it stands: what an audit holds against its
+   recomputed truth. *)
+let pin_buckets t = Int_table.length t.pins
 
 let fold_pin_buckets t f acc =
-  Pin_tbl.fold
-    (fun k ids acc ->
+  let acc = ref acc in
+  Int_table.iter t.pins (fun b ->
+      let k = Int_table.get t.pins b 0 in
       let sym = Fact_arena.sym_obj t.arena ((k lsr 8) land 0x3FFFFF) in
-      f sym (k land 0xFF) (k lsr 30) ids acc)
-    t.by_pin acc
+      acc := f sym (k land 0xFF) (k lsr 30) (Int_table.get t.pins b f_bucket) !acc);
+  !acc
+
+module Unsafe = struct
+  let pin_push t sid pos e id = pin_push t (pack sid pos e) id
+  let pin_remove t sid pos e id = pin_remove t (pack sid pos e) id
+  let sym_push = sym_push
+  let sym_remove = sym_remove
+end
 
 (* {2 The boxed list view, derived from the id view} *)
 
 (* Newest-first, the order the cons-built buckets used to present. *)
-let facts_of_ids t ids =
-  Intvec.fold_left (fun acc id -> id_fact t id :: acc) [] ids
+let facts_of_ids t b = fold_bucket t (fun acc id -> id_fact t id :: acc) [] b
 
 let facts_with_sym t sym = facts_of_ids t (ids_with_sym t (sym_id t sym))
 
@@ -393,17 +426,19 @@ let delta_ids t wm = (wm, Fact_arena.n_facts t.arena)
    feed (see {!Digest128}).  A retraction below the fed watermark resets
    the state and refeeds — still streaming, no O(journal) string. *)
 
-let feed_fact dg f =
-  let sym = Fact.sym f in
-  Digest128.feed_string dg (Symbol.name sym);
-  Digest128.feed_int dg
+let feed_id t id =
+  let sym = sym_of_id t (id_sym t id) in
+  Digest128.feed_string t.dg (Symbol.name sym);
+  Digest128.feed_int t.dg
     (match Symbol.color sym with
     | None -> 0
     | Some Symbol.Green -> 1
     | Some Symbol.Red -> 2);
-  let args = Fact.args f in
-  Digest128.feed_int dg (Array.length args);
-  Array.iter (fun e -> Digest128.feed_int dg e) args
+  let arity = Symbol.arity sym in
+  Digest128.feed_int t.dg arity;
+  for p = 0 to arity - 1 do
+    Digest128.feed_int t.dg (id_arg t id p)
+  done
 
 let digest_hex t =
   if not t.dg_valid then begin
@@ -413,7 +448,7 @@ let digest_hex t =
   end;
   let n = Fact_arena.n_facts t.arena in
   for id = t.dg_wm to n - 1 do
-    if live_id t id then feed_fact t.dg (id_fact t id)
+    if live_id t id then feed_id t id
   done;
   t.dg_wm <- n;
   Digest128.hex ~salt:[ card t ] t.dg
@@ -421,7 +456,7 @@ let digest_hex t =
 let symbols t =
   let acc = ref [] in
   for sid = Fact_arena.n_syms t.arena - 1 downto 0 do
-    if Intvec.length (ids_with_sym t sid) > 0 then
+    if bucket_length t (ids_with_sym t sid) > 0 then
       acc := Fact_arena.sym_obj t.arena sid :: !acc
   done;
   !acc
@@ -445,7 +480,7 @@ let like t =
     (fun c e ->
       Hashtbl.replace u.consts c e;
       Hashtbl.replace u.const_of e c;
-      Hashtbl.replace u.dom e (new_elem 0))
+      ignore (elem_entry ~birth:0 u e))
     t.consts;
   u
 
@@ -460,7 +495,9 @@ let like_named t =
    shares nothing mutable with the original. *)
 let copy t =
   let u = like_named t in
-  Hashtbl.iter (fun e r -> Hashtbl.replace u.dom e (new_elem r.birth)) t.dom;
+  Int_table.iter t.dom (fun r ->
+      let e = Int_table.get t.dom r 0 in
+      Int_table.set u.dom (elem_entry u e) f_birth (Int_table.get t.dom r f_birth));
   u.stage <- t.stage;
   iter_staged t (add_staged u);
   u

@@ -37,9 +37,9 @@ val fresh : ?name:string -> t -> int
     it (graph views register their edge endpoints this way). *)
 val reserve : t -> int -> unit
 
-(** The id [fresh] allocates next.  Every element allocated by [fresh]
-    or imported by [reserve] is below it; [add_fact] alone does not move
-    it. *)
+(** The id [fresh] allocates next.  Every element of the structure —
+    allocated by [fresh], imported by [reserve] or named in an added
+    fact — is below it. *)
 val elem_bound : t -> int
 
 (** The interpretation of constant [c], allocated on first use. *)
@@ -131,8 +131,9 @@ val pin_count : t -> Symbol.t -> int -> int -> int
     Facts carry dense ids (their insertion index) and symbols are
     interned to dense ids per structure; arguments live in a flat int
     arena.  The compiled join plans of {!Hom.Plan} work exclusively on
-    this view.  Returned buckets are the live index vectors — treat them
-    as read-only. *)
+    this view.  Fact-id buckets are immediate values read through the
+    [bucket_*] functions, so a lookup allocates nothing.  A bucket is a
+    snapshot: read it before the structure next changes. *)
 
 (** The dense-id bound: every (live or dead) id is in
     [0 .. nfacts - 1].  Equals {!size} until the first retraction;
@@ -142,7 +143,7 @@ val nfacts : t -> int
 (** The interned id of [sym], or [-1] if no fact uses it. *)
 val sym_id : t -> Symbol.t -> int
 
-(** The boxed fact with dense id [id]. *)
+(** The fact with dense id [id], boxed afresh from the arena. *)
 val id_fact : t -> int -> Fact.t
 
 (** The interned symbol id of fact [id]. *)
@@ -158,31 +159,70 @@ val n_sym_ids : t -> int
 (** [id_arg t id pos] — argument [pos] of fact [id], off the flat arena. *)
 val id_arg : t -> int -> int -> int
 
-(** All fact ids with interned symbol [sid], insertion order ([-1] and
-    unknown ids give the shared empty vector). *)
-val ids_with_sym : t -> int -> Intvec.t
+(** [find_id t sid args] — the id of the live fact [sid(args)], or [-1].
+    The arguments are the symbol's arity many leading entries of [args],
+    so one scratch array serves every symbol; allocates nothing. *)
+val find_id : t -> int -> int array -> int
+
+(** A set of fact ids in ascending (insertion) order, held in one int. *)
+type bucket = private int
+
+(** The bucket with no ids. *)
+val empty_bucket : bucket
+
+(** Its size, in O(1). *)
+val bucket_length : t -> bucket -> int
+
+(** [bucket_get t b k] — entry [k], for [0 <= k < bucket_length t b]. *)
+val bucket_get : t -> bucket -> int -> int
+
+(** The first index whose entry is [>= x] ([bucket_length] if none), by
+    binary search. *)
+val bucket_lower_bound : t -> bucket -> int -> int
+
+(** Fold over the entries in ascending order. *)
+val fold_bucket : t -> ('a -> int -> 'a) -> 'a -> bucket -> 'a
+
+(** The entries in ascending order. *)
+val bucket_ids : t -> bucket -> int list
+
+(** All fact ids with interned symbol [sid] ([-1] and unknown ids give
+    the empty bucket). *)
+val ids_with_sym : t -> int -> bucket
 
 (** [ids_with_pin t sid pos e] — fact ids of the [(sid, pos, e)] pin
-    bucket, insertion order; the empty vector for an unpackable pin. *)
-val ids_with_pin : t -> int -> int -> int -> Intvec.t
+    bucket; the empty bucket for an unpackable pin. *)
+val ids_with_pin : t -> int -> int -> int -> bucket
 
 (** Bucket size of [ids_with_pin], in O(1). *)
 val pin_count_id : t -> int -> int -> int -> int
 
-(** The ids of the live facts mentioning element [e], each once, in
-    insertion order: the id view of {!facts_with_elem}. *)
-val ids_with_elem : t -> int -> Intvec.t
+(** The ids of the live facts mentioning element [e], each once: the id
+    view of {!facts_with_elem}. *)
+val ids_with_elem : t -> int -> bucket
 
-(** The number of buckets the pin index holds, including the buckets a
-    retraction emptied, which stay in the index; O(1). *)
+(** The number of buckets the pin index holds; O(1).  A bucket that a
+    retraction empties leaves the index. *)
 val pin_buckets : t -> int
 
 (** [fold_pin_buckets t f acc] folds [f sym pos e ids] over every
-    bucket the pin index holds, emptied ones included, in no particular
-    order.  Read-only, like {!pin_buckets}: together they let an audit
-    find buckets no live fact accounts for. *)
+    bucket the pin index holds, in no particular order.  Read-only, like
+    {!pin_buckets}: together they let an audit find buckets no live fact
+    accounts for. *)
 val fold_pin_buckets :
-  t -> (Symbol.t -> int -> int -> Intvec.t -> 'a -> 'a) -> 'a -> 'a
+  t -> (Symbol.t -> int -> int -> bucket -> 'a -> 'a) -> 'a -> 'a
+
+(** Raw edits of the live index that bypass every invariant the store
+    keeps — order, liveness, agreement with the facts.  They exist so
+    that tests can corrupt an index and check that an audit flags it;
+    nothing else may call them.  A push appends; a remove drops one
+    occurrence found by binary search and says whether it did. *)
+module Unsafe : sig
+  val pin_push : t -> int -> int -> int -> int -> unit
+  val pin_remove : t -> int -> int -> int -> int -> bool
+  val sym_push : t -> int -> int -> unit
+  val sym_remove : t -> int -> int -> bool
+end
 
 (** [delta_ids t wm] — the delta since watermark [wm] as the id interval
     [\[wm, nfacts)], ready for sharding. *)

@@ -27,7 +27,7 @@ val save : kind:string -> string -> 'a -> (unit, string) result
 val load : kind:string -> string -> ('a, string) result
 (** Read back a checkpoint, verifying magic, kind, payload length and
     digest.  The caller asserts the payload type through [kind].  The
-    magic carries the format version (["REDSPIDER-CKPT-2"]); a file of
+    magic carries the format version (["REDSPIDER-CKPT-3"]); a file of
     another version is an [Error] that names it, never unmarshalled. *)
 
 val write_atomic : string -> string -> (unit, string) result

@@ -3,7 +3,7 @@
 
      <id>.job    the JSON manifest (spec + lifecycle state + counters)
      <id>.ckpt   the engine snapshot of a suspended chase job
-                 (REDSPIDER-CKPT-2, kind "tgd-chase")
+                 (REDSPIDER-CKPT-3, kind "tgd-chase")
      <key>.res   a cached result, named by its 32-hex-digit cache key
                  (pure keys only — instance reads never persist)
 

@@ -107,19 +107,18 @@ let binary_to_cq ctx b =
   in
   Cq.Query.make ~free atoms
 
+let named_cq ctx b = (Fmt.str "%a" pp_binary b, binary_to_cq ctx b)
+
 (* The pair of green-red TGDs generated by a binary query (Definition 3),
    i.e. its meaning as an instruction acting on Σ̄-structures. *)
-let binary_to_tgds ctx b =
-  let q = binary_to_cq ctx b in
-  let name = Fmt.str "%a" pp_binary b in
-  [
-    { (Tgd.Dep.of_query `G_to_R q) with Tgd.Dep.name = name ^ ":G>R" };
-    { (Tgd.Dep.of_query `R_to_G q) with Tgd.Dep.name = name ^ ":R>G" };
-  ]
+let binary_to_tgds ctx b = Tgd.Dep.t_q [ named_cq ctx b ]
+
+(* T_Q of a set of binary queries: one [t_q] over the whole set, so the
+   TGDs share their atoms. *)
+let tgds_of_binaries ctx bs = Tgd.Dep.t_q (List.map (named_cq ctx) bs)
 
 (* Compile a whole set of binary queries into named CQs over Σ — the Q of
-   an CQfDP instance — and into T_Q. *)
-let queries_of_binaries ctx bs =
-  List.mapi (fun i b -> (Fmt.str "q%d:%a" i pp_binary b, binary_to_cq ctx b)) bs
-
-let tgds_of_binaries ctx bs = List.concat_map (binary_to_tgds ctx) bs
+   an CQfDP instance — and into T_Q, building each CQ once. *)
+let compile_binaries ctx bs =
+  let named = List.map (named_cq ctx) bs in
+  (List.mapi (fun i (n, q) -> (Fmt.str "q%d:%s" i n, q)) named, Tgd.Dep.t_q named)

@@ -51,8 +51,10 @@ val binary_to_cq : Ctx.t -> binary -> Cq.Query.t
 (** Its two green-red TGDs (Definition 3). *)
 val binary_to_tgds : Ctx.t -> binary -> Tgd.Dep.t list
 
-(** Name and compile a set of binary queries — the Q of a CQfDP
-    instance. *)
-val queries_of_binaries : Ctx.t -> binary list -> (string * Cq.Query.t) list
-
+(** T_Q of a set of binary queries. *)
 val tgds_of_binaries : Ctx.t -> binary list -> Tgd.Dep.t list
+
+(** Name and compile a set of binary queries — the Q of a CQfDP
+    instance — and its T_Q, each CQ built once. *)
+val compile_binaries :
+  Ctx.t -> binary list -> (string * Cq.Query.t) list * Tgd.Dep.t list

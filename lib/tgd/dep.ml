@@ -25,25 +25,80 @@ let existentials t = Term.Var_set.diff (head_vars t) (body_vars t)
 (* The TGD generated by a conjunctive query in one color direction
    (Definition 3): Q^{G→R} = ∀ [G(Φ) ⇒ ∃ R(Φ)], where the frontier is
    exactly the set of free variables of Q, so head existentials must be
-   renamed apart from body existentials. *)
-let of_query direction q =
-  let src, dst =
-    match direction with
-    | `G_to_R -> (Symbol.Green, Symbol.Red)
-    | `R_to_G -> (Symbol.Red, Symbol.Green)
+   renamed apart from body existentials.
+
+   [translator ()] builds such TGDs over one table of painted symbols,
+   renamed head variables and atoms, shared by every query it is given:
+   T_Q's spider queries repeat a few hundred distinct atoms over a few
+   thousand positions, and a chase keeps its dependencies alive as long
+   as its result, so the shared form (under a third of the words) is
+   what a retained T_Q costs.  Atoms are immutable, so sharing them
+   changes nothing a reader can observe. *)
+module Atom_tbl = Hashtbl.Make (struct
+  type t = Atom.t
+
+  let equal a b =
+    Symbol.equal (Atom.sym a) (Atom.sym b)
+    && List.equal Term.equal (Atom.args a) (Atom.args b)
+
+  let hash a =
+    List.fold_left
+      (fun h t -> (h * 31) + Hashtbl.hash t)
+      (Symbol.hash (Atom.sym a))
+      (Atom.args a)
+end)
+
+let translator () =
+  let renamed = Hashtbl.create 64 in
+  (* per color: an atom over Σ -> its painted copy, one per content *)
+  let painter c =
+    let syms = Symbol.Tbl.create 16 and atoms = Atom_tbl.create 256 in
+    fun a ->
+      match Atom_tbl.find_opt atoms a with
+      | Some a' -> a'
+      | None ->
+          let sym =
+            match Symbol.Tbl.find_opt syms (Atom.sym a) with
+            | Some s -> s
+            | None ->
+                let s = Symbol.paint c (Atom.sym a) in
+                Symbol.Tbl.add syms (Atom.sym a) s;
+                s
+          in
+          let a' = Atom.make sym (Atom.args a) in
+          Atom_tbl.add atoms a a';
+          a'
   in
-  let free = Cq.Query.free q in
-  let is_free x = List.mem x free in
-  let rename_head x = if is_free x then x else "z_" ^ x in
-  let body = List.map (Atom.paint src) (Cq.Query.body q) in
-  let head =
-    List.map (fun a -> Atom.paint dst (Atom.rename rename_head a)) (Cq.Query.body q)
-  in
-  let tag = match direction with `G_to_R -> "G>R" | `R_to_G -> "R>G" in
-  make ~name:(Printf.sprintf "%s" tag) ~body ~head ()
+  let green = painter Symbol.Green and red = painter Symbol.Red in
+  fun direction q ->
+    let src, dst =
+      match direction with `G_to_R -> (green, red) | `R_to_G -> (red, green)
+    in
+    let free = Cq.Query.free q in
+    let rename_head = function
+      | Term.Var x when not (List.mem x free) -> (
+          match Hashtbl.find_opt renamed x with
+          | Some v -> v
+          | None ->
+              let v = Term.Var ("z_" ^ x) in
+              Hashtbl.add renamed x v;
+              v)
+      | t -> t
+    in
+    let body = List.map src (Cq.Query.body q) in
+    let head =
+      List.map
+        (fun a -> dst (Atom.make (Atom.sym a) (List.map rename_head (Atom.args a))))
+        (Cq.Query.body q)
+    in
+    let tag = match direction with `G_to_R -> "G>R" | `R_to_G -> "R>G" in
+    make ~name:tag ~body ~head ()
+
+let of_query direction q = translator () direction q
 
 (* T_Q (Definition 3): both color directions for every query in Q. *)
 let t_q named_queries =
+  let of_query = translator () in
   List.concat_map
     (fun (n, q) ->
       [

@@ -192,7 +192,7 @@ let structure ?(provenance = false) d =
     (fun sym ->
       let sid = Structure.sym_id d sym in
       let got =
-        List.sort Int.compare (Intvec.to_list (Structure.ids_with_sym d sid))
+        List.sort Int.compare (Structure.bucket_ids d (Structure.ids_with_sym d sid))
       in
       if got <> ids_of (facts_of_sym sym) then
         fail violations "ids_with_sym %a disagrees with facts_with_sym"
@@ -203,7 +203,7 @@ let structure ?(provenance = false) d =
       let sid = Structure.sym_id d sym in
       let got =
         List.sort Int.compare
-          (Intvec.to_list (Structure.ids_with_pin d sid pos e))
+          (Structure.bucket_ids d (Structure.ids_with_pin d sid pos e))
       in
       if got <> ids_of expected then
         fail violations "ids_with_pin (%a,%d,%d) disagrees with ground truth"

@@ -206,7 +206,7 @@ module Spec = struct
       (fun sym ->
         let sid = Structure.sym_id d sym in
         let got =
-          List.sort Int.compare (Intvec.to_list (Structure.ids_with_sym d sid))
+          List.sort Int.compare (Structure.bucket_ids d (Structure.ids_with_sym d sid))
         in
         if got <> ids_of (Structure.facts_with_sym d sym) then
           fail violations "ids_with_sym %a disagrees with facts_with_sym"
@@ -217,7 +217,7 @@ module Spec = struct
         let sid = Structure.sym_id d sym in
         let got =
           List.sort Int.compare
-            (Intvec.to_list (Structure.ids_with_pin d sid pos e))
+            (Structure.bucket_ids d (Structure.ids_with_pin d sid pos e))
         in
         if got <> ids_of expected then
           fail violations "ids_with_pin (%a,%d,%d) disagrees with ground truth"
@@ -366,9 +366,9 @@ let test_structure_spec () =
       runs
   done
 
-(* Corruptions of the live id buckets of a structure: [ids_with_pin] and
-   [ids_with_sym] hand out the index vectors themselves, so a push or a
-   sorted removal on them is a fault inside the index under audit. *)
+(* Corruptions of the live id buckets of a structure, written into the
+   index itself through [Structure.Unsafe]: a push or a sorted removal
+   there is a fault inside the index under audit. *)
 type corruption =
   | Pin_drop  (** the oldest fact leaves its first pin bucket *)
   | Pin_dup  (** the oldest fact is indexed twice in that bucket *)
@@ -378,8 +378,8 @@ type corruption =
   | Sym_dead  (** a retracted id rejoins its symbol's bucket *)
   | Pin_phantom
       (** a live fact joins a pin bucket a retraction emptied: the bucket
-          stays in the index under a key no fact has, so a probe that
-          picks it gets a fact without the pin that chose it *)
+          comes back under a key no fact has, so a probe that picks it
+          gets a fact without the pin that chose it *)
 
 let corruptions =
   [ Pin_drop; Pin_dup; Pin_foreign; Sym_drop; Sym_foreign; Sym_dead; Pin_phantom ]
@@ -403,53 +403,51 @@ let corrupt d c =
   | [] -> false
   | id :: _ -> (
       let sid = Structure.id_sym d id in
-      let pin = Structure.ids_with_pin d sid 0 (Structure.id_arg d id 0) in
-      let sym = Structure.ids_with_sym d sid in
+      let e0 = Structure.id_arg d id 0 in
       let newest = List.nth live (List.length live - 1) in
       match c with
-      | Pin_drop -> Intvec.remove_sorted pin id
+      | Pin_drop -> Structure.Unsafe.pin_remove d sid 0 e0 id
       | Pin_dup ->
-          Intvec.push pin id;
+          Structure.Unsafe.pin_push d sid 0 e0 id;
           true
       | Pin_foreign ->
-          if List.mem newest (Intvec.to_list pin) then false
+          if
+            List.mem newest
+              (Structure.bucket_ids d (Structure.ids_with_pin d sid 0 e0))
+          then false
           else begin
-            Intvec.push pin newest;
+            Structure.Unsafe.pin_push d sid 0 e0 newest;
             true
           end
-      | Sym_drop -> Intvec.remove_sorted sym id
+      | Sym_drop -> Structure.Unsafe.sym_remove d sid id
       | Sym_foreign -> (
           match List.find_opt (fun i -> Structure.id_sym d i <> sid) live with
           | None -> false
           | Some other ->
-              Intvec.push sym other;
+              Structure.Unsafe.sym_push d sid other;
               true)
       | Sym_dead -> (
           match Structure.retractions d with
           | [] -> false
           | (dead, _) :: _ ->
-              Intvec.push
-                (Structure.ids_with_sym d (Structure.id_sym d dead))
-                dead;
+              Structure.Unsafe.sym_push d (Structure.id_sym d dead) dead;
               true)
       | Pin_phantom -> (
-          (* a pin bucket of a retracted fact that no live fact refills:
-             [retract_fact] emptied it and left it in the index *)
+          (* a pin of a retracted fact that no live fact refills *)
           let emptied (dead, f) =
             let dsid = Structure.id_sym d dead in
             List.find_map
               (fun pos ->
                 let e = Fact.arg f pos in
-                if Structure.pin_count_id d dsid pos e = 0 then
-                  Some (dsid, Structure.ids_with_pin d dsid pos e)
+                if Structure.pin_count_id d dsid pos e = 0 then Some (dsid, pos, e)
                 else None)
               (List.init (Array.length (Fact.args f)) Fun.id)
           in
           match List.find_map emptied (Structure.retractions d) with
           | None -> false
-          | Some (dsid, bucket) ->
+          | Some (dsid, pos, e) ->
               (* a fact of the bucket's own symbol when there is one *)
-              Intvec.push bucket
+              Structure.Unsafe.pin_push d dsid pos e
                 (Option.value ~default:id
                    (List.find_opt (fun i -> Structure.id_sym d i = dsid) live));
               true))

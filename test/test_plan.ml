@@ -376,41 +376,78 @@ let test_order_spec_tq () =
 
 (* --- the parallel chase --------------------------------------------------- *)
 
+(* [Par] at three workers against [Seminaive] on one input: structure,
+   journal, firing sequence and stats. *)
+let check_par what deps build ~stop ~max_stages =
+  let run engine jobs =
+    let d = build () in
+    let firings = ref [] in
+    let on_fire ~stage dep fb =
+      firings := (stage, Tgd.Dep.name dep, Term.Var_map.bindings fb) :: !firings
+    in
+    let stats = Tgd.Chase.run ~engine ?jobs ~max_stages ~stop ~on_fire deps d in
+    (d, stats, List.rev !firings)
+  in
+  let d1, s1, f1 = run `Seminaive None in
+  (* jobs:3 exercises sharding + merge even on a single-core box *)
+  let d2, s2, f2 = run `Par (Some 3) in
+  check (what ^ ": par structure = seminaive") true (Structure.equal_sets d1 d2);
+  check
+    (what ^ ": par journal = seminaive")
+    true
+    (Structure.delta_since d1 0 = Structure.delta_since d2 0);
+  check (what ^ ": par firings = seminaive") true (f1 = f2);
+  check (what ^ ": par stats = seminaive") true (s1 = s2)
+
 let test_par_bit_identity () =
   for case = 0 to 39 do
     let r = Oracle.Gen.case_rng ~seed:11 ~case in
     let inst = Oracle.Gen.instance r in
     let stop d = Structure.card d > 100 || Structure.size d > 300 in
-    let run engine jobs =
-      let d = Oracle.Gen.build inst in
-      let firings = ref [] in
-      let on_fire ~stage dep fb =
-        firings :=
-          (stage, Tgd.Dep.name dep, Term.Var_map.bindings fb) :: !firings
-      in
-      let stats =
-        Tgd.Chase.run ~engine ?jobs ~max_stages:6 ~stop ~on_fire
-          inst.Oracle.Gen.deps d
-      in
-      (d, stats, List.rev !firings)
-    in
-    let d1, s1, f1 = run `Seminaive None in
-    (* jobs:3 exercises sharding + merge even on a single-core box *)
-    let d2, s2, f2 = run `Par (Some 3) in
-    check
-      (Printf.sprintf "case %d: par structure = seminaive" case)
-      true
-      (Structure.equal_sets d1 d2);
-    check
-      (Printf.sprintf "case %d: par journal = seminaive" case)
-      true
-      (Structure.delta_since d1 0 = Structure.delta_since d2 0);
-    check
-      (Printf.sprintf "case %d: par firings = seminaive" case)
-      true (f1 = f2);
-    check
-      (Printf.sprintf "case %d: par stats = seminaive" case)
-      true (s1 = s2)
+    check_par (Printf.sprintf "case %d" case) inst.Oracle.Gen.deps
+      (fun () -> Oracle.Gen.build inst)
+      ~stop ~max_stages:6
+  done;
+  (* the paper's regime: T_Q's spider bodies, chased from a full green
+     spider at s = 10, several domains evaluating one family at once *)
+  let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
+  let spider () =
+    let st = Structure.create () in
+    let tail = Structure.fresh ~name:"a" st in
+    let antenna = Structure.fresh ~name:"b" st in
+    ignore
+      (Spider.Real.realize p.Greengraph.Precompile.ctx st ~tail ~antenna
+         Spider.Ideal.full_green);
+    st
+  in
+  check_par "T_Q spider at s=10" p.Greengraph.Precompile.tgds spider
+    ~stop:(fun _ -> false) ~max_stages:4
+
+(* A family evaluated again from inside its own emit callback must emit
+   what a plain evaluation does: a call's scratch is its own, or the
+   inner call clobbers the frames of the outer one — the deterministic
+   image of two pool domains scanning one family at once. *)
+let test_family_scratch_per_call () =
+  let nested_agrees what fam d =
+    let dix = Hom.Plan.delta_index_of d ~lo:0 ~hi:(Structure.nfacts d) in
+    let plain = ref [] and nested = ref [] in
+    Hom.Plan.iter_family_ids fam d dix (fun s -> plain := Array.copy s :: !plain);
+    Hom.Plan.iter_family_ids fam d dix (fun s ->
+        nested := Array.copy s :: !nested;
+        Hom.Plan.iter_family_ids fam d dix ignore);
+    check (what ^ ": nested evaluation emits the same matches") true
+      (!plain = !nested)
+  in
+  for case = 0 to 39 do
+    let inst = Oracle.Gen.instance (Oracle.Gen.case_rng ~seed:11 ~case) in
+    let d = Oracle.Gen.build inst in
+    List.iteri
+      (fun i dep ->
+        nested_agrees
+          (Printf.sprintf "case %d dep %d" case i)
+          (Hom.Plan.compile_family (Tgd.Dep.body dep))
+          d)
+      inst.Oracle.Gen.deps
   done
 
 let () =
@@ -437,5 +474,7 @@ let () =
         [
           Alcotest.test_case "bit-identical to sem" `Quick
             test_par_bit_identity;
+          Alcotest.test_case "family scratch per call" `Quick
+            test_family_scratch_per_call;
         ] );
     ]

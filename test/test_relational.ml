@@ -274,12 +274,12 @@ let test_pin_keys_roundtrip =
       let folded =
         Structure.fold_pin_buckets s
           (fun sym' pos' e' ids acc ->
-            if Symbol.equal sym' sym && Intvec.to_list ids = [ 0 ] then (pos', e') :: acc
+            if Symbol.equal sym' sym && Structure.bucket_ids s ids = [ 0 ] then (pos', e') :: acc
             else (-1, -1) :: acc)
           []
       in
       Structure.pin_count s sym pos e = 1
-      && Intvec.to_list (Structure.ids_with_pin s sid pos e) = [ 0 ]
+      && Structure.bucket_ids s (Structure.ids_with_pin s sid pos e) = [ 0 ]
       && List.sort compare folded = pins)
 
 let test_pin_key_range () =
@@ -314,7 +314,41 @@ let test_pin_key_range () =
     (Structure.pin_count s edge 1 far);
   check_int "element 1's pin still holds" 1 (Structure.pin_count s edge 1 vs.(1));
   check_int "an unpackable lookup finds the empty bucket" 0
-    (Intvec.length (Structure.ids_with_pin s (Structure.sym_id s edge) 1 (-1)))
+    (Structure.bucket_length s (Structure.ids_with_pin s (Structure.sym_id s edge) 1 (-1)))
+
+(* [add_fact] moves the element allocator past the elements it names,
+   as [reserve] does, so [fresh] never returns an element the structure
+   already holds. *)
+let test_fresh_after_raw_fact () =
+  let s = Structure.create () in
+  Structure.add2 s edge 0 1;
+  let e = Structure.fresh s in
+  check "fresh is a new element" true (e <> 0 && e <> 1);
+  check_int "three elements" 3 (Structure.card s);
+  check "the allocator is past every element" true
+    (List.for_all (fun x -> x < Structure.elem_bound s) (Structure.elems s))
+
+(* The memory gate of the fact store: T_Q chased two stages from a full
+   green spider at s = 10 (847 facts) costs at most [max_words_per_fact]
+   words per fact, counting every word reachable from the structure. *)
+let max_words_per_fact = 30.
+
+let test_words_per_fact () =
+  let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
+  let st = Structure.create () in
+  let tail = Structure.fresh ~name:"a" st in
+  let antenna = Structure.fresh ~name:"b" st in
+  ignore
+    (Spider.Real.realize p.Greengraph.Precompile.ctx st ~tail ~antenna
+       Spider.Ideal.full_green);
+  ignore (Tgd.Chase.run ~max_stages:2 p.Greengraph.Precompile.tgds st);
+  check_int "facts" 847 (Structure.size st);
+  let w =
+    float (Obj.reachable_words (Obj.repr st)) /. float (Structure.size st)
+  in
+  check
+    (Printf.sprintf "%.1f words per fact, at most %.0f" w max_words_per_fact)
+    true (w <= max_words_per_fact)
 
 let () =
   Alcotest.run "relational"
@@ -348,6 +382,13 @@ let () =
             test_hom_into_superstructure_property;
             test_paint_roundtrip_property;
           ] );
+      ( "store",
+        [
+          Alcotest.test_case "fresh after a raw fact" `Quick
+            test_fresh_after_raw_fact;
+          Alcotest.test_case "words per fact, s=10 spider" `Quick
+            test_words_per_fact;
+        ] );
       ( "keys",
         Alcotest.test_case "pin key range" `Quick test_pin_key_range
         :: List.map QCheck_alcotest.to_alcotest

@@ -323,14 +323,14 @@ let test_checkpoint_concurrent_save () =
             (l = List.init 2000 (fun i -> i * 3)
             || l = List.init 2000 (fun i -> i * 5)))
 
-(* A checkpoint of the retired version-1 format: a current file under
-   the old magic.  Version 1 payloads were laid out for the old
-   [Structure.t] and [Symbol.t]; whatever the payload, the loader must
-   refuse the file by its header, naming the version, and never
-   unmarshal it. *)
-let v1_magic = "REDSPIDER-CKPT-1"
+(* Checkpoints of the retired formats: a current file under an old
+   magic.  Version 1 payloads were laid out for the old [Structure.t]
+   and [Symbol.t], version 2 for the boxed-fact store; whatever the
+   payload, the loader must refuse the file by its header, naming the
+   version, and never unmarshal it. *)
+let retired_magics = [ "REDSPIDER-CKPT-1"; "REDSPIDER-CKPT-2" ]
 
-let save_v1 path =
+let save_retired magic path =
   let snap = ref None in
   ignore
     (Tgd.Chase.run ~engine:`Seminaive ~max_stages:2 ~snapshot_every:1
@@ -343,12 +343,12 @@ let save_v1 path =
   let sp = String.index full ' ' in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
-        (v1_magic ^ String.sub full sp (String.length full - sp)))
+        (magic ^ String.sub full sp (String.length full - sp)))
 
-let names_v1 m =
-  let n = String.length v1_magic in
+let names magic m =
+  let n = String.length magic in
   let rec at i =
-    i + n <= String.length m && (String.sub m i n = v1_magic || at (i + 1))
+    i + n <= String.length m && (String.sub m i n = magic || at (i + 1))
   in
   at 0
 
@@ -356,14 +356,14 @@ let names_v1 m =
 let redspider =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/redspider.exe"
 
-let test_checkpoint_v1_refused () =
+let test_checkpoint_retired_refused magic =
   with_tmp (fun path ->
-      save_v1 path;
+      save_retired magic path;
       (match
          (CK.load ~kind:"tgd-chase" path : (Tgd.Chase.snapshot, string) result)
        with
-      | Error m -> check ("the loader names the version: " ^ m) true (names_v1 m)
-      | Ok _ -> Alcotest.fail "a v1 checkpoint was unmarshalled");
+      | Error m -> check ("the loader names the version: " ^ m) true (names magic m)
+      | Ok _ -> Alcotest.failf "a %s checkpoint was unmarshalled" magic);
       (* the CLI: [chase --resume] exits 2 *)
       let pid =
         Unix.create_process redspider
@@ -391,15 +391,18 @@ let test_checkpoint_v1_refused () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      save_v1 ckpt;
+      save_retired magic ckpt;
       Serve.Runner.run_slice ~store ~instances:(Serve.Runner.instances ())
         ~cancel:G.Cancel.never
         ~quantum:{ Serve.Runner.stages = 2; seconds = 0. }
         job;
       match job.Serve.Job.state with
       | Serve.Job.Faulted m ->
-          check ("the daemon names the version: " ^ m) true (names_v1 m)
+          check ("the daemon names the version: " ^ m) true (names magic m)
       | st -> Alcotest.failf "job ended %s" (Serve.Job.state_name st))
+
+let test_checkpoint_v1_refused () =
+  List.iter test_checkpoint_retired_refused retired_magics
 
 (* A structure back from a Marshal round trip keeps one symbol bucket
    per symbol, also for symbols it first meets after the trip: unused
