@@ -3,11 +3,11 @@
 
    Predicate symbols are interned to dense ids on first use; each added
    fact gets the next dense fact id and its arguments are appended to one
-   growable [int array].  A fact is then three integers away: its symbol
-   id, its offset into the argument store, and the arguments themselves —
-   no boxed [Fact.t], no [Symbol.t] comparison, no hashing on the join
-   inner loop.  A boxed [Fact.t] is built from these only when a caller
-   asks for one.
+   growable [int array].  A fact is then two integers away: its entry —
+   symbol id and offset into the argument store, packed in one int — and
+   the arguments themselves: no boxed [Fact.t], no [Symbol.t]
+   comparison, no hashing on the join inner loop.  A boxed [Fact.t] is
+   built from these only when a caller asks for one.
 
    The live facts are also keyed by content: [index] is an
    open-addressing table of fact ids (linear probing, [-1] free), hashed
@@ -22,8 +22,7 @@ type t = {
   sym_ids : int Symbol.Tbl.t;        (* symbol -> dense id *)
   mutable sym_objs : Symbol.t array; (* dense id -> symbol *)
   mutable n_syms : int;
-  offsets : Intvec.t;                (* fact id -> offset into [data] *)
-  sym_of : Intvec.t;                 (* fact id -> symbol id *)
+  entries : Intvec.t;                (* fact id -> [offset lsl sym_bits lor symbol id] *)
   data : Intvec.t;                   (* flat argument store *)
   mutable n_facts : int;
   mutable cap : int;                 (* ids before the next growth *)
@@ -36,8 +35,7 @@ let create () =
     sym_ids = Symbol.Tbl.create 32;
     sym_objs = [||];
     n_syms = 0;
-    offsets = Intvec.create ~capacity:64 ();
-    sym_of = Intvec.create ~capacity:64 ();
+    entries = Intvec.create ~capacity:64 ();
     data = Intvec.create ~capacity:128 ();
     n_facts = 0;
     cap = 64;
@@ -71,16 +69,23 @@ let find_sym t sym =
   match Symbol.Tbl.find t.sym_ids sym with i -> i | exception Not_found -> -1
 
 let sym_obj t i = t.sym_objs.(i)
-let sym t id = Intvec.unsafe_get t.sym_of id
+
+(* A fact's entry keeps its symbol id in the low [sym_bits] bits and its
+   offset into [data] above them.  Symbol ids fit: the pin keys of
+   {!Structure} hold them in 22 bits too, and [append] refuses any past. *)
+let sym_bits = 22
+let sym_mask = (1 lsl sym_bits) - 1
+let sym t id = Intvec.unsafe_get t.entries id land sym_mask
+let offset t id = Intvec.unsafe_get t.entries id lsr sym_bits
 
 (* Argument [pos] of fact [id], read straight off the flat store. *)
-let arg t id pos = Intvec.unsafe_get t.data (Intvec.unsafe_get t.offsets id + pos)
+let arg t id pos = Intvec.unsafe_get t.data (offset t id + pos)
 
 let arity t id = Symbol.arity t.sym_objs.(sym t id)
 
 (* The boxed fact with id [id], built from the store. *)
 let fact t id =
-  let off = Intvec.unsafe_get t.offsets id in
+  let off = offset t id in
   Fact.make (sym_obj t (sym t id))
     (Array.init (arity t id) (fun p -> Intvec.unsafe_get t.data (off + p)))
 
@@ -95,7 +100,7 @@ let finish h =
   h lxor (h lsr 29)
 
 let hash_id t id =
-  let off = Intvec.unsafe_get t.offsets id in
+  let off = offset t id in
   let h = ref (sym t id) in
   for p = 0 to arity t id - 1 do
     h := mix !h (Intvec.unsafe_get t.data (off + p))
@@ -117,7 +122,7 @@ let rec same_args t off arity args p =
 let rec probe t sid arity args s =
   let id = Array.unsafe_get t.index s in
   if id < 0 then -1
-  else if sym t id = sid && same_args t (Intvec.unsafe_get t.offsets id) arity args 0
+  else if sym t id = sid && same_args t (offset t id) arity args 0
   then id
   else probe t sid arity args ((s + 1) land (Array.length t.index - 1))
 
@@ -170,8 +175,10 @@ let unindex t id =
 
 (* Append the fresh fact [sid(args)], index it, and return its dense
    id.  The ["arena.grow"] failpoint fires at each doubling of the id
-   capacity, before any state is touched. *)
+   capacity, before any state is touched; so does the refusal of a
+   symbol id past [sym_bits]. *)
 let append t sid args =
+  if sid lsr sym_bits <> 0 then invalid_arg "Fact_arena.append: symbol id past 2^22";
   let id = t.n_facts in
   if id >= t.cap then begin
     (* the arena-exhaustion failpoint: growth "fails" before any state
@@ -179,8 +186,7 @@ let append t sid args =
     Resilience.Failpoint.hit "arena.grow";
     t.cap <- 2 * t.cap
   end;
-  Intvec.push t.sym_of sid;
-  Intvec.push t.offsets (Intvec.length t.data);
+  Intvec.push t.entries ((Intvec.length t.data lsl sym_bits) lor sid);
   Array.iter (fun e -> Intvec.push t.data e) args;
   t.n_facts <- id + 1;
   index_id t id;

@@ -2,7 +2,7 @@
 
    Format: one header line
 
-     REDSPIDER-CKPT-3 <kind> <md5-hex-of-payload> <payload-length>\n
+     REDSPIDER-CKPT-4 <kind> <md5-hex-of-payload> <payload-length>\n
 
    followed by the Marshal payload.  The magic names the payload's
    memory layout: Marshal output is only readable at the exact type it
@@ -12,7 +12,8 @@
    naming it instead of unmarshalling it at the wrong type.  Version 1
    predates the one-table fact store and the stored symbol hash;
    version 2 predates the flat store (facts kept only in the arena,
-   pins and elements in open-addressing int tables).
+   pins and elements in open-addressing int tables); version 3 predates
+   the packed two-fact buckets and the one-word arena entry.
 
    Writes go to a *unique* temp file next to [path] and are published
    with [Sys.rename], which is atomic on POSIX: a reader of [path] sees
@@ -44,7 +45,7 @@
    arena ids a snapshot's watermarks point into. *)
 
 let magic_prefix = "REDSPIDER-CKPT-"
-let magic = magic_prefix ^ "3"
+let magic = magic_prefix ^ "4"
 
 (* Marshal round-trip deep clone: the only copy of a live structure that
    keeps its arena ids and retraction journal, as a snapshot needs. *)

@@ -33,44 +33,70 @@ let tail_var p = p ^ "t"
 let upper_knee_var p j = Printf.sprintf "%suk%d" p j
 let lower_knee_var p j = Printf.sprintf "%slk%d" p j
 
-(* The body atoms of f^I_J with variables prefixed by [prefix]. *)
-let body ctx ~prefix t =
-  let v = Term.var in
-  let h = v (head_var prefix) in
-  let the_end = Term.cst Ctx.leg_end in
-  let base =
-    [
-      Atom.app2 (Ctx.ant ctx) h (v (antenna_var prefix));
-      Atom.app2 (Ctx.tail ctx) h (v (tail_var prefix));
-    ]
+let the_end = Term.cst Ctx.leg_end
+
+(* One prefixed copy of the full spider body, each atom built once.  A
+   query over the copy lists the atoms it keeps, so every query built
+   from one copy shares them: a compile's T∞ queries repeat 86 distinct
+   atoms (at s = 10) over 725 positions, and a retained compilation
+   costs what its distinct atoms cost.  Atoms are immutable, so sharing
+   them changes nothing a reader can observe. *)
+type leg = { knee : string; thigh : Atom.t; calf : Atom.t }
+
+type copy = {
+  tail_v : string;
+  antenna_v : string;
+  ant_atom : Atom.t;
+  tail_atom : Atom.t;
+  upper_legs : leg array;  (* leg j at index j - 1 *)
+  lower_legs : leg array;
+}
+
+let copy ctx prefix =
+  let h = Term.var (head_var prefix) in
+  let legs thigh calf knee_var =
+    Array.init (Ctx.s ctx) (fun i ->
+        let j = i + 1 in
+        let knee = knee_var prefix j in
+        let k = Term.var knee in
+        {
+          knee;
+          thigh = Atom.app2 (thigh ctx j) h k;
+          calf = Atom.app2 (calf ctx j) k the_end;
+        })
   in
-  let leg side j =
-    let thigh, calf, knee, omitted =
-      match side with
-      | `Upper ->
-          (Ctx.upper_thigh ctx j, Ctx.upper_calf ctx j, upper_knee_var prefix j,
-           t.upper = Some j)
-      | `Lower ->
-          (Ctx.lower_thigh ctx j, Ctx.lower_calf ctx j, lower_knee_var prefix j,
-           t.lower = Some j)
-    in
-    Atom.app2 thigh h (v knee)
-    :: (if omitted then [] else [ Atom.app2 calf (v knee) the_end ])
-  in
-  base
-  @ List.concat_map (fun j -> leg `Upper j @ leg `Lower j) (Ctx.indices ctx)
+  let tail_v = tail_var prefix and antenna_v = antenna_var prefix in
+  {
+    tail_v;
+    antenna_v;
+    ant_atom = Atom.app2 (Ctx.ant ctx) h (Term.var antenna_v);
+    tail_atom = Atom.app2 (Ctx.tail ctx) h (Term.var tail_v);
+    upper_legs = legs Ctx.upper_thigh Ctx.upper_calf upper_knee_var;
+    lower_legs = legs Ctx.lower_thigh Ctx.lower_calf lower_knee_var;
+  }
+
+(* The body atoms of f^I_J over copy [c]: antenna, tail, then leg by leg
+   the upper and the lower thigh, each followed by its calf unless the
+   leg is consumed. *)
+let body_of c t =
+  let leg l consumed j = if consumed = Some j then [ l.thigh ] else [ l.thigh; l.calf ] in
+  c.ant_atom :: c.tail_atom
+  :: List.concat
+       (List.init (Array.length c.upper_legs) (fun i ->
+            leg c.upper_legs.(i) t.upper (i + 1) @ leg c.lower_legs.(i) t.lower (i + 1)))
+
+let body ctx ~prefix t = body_of (copy ctx prefix) t
 
 (* The free "magic" knee variables of f^I_J. *)
-let magic_knees ~prefix t =
-  (match t.upper with Some i -> [ upper_knee_var prefix i ] | None -> [])
-  @ (match t.lower with Some j -> [ lower_knee_var prefix j ] | None -> [])
+let magic_knees c t =
+  (match t.upper with Some i -> [ c.upper_legs.(i - 1).knee ] | None -> [])
+  @ (match t.lower with Some j -> [ c.lower_legs.(j - 1).knee ] | None -> [])
 
 (* The standalone query f^I_J: free variables are tail, antenna and the
    magic knees. *)
 let to_cq ctx ?(prefix = "") t =
-  Cq.Query.make
-    ~free:(tail_var prefix :: antenna_var prefix :: magic_knees ~prefix t)
-    (body ctx ~prefix t)
+  let c = copy ctx prefix in
+  Cq.Query.make ~free:(c.tail_v :: c.antenna_v :: magic_knees c t) (body_of c t)
 
 (* --- binary queries --------------------------------------------------- *)
 
@@ -86,39 +112,59 @@ let pp_binary ppf b =
     (match b.conn with Amp -> "&" | Slash -> "/")
     pp_f b.right
 
-(* The CQ of a binary query.  Prefixes "1_" and "2_" keep the two copies
-   apart; the identified vertex keeps the prefix of the left copy and is
-   existentially quantified. *)
-let binary_to_cq ctx b =
-  let b1 = body ctx ~prefix:"1_" b.left in
-  let b2 = body ctx ~prefix:"2_" b.right in
-  let identify =
-    match b.conn with
-    | Amp -> fun x -> if x = antenna_var "2_" then antenna_var "1_" else x
-    | Slash -> fun x -> if x = tail_var "2_" then tail_var "1_" else x
-  in
-  let atoms = b1 @ List.map (Atom.rename identify) b2 in
+(* The copies a set of binary queries is built from.  Prefixes "1_" and
+   "2_" keep a query's two spider copies apart; the identified vertex
+   keeps the prefix of the left copy and is existentially quantified.
+   Only one atom of the right copy mentions it — the antenna atom under
+   &, the tail atom under / — so the right copy of each connective
+   differs from the plain one in that atom alone. *)
+type copies = { left_copy : copy; amp_right : copy; slash_right : copy }
+
+let copies ctx =
+  let left = copy ctx "1_" and right = copy ctx "2_" in
+  let h = Term.var (head_var "2_") in
+  {
+    left_copy = left;
+    amp_right =
+      { right with
+        antenna_v = left.antenna_v;
+        ant_atom = Atom.app2 (Ctx.ant ctx) h (Term.var left.antenna_v) };
+    slash_right =
+      { right with
+        tail_v = left.tail_v;
+        tail_atom = Atom.app2 (Ctx.tail ctx) h (Term.var left.tail_v) };
+  }
+
+(* The CQ of a binary query, over the atoms of [cs]. *)
+let binary_cq cs b =
+  let c1 = cs.left_copy in
+  let c2 = match b.conn with Amp -> cs.amp_right | Slash -> cs.slash_right in
   let free =
     (match b.conn with
-    | Amp -> [ tail_var "1_"; tail_var "2_" ]
-    | Slash -> [ antenna_var "1_"; antenna_var "2_" ])
-    @ magic_knees ~prefix:"1_" b.left
-    @ magic_knees ~prefix:"2_" b.right
+    | Amp -> [ c1.tail_v; c2.tail_v ]
+    | Slash -> [ c1.antenna_v; c2.antenna_v ])
+    @ magic_knees c1 b.left @ magic_knees c2 b.right
   in
-  Cq.Query.make ~free atoms
+  Cq.Query.make ~free (body_of c1 b.left @ body_of c2 b.right)
 
-let named_cq ctx b = (Fmt.str "%a" pp_binary b, binary_to_cq ctx b)
+let binary_to_cq ctx b = binary_cq (copies ctx) b
+
+(* Each query of [bs] named, all built over one set of copies. *)
+let named_cqs ctx bs =
+  let cs = copies ctx in
+  List.map (fun b -> (Fmt.str "%a" pp_binary b, binary_cq cs b)) bs
 
 (* The pair of green-red TGDs generated by a binary query (Definition 3),
    i.e. its meaning as an instruction acting on Σ̄-structures. *)
-let binary_to_tgds ctx b = Tgd.Dep.t_q [ named_cq ctx b ]
+let binary_to_tgds ctx b = Tgd.Dep.t_q (named_cqs ctx [ b ])
 
 (* T_Q of a set of binary queries: one [t_q] over the whole set, so the
    TGDs share their atoms. *)
-let tgds_of_binaries ctx bs = Tgd.Dep.t_q (List.map (named_cq ctx) bs)
+let tgds_of_binaries ctx bs = Tgd.Dep.t_q (named_cqs ctx bs)
 
 (* Compile a whole set of binary queries into named CQs over Σ — the Q of
-   an CQfDP instance — and into T_Q, building each CQ once. *)
+   an CQfDP instance — and into T_Q, building each CQ once and each
+   distinct atom once. *)
 let compile_binaries ctx bs =
-  let named = List.map (named_cq ctx) bs in
+  let named = named_cqs ctx bs in
   (List.mapi (fun i (n, q) -> (Fmt.str "q%d:%s" i n, q)) named, Tgd.Dep.t_q named)

@@ -14,19 +14,8 @@ val upper : f -> int option
 val lower : f -> int option
 val pp_f : Format.formatter -> f -> unit
 
-(** {1 Variable naming of one query copy} *)
-
-val head_var : string -> string
-val antenna_var : string -> string
-val tail_var : string -> string
-val upper_knee_var : string -> int -> string
-val lower_knee_var : string -> int -> string
-
 (** The body atoms of f^I_J, variables prefixed. *)
 val body : Ctx.t -> prefix:string -> f -> Atom.t list
-
-(** The free knee variables of the consumed legs. *)
-val magic_knees : prefix:string -> f -> string list
 
 (** The standalone CQ: free variables are tail, antenna and magic knees. *)
 val to_cq : Ctx.t -> ?prefix:string -> f -> Cq.Query.t

@@ -331,7 +331,7 @@ let test_fresh_after_raw_fact () =
 (* The memory gate of the fact store: T_Q chased two stages from a full
    green spider at s = 10 (847 facts) costs at most [max_words_per_fact]
    words per fact, counting every word reachable from the structure. *)
-let max_words_per_fact = 30.
+let max_words_per_fact = 24.
 
 let test_words_per_fact () =
   let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
@@ -349,6 +349,122 @@ let test_words_per_fact () =
   check
     (Printf.sprintf "%.1f words per fact, at most %.0f" w max_words_per_fact)
     true (w <= max_words_per_fact)
+
+(* The memory gate of a level-0 compilation: the spider CQs of
+   [to_level0 ~s:10] reach at most [max_level0_cq_words] words, because
+   a compile builds each distinct atom once and every query holding an
+   equal atom holds that one. *)
+let max_level0_cq_words = 5_000
+
+let test_level0_cq_words () =
+  let p = Greengraph.Precompile.to_level0 ~s:10 Separating.Tinf.rules in
+  let qs = p.Greengraph.Precompile.queries in
+  let w = Obj.reachable_words (Obj.repr qs) in
+  check
+    (Printf.sprintf "%d words, at most %d" w max_level0_cq_words)
+    true (w <= max_level0_cq_words);
+  let atoms =
+    List.sort Atom.compare (List.concat_map (fun (_, q) -> Cq.Query.body q) qs)
+  in
+  let rec shared = function
+    | a :: (b :: _ as rest) -> (Atom.compare a b <> 0 || a == b) && shared rest
+    | _ -> true
+  in
+  check "equal atoms are one atom" true (shared atoms)
+
+(* {2 Buckets against a model}
+
+   Random [push]/[remove] sequences over three buckets sharing one pool,
+   each checked against a sorted list after every step: entries,
+   length, [lower_bound], [fold_left], the canonical form (a two-fact
+   bucket of ids below 2^30 is packed, anything else past one fact is a
+   pool slot) and pool-slot reuse (the pool never hands out more slots
+   than were ever live at once).  Ids are drawn either near 0 or around
+   2^30, where a pair falls back to a pool slot. *)
+
+type shape = Empty | One | Packed | Slot
+
+let shape b =
+  if b = Buckets.empty then Empty
+  else if b >= 0 then One
+  else if Buckets.packed b then Packed
+  else Slot
+
+let shape_name = function
+  | Empty -> "empty"
+  | One -> "one"
+  | Packed -> "packed"
+  | Slot -> "slot"
+
+let check_bucket p b model =
+  let n = List.length model in
+  check_int "length" n (Buckets.length p b);
+  Alcotest.(check (list int)) "entries" model (List.init n (Buckets.get p b));
+  Alcotest.(check (list int))
+    "fold_left" (List.rev model)
+    (Buckets.fold_left p (fun acc id -> id :: acc) [] b);
+  List.iter
+    (fun x ->
+      check_int "lower_bound"
+        (List.length (List.filter (fun y -> y < x) model))
+        (Buckets.lower_bound p b x))
+    (List.concat_map (fun y -> [ y - 1; y; y + 1 ]) (0 :: model));
+  let canonical =
+    match (shape b, model) with
+    | Empty, [] | One, [ _ ] -> true
+    | Packed, [ x; y ] -> Buckets.small x && Buckets.small y
+    | Slot, [ x; y ] -> not (Buckets.small x && Buckets.small y)
+    | Slot, _ :: _ :: _ :: _ -> true
+    | _ -> false
+  in
+  check (shape_name (shape b) ^ " is canonical") true canonical
+
+let test_buckets_model () =
+  let rng = Random.State.make [| 28 |] in
+  let seen = Hashtbl.create 16 in
+  for _ = 1 to 400 do
+    let p = Buckets.create_pool () in
+    let bs = Array.make 3 Buckets.empty and models = Array.make 3 [] in
+    let base = if Random.State.bool rng then 0 else (1 lsl 30) - 4 in
+    let next = ref base and peak = ref 0 in
+    for _ = 1 to 40 do
+      let i = Random.State.int rng 3 in
+      let before = shape bs.(i) in
+      (if models.(i) = [] || Random.State.int rng 5 < 3 then begin
+         (* ascending, as the journal appends; a step of 0 repeats *)
+         next := !next + Random.State.int rng 3;
+         bs.(i) <- Buckets.push p bs.(i) !next;
+         models.(i) <- models.(i) @ [ !next ]
+       end
+       else begin
+         let m = models.(i) in
+         let id =
+           if Random.State.int rng 6 = 0 then !next + 1
+           else List.nth m (Random.State.int rng (List.length m))
+         in
+         let rec drop = function
+           | [] -> []
+           | x :: rest -> if x = id then rest else x :: drop rest
+         in
+         bs.(i) <- Buckets.remove p bs.(i) id;
+         models.(i) <- drop m
+       end);
+      Hashtbl.replace seen (before, shape bs.(i)) ();
+      check_bucket p bs.(i) models.(i);
+      let slots = Array.fold_left (fun n b -> if shape b = Slot then n + 1 else n) 0 bs in
+      peak := max !peak slots;
+      check_int "slots handed out" !peak p.Buckets.n
+    done
+  done;
+  List.iter
+    (fun (a, b) ->
+      check
+        (Printf.sprintf "%s -> %s seen" (shape_name a) (shape_name b))
+        true (Hashtbl.mem seen (a, b)))
+    [
+      (Empty, One); (One, Empty); (One, Packed); (Packed, One); (Packed, Slot);
+      (Slot, Packed); (Slot, Slot); (One, Slot); (Slot, One); (Packed, Packed);
+    ]
 
 let () =
   Alcotest.run "relational"
@@ -388,6 +504,9 @@ let () =
             test_fresh_after_raw_fact;
           Alcotest.test_case "words per fact, s=10 spider" `Quick
             test_words_per_fact;
+          Alcotest.test_case "level-0 CQ words, s=10" `Quick
+            test_level0_cq_words;
+          Alcotest.test_case "buckets against a model" `Quick test_buckets_model;
         ] );
       ( "keys",
         Alcotest.test_case "pin key range" `Quick test_pin_key_range

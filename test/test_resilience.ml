@@ -325,10 +325,11 @@ let test_checkpoint_concurrent_save () =
 
 (* Checkpoints of the retired formats: a current file under an old
    magic.  Version 1 payloads were laid out for the old [Structure.t]
-   and [Symbol.t], version 2 for the boxed-fact store; whatever the
-   payload, the loader must refuse the file by its header, naming the
-   version, and never unmarshal it. *)
-let retired_magics = [ "REDSPIDER-CKPT-1"; "REDSPIDER-CKPT-2" ]
+   and [Symbol.t], version 2 for the boxed-fact store, version 3 for
+   the store before packed two-fact buckets; whatever the payload, the
+   loader must refuse the file by its header, naming the version, and
+   never unmarshal it. *)
+let retired_magics = [ "REDSPIDER-CKPT-1"; "REDSPIDER-CKPT-2"; "REDSPIDER-CKPT-3" ]
 
 let save_retired magic path =
   let snap = ref None in
